@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .cartan import CartanData, LieType, cartan_data
 from .errors import DomainError, ParseError
@@ -86,12 +86,12 @@ class _BlockStructure:
             fams = {f for f, _ in rel}
             if len(fams) == 1 and (fam := next(iter(fams))) not in self.division:
                 exps = tuple(e for _, e in rel)
-                assert min(exps) == 0
                 self.division[fam] = exps
                 self.span[fam] = max(exps)
             else:
                 extras.append(rel)
-        assert set(self.division) == set(self.families)
+        if set(self.division) != set(self.families) or any(map(min, self.division.values())):
+            raise ValueError("each family needs a division relation starting at exponent 0")
         self.offset: Dict[str, int] = {}
         pos = 0
         for fam in self.families:
@@ -292,46 +292,42 @@ def parse_elliptic(lt: LieType, text: str) -> EllipticCharacter:
 
 
 @lru_cache(maxsize=None)
-def _generator_class(cd: CartanData, i: int) -> Tuple[Tuple[FamilyExp, int], ...]:
-    """Class of the i-th generator at exponent 0 as seed-generator terms.
+def _generator_class(lt: LieType) -> Dict[int, Tuple[Tuple[FamilyExp, int], ...]]:
+    """Classes of the non-seed generators at exponent 0, as window terms.
 
-    For a seed node this is a single term.  Otherwise we solve, over the
-    rows away from the seed nodes, for a loop-root combination matching
-    the generator; the seed rows of that combination then read off the
-    terms.  The search window doubles a few times before giving up,
-    which has sufficed for every supported type with room to spare.
+    The class map sends ``w[l;a,k]`` to ``S^k c_l``, where ``S`` is the
+    window shift and each seed's ``c`` is its unit vector.  It must send
+    every simple loop root into the shift-closed lattice ``L``, so for
+    each node ``j`` the pattern of ``alpha_j``, read as a sum of
+    ``v S^off c_l``, is required to lie in ``L``.  One integer solve over
+    all nodes at once finds the remaining ``c_l``; the seed generators
+    span the block group, so the answer is unique modulo ``L``.
     """
-    cd.check_node(i)
-    if i in cd.seed_nodes:
-        return (((seed_family(cd, i), 0), 1),)
-    seeds = set(cd.seed_nodes)
-    width = 2 * (cd.lacing * cd.dual_coxeter + 2)
-    for _ in range(4):
-        solver = SparseIntSolver()
-        for k in range(-width, width + 1):
-            for j in cd.nodes:
-                col = {}
-                for (node, off), v in _alpha_pattern(cd, j):
-                    if node not in seeds:
-                        col[(node, k + off)] = col.get((node, k + off), 0) + v
-                solver.add_column((j, k), col)
-        combo = solver.solve({(i, 0): 1})
-        if combo is not None:
-            seed_terms: Dict[FamilyExp, int] = {}
-            for (j, k), c in combo.items():
-                for (node, off), v in _alpha_pattern(cd, j):
-                    if node in seeds:
-                        key = (seed_family(cd, node), k + off)
-                        t = seed_terms.get(key, 0) - c * v
-                        if t:
-                            seed_terms[key] = t
-                        else:
-                            seed_terms.pop(key, None)
-            return tuple(sorted(seed_terms.items()))
-        width *= 2
-    raise RuntimeError(
-        f"no loop-root expression for generator {i} of {cd.type} within window"
-    )
+    cd, st = cartan_data(lt), _structure(lt)
+    seeds = {i: (seed_family(cd, i), 0) for i in cd.seed_nodes}
+    window = [(fam, e) for fam in st.families for e in range(st.span[fam])]
+    solver = SparseIntSolver()
+    columns: Dict[Tuple[int, FamilyExp], Dict[Tuple[int, FamilyExp], int]] = {}
+    target: Dict[Tuple[int, FamilyExp], int] = {}
+    for j in cd.nodes:
+        for (l, off), v in _alpha_pattern(cd, j):
+            # A seed's class is known, so its part goes to the right-hand side.
+            for fam, e in [seeds[l]] if l in seeds else window:
+                vec = target if l in seeds else columns.setdefault((l, (fam, e)), {})
+                for fe, x in st.reduce({(fam, e + off): 1}).items():
+                    vec[(j, fe)] = vec.get((j, fe), 0) + v * x
+        for b, row in enumerate(st.lattice.basis()):
+            solver.add_column(("L", j, b), {(j, window[r]): x for r, x in enumerate(row)})
+    for key, vec in columns.items():
+        solver.add_column(key, vec)
+    combo = solver.solve({key: -x for key, x in target.items()})
+    if combo is None:
+        raise ArithmeticError(f"no class map for {lt}: the loop-root system is unsolvable")
+    return {
+        l: st.normal_form({fe: combo.get((l, fe), 0) for fe in window})
+        for l in cd.nodes
+        if l not in seeds
+    }
 
 
 def elliptic_class(cd: CartanData, pi: LWeight) -> EllipticCharacter:
@@ -339,7 +335,11 @@ def elliptic_class(cd: CartanData, pi: LWeight) -> EllipticCharacter:
     raw: Dict[Tuple[str, str, int], int] = {}
     for (i, a, k), p in pi.factors:
         cd.check_node(i)
-        for (fam, e), m in _generator_class(cd, i):
+        if i in cd.seed_nodes:
+            gen = (((seed_family(cd, i), 0), 1),)
+        else:
+            gen = _generator_class(cd.type)[i]
+        for (fam, e), m in gen:
             key = (a, fam, e + k)
             raw[key] = raw.get(key, 0) + p * m
     return EllipticCharacter.make(cd.type, raw)

@@ -141,11 +141,12 @@ def cone_check(cd: CartanData, omega: LWeight, pi: LWeight) -> bool:
 def twist_by_w0(cd: CartanData, pi: LWeight) -> LWeight:
     """Apply the full braid twist along a reduced word for the longest element.
 
-    Equals the inverse of the dual loop weight; the identity is asserted
+    Equals the inverse of the dual loop weight; the identity is checked
     here because it pins both the node pairing and the exponent shift.
     """
     if not pi.is_dominant:
         raise DomainError("the twist formula applies to dominant loop weights")
     out = braid_act_word(cd, longest_element(cd).word, pi)
-    assert out == dual_lweight(cd, pi).inverse()
+    if out != dual_lweight(cd, pi).inverse():
+        raise ArithmeticError(f"twist of {pi} is not the inverse of its dual")
     return out

@@ -5,7 +5,8 @@ self-check suites.  Output is deterministic for a fixed argument list;
 ``--format json`` switches every verb to a machine-readable encoding.
 Exit codes: 0 on success (predicates report their answer and still exit
 0), 1 when verification finds a failing check, 2 on bad input syntax,
-3 when the request is well formed but outside an operation's domain.
+3 when the request is well formed but outside an operation's domain,
+4 on an internal error, reported as one line on stderr.
 """
 
 import argparse
@@ -23,7 +24,7 @@ from .blocks import (
 from .braid import braid_act_word, cone_check, lroot_decompose, simple_lroot, twist_by_w0
 from .cartan import CartanData, cartan_data
 from .errors import DomainError, ParseError
-from .lweight import LCharacter, LWeight, parse_lweight
+from .lweight import LCharacter, LWeight, check_lweight, parse_lweight
 from .qchar import (
     Sl2String,
     dn_node2_char,
@@ -63,23 +64,19 @@ def _parse_table(text: str, rank: int) -> Dict[Tuple[int, ...], int]:
     for key, value in data.items():
         try:
             coords = tuple(int(part) for part in str(key).split(","))
-            mult = int(value)
         except ValueError:
             raise ParseError(f"bad table entry {key!r}: {value!r}")
+        # bool is an int subclass; int() would truncate floats and coerce strings.
+        if type(value) is not int:
+            raise ParseError(f"multiplicity of {key!r} is not an integer: {value!r}")
         if len(coords) != rank:
             raise ParseError(f"weight {key!r} does not have {rank} coordinates")
-        table[coords] = mult
+        table[coords] = value
     return table
 
 
 def _weights(cd: CartanData, texts: List[str]) -> List[LWeight]:
-    out = []
-    for text in texts:
-        pi = parse_lweight(text)
-        for (node, _, _), _p in pi.factors:
-            cd.check_node(node)
-        out.append(pi)
-    return out
+    return [check_lweight(cd, parse_lweight(text)) for text in texts]
 
 
 def _print_lweight(pi: LWeight, fmt: str) -> None:
@@ -346,6 +343,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except Exception as err:
+        # A failed internal identity must not pass for exit 1 ("verify failed").
+        print(f"internal error: {err!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -140,7 +140,8 @@ def minuscule_char(cd: CartanData, i: int, p: SpectralParam) -> LCharacter:
     terms: Dict[LWeight, int] = {}
     for w in min_coset_reps(cd, lam):
         pi = braid_act_word(cd, w.word, top)
-        assert pi not in terms
+        if pi in terms:
+            raise ArithmeticError(f"braid orbit of {top} meets {pi} twice")
         terms[pi] = 1
     return LCharacter.from_dict(terms)
 

@@ -119,11 +119,6 @@ def identity_element(cd: CartanData) -> WeylElement:
     return WeylElement(word=(), matrix=_identity_matrix(cd.rank))
 
 
-def simple_reflection(cd: CartanData, i: int) -> WeylElement:
-    cd.check_node(i)
-    return WeylElement(word=(i,), matrix=_simple_matrix(cd, i))
-
-
 def element_from_word(cd: CartanData, word: Tuple[int, ...]) -> WeylElement:
     m = _identity_matrix(cd.rank)
     for i in word:
@@ -238,7 +233,6 @@ def dominance_diff(cd: CartanData, lam: Weight, mu: Weight) -> Optional[RootCoor
     target = [Fraction(lam[i] - mu[i]) for i in range(n)]
     rows = [[Fraction(cd.a(i + 1, j + 1)) for j in range(n)] for i in range(n)]
     # Gaussian elimination; the Cartan matrix is invertible over Q.
-    perm = list(range(n))
     for col in range(n):
         piv = next(r for r in range(col, n) if rows[r][col])
         rows[col], rows[piv] = rows[piv], rows[col]
@@ -251,7 +245,6 @@ def dominance_diff(cd: CartanData, lam: Weight, mu: Weight) -> Optional[RootCoor
                 f = rows[r][col]
                 rows[r] = [t - f * s for t, s in zip(rows[r], rows[col])]
                 target[r] -= f * target[col]
-    del perm
     if any(t.denominator != 1 for t in target):
         return None
     return tuple(int(t) for t in target)

@@ -18,7 +18,8 @@ from loopchar import (
     tensor_class,
     trivial_sets,
 )
-from loopchar.blocks import relation_set
+from loopchar.blocks import _generator_class, relation_set
+from loopchar.verify import _CLASS_TYPES
 
 
 RELATION_FIXTURES = {
@@ -75,6 +76,36 @@ def test_loop_roots_have_trivial_class(label):
     for i in cd.nodes:
         for e in (-2, 0, 5):
             assert elliptic_class(cd, simple_lroot(cd, i, "a", e)).is_zero
+
+
+@pytest.mark.parametrize(
+    "label",
+    _CLASS_TYPES + ("A6", "A7", "A8", "B6", "B7", "B8", "C6", "C7", "C8", "D7", "D8"),
+)
+def test_generator_classes_agree_with_the_loop_root_lattice(label):
+    # Checked without the class solve: a generator divided by the seed
+    # monomial its class names must be a product of simple loop roots.
+    cd = cartan_data(label)
+    n = cd.rank
+    seed_node = {"": cd.seed_nodes[0], "+": n, "-": n - 1}
+    for i in cd.nodes:
+        pi = fundamental_lweight(cd, i, "a", 3)
+        powers = {}
+        for (orbit, fam, e), c in elliptic_class(cd, pi).terms:
+            powers[(seed_node[fam], orbit, e)] = c
+        seeds = LWeight.from_dict(powers)
+        assert lroot_decompose(cd, pi * seeds.inverse()) is not None, (label, i)
+
+
+def test_class_solve_runs_once_per_type_and_never_for_seeds():
+    cd = cartan_data("E7")
+    _generator_class.cache_clear()
+    for _, pi in trivial_sets(cd):
+        elliptic_class(cd, pi)
+    assert _generator_class.cache_info().misses == 0
+    for i in cd.nodes:
+        elliptic_class(cd, fundamental_lweight(cd, i))
+    assert _generator_class.cache_info().misses == 1
 
 
 def test_linkage_fixtures():

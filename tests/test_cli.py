@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from loopchar import cli
 from loopchar import (
     EllipticCharacter,
     LCharacter,
@@ -55,6 +56,13 @@ def test_parse_errors_exit_2():
     assert result.stdout == ""
     assert result.stderr.startswith("error:")
 
+    # Multiplicities must be JSON integers: no truncated floats, no booleans.
+    for table in ('{"1,0":1.9,"0,0":1}', '{"1,0":1,"0,0":true}', '{"1,0":"1","0,0":1}'):
+        result = run_cli("qchar-fund", "--type", "B2", "--node", "1", "--table", table)
+        assert result.returncode == 2, table
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+
 
 def test_domain_errors_exit_3():
     result = run_cli("alpha", "--type", "A2", "--node", "5")
@@ -64,6 +72,17 @@ def test_domain_errors_exit_3():
     result = run_cli("qchar-fund", "--type", "B3", "--node", "2")
     assert result.returncode == 3
     assert "node 2 of B3 needs an explicit multiplicity table" in result.stderr
+
+
+def test_internal_errors_exit_4(monkeypatch, capsys):
+    def broken(args):
+        raise ArithmeticError("no class map")
+
+    monkeypatch.setattr(cli, "_cmd_block", broken)
+    assert cli.main(["block", "--type", "A2", "w[1;a,0]"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: ArithmeticError('no class map')\n"
 
 
 def test_usage_errors_exit_2():
