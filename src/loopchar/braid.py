@@ -11,8 +11,8 @@ from typing import Dict, Optional, Tuple
 
 from .cartan import CartanData
 from .errors import DomainError
-from .lweight import GenKey, LWeight, dual_lweight
-from .weyl import longest_element
+from .lweight import GenKey, LWeight, dual_lweight, weight_of
+from .weyl import Weight, longest_element, orbit_edges
 
 LRootCoeffs = Dict[GenKey, int]
 
@@ -58,6 +58,19 @@ def braid_act_word(cd: CartanData, word: Tuple[int, ...], pi: LWeight) -> LWeigh
     for i in reversed(word):
         pi = braid_act(cd, i, pi)
     return pi
+
+
+def braid_orbit(cd: CartanData, pi: LWeight) -> Dict[Weight, LWeight]:
+    """The braid orbit of pi, keyed by the W-orbit of its dominant weight.
+
+    Each weight w(lam) maps to T_w pi for the minimal representative w;
+    one braid operator is applied per edge of the orbit walk.
+    """
+    lam = weight_of(cd, pi)
+    images = {lam: pi}
+    for mu, j, nu in orbit_edges(cd, lam):
+        images[nu] = braid_act(cd, j, images[mu])
+    return images
 
 
 @lru_cache(maxsize=None)

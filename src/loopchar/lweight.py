@@ -50,12 +50,6 @@ class LWeight:
     def to_dict(self) -> Dict[GenKey, int]:
         return dict(self.factors)
 
-    def power(self, key: GenKey) -> int:
-        for k, p in self.factors:
-            if k == key:
-                return p
-        return 0
-
     def __mul__(self, other: "LWeight") -> "LWeight":
         powers = self.to_dict()
         for k, p in other.factors:

@@ -21,13 +21,12 @@ from .lweight import (
     fundamental_lweight,
     weight_of,
 )
-from .braid import braid_act_word, cone_check, simple_lroot
+from .braid import braid_orbit, cone_check, simple_lroot
 from .weyl import (
     Weight,
     dominance_diff,
     fundamental_weight,
     is_dominant,
-    min_coset_reps,
     positive_roots,
     coroot_pairing,
     simple_root_weight,
@@ -136,14 +135,10 @@ def minuscule_char(cd: CartanData, i: int, p: SpectralParam) -> LCharacter:
         )
     orbit, e = p
     top = fundamental_lweight(cd, i, orbit, e)
-    lam = fundamental_weight(cd, i)
-    terms: Dict[LWeight, int] = {}
-    for w in min_coset_reps(cd, lam):
-        pi = braid_act_word(cd, w.word, top)
-        if pi in terms:
-            raise ArithmeticError(f"braid orbit of {top} meets {pi} twice")
-        terms[pi] = 1
-    return LCharacter.from_dict(terms)
+    images = braid_orbit(cd, top)
+    if len(set(images.values())) != len(images):
+        raise ArithmeticError(f"braid orbit of {top} meets some loop weight twice")
+    return LCharacter.from_dict(dict.fromkeys(images.values(), 1))
 
 
 def dn_node2_char(n: int, p: SpectralParam) -> LCharacter:
@@ -157,10 +152,8 @@ def dn_node2_char(n: int, p: SpectralParam) -> LCharacter:
     cd = cartan_data(f"D{n}")
     orbit, e = p
     top = fundamental_lweight(cd, 2, orbit, e)
-    lam = fundamental_weight(cd, 2)
     terms: Dict[LWeight, int] = {}
-    for w in min_coset_reps(cd, lam):
-        pi = braid_act_word(cd, w.word, top)
+    for pi in braid_orbit(cd, top).values():
         terms[pi] = terms.get(pi, 0) + 1
     for j in range(1, n + 1):
         core = _dn_core_term(n, j, orbit, e)
@@ -264,10 +257,8 @@ def fundamental_char(
                     f"cannot split multiplicity {want} at weight {list(lam)} "
                     f"among {len(cand)} candidates with bounds {sorted(cand.values())}"
                 )
-        reps = min_coset_reps(cd, lam)
         for pi, mult in sorted(settled[lam].items(), key=lambda kv: str(kv[0])):
-            for w in reps:
-                term = braid_act_word(cd, w.word, pi)
+            for term in braid_orbit(cd, pi).values():
                 terms[term] = terms.get(term, 0) + mult
                 _discover(cd, term, mult, bounds)
 

@@ -8,10 +8,11 @@ as a product of operators, so the rightmost letter acts first.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .cartan import CartanData
 from .errors import DomainError
@@ -115,20 +116,12 @@ def element_from_matrix(cd: CartanData, m: Matrix) -> WeylElement:
     return WeylElement(word=_word_from_matrix(cd, m), matrix=m)
 
 
-def identity_element(cd: CartanData) -> WeylElement:
-    return WeylElement(word=(), matrix=_identity_matrix(cd.rank))
-
-
 def element_from_word(cd: CartanData, word: Tuple[int, ...]) -> WeylElement:
     m = _identity_matrix(cd.rank)
     for i in word:
         cd.check_node(i)
         m = _mat_mul(m, _simple_matrix(cd, i))
     return element_from_matrix(cd, m)
-
-
-def compose(cd: CartanData, u: WeylElement, v: WeylElement) -> WeylElement:
-    return element_from_matrix(cd, _mat_mul(u.matrix, v.matrix))
 
 
 def is_reduced_word(cd: CartanData, word: Tuple[int, ...]) -> bool:
@@ -194,32 +187,41 @@ def coroot_pairing(cd: CartanData, lam: Weight, beta: RootCoords) -> int:
     return num // den
 
 
+def orbit_edges(cd: CartanData, lam: Weight) -> Iterator[Tuple[Weight, int, Weight]]:
+    """Breadth-first spanning tree of the W-orbit of a dominant weight.
+
+    Yields one edge (mu, j, s_j mu) per orbit weight other than lam, the
+    first time that weight is reached, with j ascending at each weight.
+    A step along j is taken only when mu[j] > 0, so the path from lam
+    to any weight spells a reduced word (last step leftmost) for the
+    minimal coset representative carrying lam there.
+    """
+    if not is_dominant(lam):
+        raise DomainError("the Weyl orbit walk needs a dominant weight")
+    seen = {lam}
+    queue = deque([lam])
+    while queue:
+        mu = queue.popleft()
+        for j in cd.nodes:
+            if mu[j - 1] > 0:
+                nu = reflect(cd, j, mu)
+                if nu not in seen:
+                    seen.add(nu)
+                    queue.append(nu)
+                    yield mu, j, nu
+
+
 def min_coset_reps(cd: CartanData, lam: Weight) -> List[WeylElement]:
     """Minimal-length coset representatives for W / Stab(lam).
 
-    lam must be dominant.  Breadth-first from the identity, extending
-    words on the left by s_j (j ascending), keeping an extension only
-    when it increases length and reaches an unvisited orbit weight.
-    The returned list is sorted by (length, word).
+    lam must be dominant.  One matrix per edge of ``orbit_edges``; the
+    returned list is sorted by (length, canonical word).
     """
-    if not is_dominant(lam):
-        raise DomainError("minimal coset representatives need a dominant weight")
-    ident = identity_element(cd)
-    seen: Dict[Weight, WeylElement] = {lam: ident}
-    queue: List[WeylElement] = [ident]
-    while queue:
-        w = queue.pop(0)
-        base = w.apply(lam)
-        for j in cd.nodes:
-            mu = reflect(cd, j, base)
-            if mu in seen:
-                continue
-            ext = element_from_matrix(cd, _mat_mul(_simple_matrix(cd, j), w.matrix))
-            if ext.length != w.length + 1:
-                continue
-            seen[mu] = ext
-            queue.append(ext)
-    return sorted(seen.values(), key=lambda w: (w.length, w.word))
+    mats: Dict[Weight, Matrix] = {lam: _identity_matrix(cd.rank)}
+    for mu, j, nu in orbit_edges(cd, lam):
+        mats[nu] = _mat_mul(_simple_matrix(cd, j), mats[mu])
+    reps = (element_from_matrix(cd, m) for m in mats.values())
+    return sorted(reps, key=lambda w: (w.length, w.word))
 
 
 def weight_orbit(cd: CartanData, lam: Weight) -> List[Tuple[Weight, WeylElement]]:

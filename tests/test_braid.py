@@ -13,13 +13,30 @@ from loopchar import (
     dual_lweight,
     expand_lroots,
     fundamental_lweight,
+    is_minuscule,
     lroot_decompose,
+    min_coset_reps,
     parse_lweight,
     simple_lroot,
     twist_by_w0,
+    weight_of,
 )
+from loopchar.braid import braid_orbit
+from loopchar.verify import _CLASS_TYPES
 
 TYPES = ["A3", "B3", "C3", "D4", "F4", "G2"]
+
+ORBIT_CASES = (
+    [
+        (name, f"w[{i};a,0]")
+        for name in _CLASS_TYPES
+        for i in cartan_data(name).nodes
+        if is_minuscule(cartan_data(name), i)
+    ]
+    + [(f"D{n}", "w[2;a,0]") for n in range(4, 9)]
+    + [(f"B{n}", "w[1;a,0]") for n in range(2, 9)]
+    + [("E8", "w[1;a,0]"), ("B3", "w[1;a,0]*w[3;a,5]")]
+)
 
 
 def test_rank_one_fixture():
@@ -62,6 +79,21 @@ def test_action_word_regressions():
     word = (2, 3, 4, 5, 6, 7, 8, 5, 4, 3, 2, 6, 5, 4, 3, 8, 5, 4, 6, 7, 5, 6, 8, 5, 4, 3, 2)
     got = braid_act_word(cd, word, fundamental_lweight(cd, 2))
     assert got == parse_lweight("w[1;a,1]*w[1;a,9]*w[1;a,17]*w[2;a,18]^-1")
+
+
+@pytest.mark.parametrize("label,text", ORBIT_CASES)
+def test_braid_orbit_matches_words_of_coset_reps(label, text):
+    cd = cartan_data(label)
+    pi = parse_lweight(text)
+    lam = weight_of(cd, pi)
+    expected = {w.apply(lam): braid_act_word(cd, w.word, pi) for w in min_coset_reps(cd, lam)}
+    assert braid_orbit(cd, pi) == expected
+
+
+def test_braid_orbit_rejects_a_non_dominant_weight():
+    cd = cartan_data("A2")
+    with pytest.raises(DomainError):
+        braid_orbit(cd, parse_lweight("w[1;a,0]*w[2;a,1]^-1"))
 
 
 def test_simple_lroot_fixtures():

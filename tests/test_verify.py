@@ -1,5 +1,10 @@
 """Tests for the self-check runner."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from loopchar import DomainError
@@ -38,3 +43,16 @@ def test_seed_changes_data_but_not_verdicts():
         for name, suite_rows in rows.items():
             bad = [r for r in suite_rows if r["status"] != "pass"]
             assert not bad, (name, seed, bad[:1])
+
+
+def test_verify_passes_with_asserts_stripped():
+    # python -O removes every assert statement, so no check may rest on one.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "loopchar", "verify", "--suite", "all"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert "all checks pass" in result.stdout

@@ -79,6 +79,19 @@ def test_min_coset_reps_sizes():
     assert len(min_coset_reps(cd, rho(cd))) == 6
     with pytest.raises(DomainError):
         min_coset_reps(cd, (-1, 0))
+    for name, node, size in (("E6", 1, 27), ("D4", 2, 24), ("B3", 1, 6)):
+        cd = cartan_data(name)
+        reps = min_coset_reps(cd, fundamental_weight(cd, node))
+        assert len(reps) == size
+        assert reps == sorted(reps, key=lambda w: (w.length, w.word))
+        assert all(is_reduced_word(cd, w.word) for w in reps)
+    words = {
+        ("A3", 2): [(), (2,), (1, 2), (3, 2), (1, 3, 2), (2, 1, 3, 2)],
+        ("B2", 1): [(), (1,), (2, 1), (1, 2, 1)],
+    }
+    for (name, node), expected in words.items():
+        cd = cartan_data(name)
+        assert [w.word for w in min_coset_reps(cd, fundamental_weight(cd, node))] == expected
 
 
 def test_weight_orbit_is_duplicate_free():
