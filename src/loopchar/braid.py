@@ -11,46 +11,39 @@ from typing import Dict, Optional, Tuple
 
 from .cartan import CartanData
 from .errors import DomainError
-from .lweight import GenKey, LWeight, dual_lweight, weight_of
+from .lweight import GenKey, LWeight, check_lweight, dual_lweight, weight_of
 from .weyl import Weight, longest_element, orbit_edges
 
 LRootCoeffs = Dict[GenKey, int]
 
-_OFFSETS = {-1: None, -2: (1, 3), -3: (1, 3, 5)}
-
-
-def _neighbor_offsets(a_ji: int, d_i: int) -> Tuple[int, ...]:
-    if a_ji == -1:
-        return (d_i,)
-    return _OFFSETS[a_ji]
+# Exponent offsets of the neighbour factors of a simple loop root, by
+# the Cartan entry a_ji of a multiply laced edge (a_ji = -1 uses d_i).
+_OFFSETS = {-2: (1, 3), -3: (1, 3, 5)}
 
 
 def braid_act(cd: CartanData, i: int, pi: LWeight) -> LWeight:
     """Apply the i-th braid operator.
 
-    A factor at node i with exponent e is sent to an inverted factor at
-    e + 2*d_i and spawns factors on each neighbour j at shifts that
-    depend on the Cartan entry a_ji; all other factors pass through.
+    T_i divides pi by alpha[i;a,k]^p for every factor w[i;a,k]^p of pi,
+    which sends that factor to an inverted one at k + 2*d_i and spawns
+    factors on each neighbour at offsets set by the Cartan entry; all
+    other factors pass through.
     """
     cd.check_node(i)
-    powers: Dict[GenKey, int] = {}
-
-    def add(key: GenKey, p: int) -> None:
-        v = powers.get(key, 0) + p
-        if v:
-            powers[key] = v
-        else:
-            powers.pop(key, None)
-
-    for (j, a, k), p in pi.factors:
-        cd.check_node(j)
-        if j != i:
-            add((j, a, k), p)
-            continue
-        add((i, a, k + 2 * cd.d(i)), -p)
-        for l in cd.neighbors(i):
-            for t in _neighbor_offsets(cd.a(l, i), cd.d(i)):
-                add((l, a, k + t), p)
+    check_lweight(cd, pi)
+    own = [(a, k, p) for (j, a, k), p in pi.factors if j == i]
+    if not own:
+        return pi
+    powers = pi.to_dict()
+    pattern = _alpha_pattern(cd, i)
+    for a, k, p in own:
+        for (node, off), v in pattern:
+            key = (node, a, k + off)
+            c = powers.get(key, 0) - p * v
+            if c:
+                powers[key] = c
+            else:
+                del powers[key]
     return LWeight.from_dict(powers)
 
 
@@ -78,7 +71,8 @@ def _alpha_pattern(cd: CartanData, i: int) -> Tuple[Tuple[Tuple[int, int], int],
     """Entries of the i-th simple loop root as ((node, exp offset), value)."""
     entries = [((i, 0), 1), ((i, 2 * cd.d(i)), 1)]
     for l in cd.neighbors(i):
-        for t in _neighbor_offsets(cd.a(l, i), cd.d(i)):
+        a_li = cd.a(l, i)
+        for t in (cd.d(i),) if a_li == -1 else _OFFSETS[a_li]:
             entries.append(((l, t), -1))
     return tuple(sorted(entries))
 

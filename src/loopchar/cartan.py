@@ -120,6 +120,11 @@ class CartanData:
     w0_perm: Tuple[int, ...]
     adjacency: Tuple[Tuple[int, ...], ...]
 
+    def __hash__(self) -> int:
+        # Equal Cartan data share their type, so the type alone is a valid
+        # hash, and far cheaper than the matrix for the per-type caches.
+        return hash(self.type)
+
     def a(self, i: int, j: int) -> int:
         return self.matrix[i - 1][j - 1]
 

@@ -41,7 +41,9 @@ class LWeight:
 
     @staticmethod
     def from_dict(powers: Dict[GenKey, int]) -> "LWeight":
-        return LWeight(tuple(sorted((k, p) for k, p in powers.items() if p)))
+        if 0 in powers.values():
+            powers = {k: p for k, p in powers.items() if p}
+        return LWeight(tuple(sorted(powers.items())))
 
     @staticmethod
     def identity() -> "LWeight":
@@ -150,8 +152,14 @@ def parse_lweight(text: str) -> LWeight:
 
 
 def check_lweight(cd: CartanData, pi: LWeight) -> LWeight:
-    for i in pi.nodes():
-        cd.check_node(i)
+    """Raise DomainError naming the first out-of-range node of pi, if any.
+
+    Factors are sorted by node, so the two ends decide whether to look.
+    """
+    f = pi.factors
+    if f and not (f[0][0][0] >= 1 and f[-1][0][0] <= cd.rank):
+        for i in pi.nodes():
+            cd.check_node(i)
     return pi
 
 

@@ -10,6 +10,7 @@ weights plus caller-supplied dominant weight multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanData, cartan_data
@@ -65,12 +66,16 @@ def sl2_eval_char(a: SpectralParam, m: int) -> LCharacter:
     if m < 0:
         raise DomainError(f"string length must be nonnegative, got {m}")
     orbit, e = a
-    terms: Dict[LWeight, int] = {}
-    for r in range(m + 1):
-        num = Sl2String((orbit, e - r), m - r).lweight()
-        den = Sl2String((orbit, e + m - r + 2), r).lweight()
-        terms[num * den.inverse()] = 1
-    return LCharacter.from_dict(terms)
+    # Term r has numerator exponents e-m+1, e-m+3, ..., e+m-2r-1 and
+    # denominator exponents e+m-2r+3, ..., e+m+1: the first m-r entries
+    # of ``num`` and the last r of ``den``.  The two ranges never
+    # overlap, so each term's factors come out sorted, and the terms
+    # themselves in ascending factor order.
+    num = tuple(((1, orbit, k), 1) for k in range(e - m + 1, e + m, 2))
+    den = tuple(((1, orbit, k), -1) for k in range(e - m + 3, e + m + 2, 2))
+    return LCharacter(
+        tuple((LWeight(num[: m - r] + den[m - r :]), 1) for r in range(m + 1))
+    )
 
 
 def sl2_tensor_irreducible(strings: Sequence[Sl2String]) -> bool:
@@ -118,6 +123,7 @@ def cyclicity_order(
     return tuple(perm)
 
 
+@lru_cache(maxsize=None)
 def is_minuscule(cd: CartanData, i: int) -> bool:
     cd.check_node(i)
     lam = fundamental_weight(cd, i)

@@ -46,7 +46,7 @@ def reflect(cd: CartanData, i: int, lam: Weight) -> Weight:
     c = lam[i - 1]
     if c == 0:
         return lam
-    return tuple(l - c * cd.a(k, i) for k, l in zip(cd.nodes, lam))
+    return tuple(l - c * row[i - 1] for l, row in zip(lam, cd.matrix))
 
 
 def is_dominant(lam: Weight) -> bool:
@@ -57,28 +57,19 @@ def _identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ar[k] * bc[k] for k in range(n)) for bc in bt) for ar in a
-    )
-
-
 def _mat_apply(m: Matrix, lam: Weight) -> Weight:
     return tuple(sum(r[c] * lam[c] for c in range(len(lam))) for r in m)
 
 
-@lru_cache(maxsize=None)
-def _simple_matrix(cd: CartanData, i: int) -> Matrix:
-    n = cd.rank
-    return tuple(
-        tuple(
-            (1 if r == c else 0) - (cd.a(r + 1, i) if c == i - 1 else 0)
-            for c in range(n)
-        )
-        for r in range(n)
-    )
+def _reflect_rows(cd: CartanData, i: int, m: Matrix) -> Matrix:
+    """The product s_i m; only row i and the rows of i's neighbours change."""
+    rows = list(m)
+    pivot = rows[i - 1]
+    for k in cd.neighbors(i):
+        a = cd.a(k, i)
+        rows[k - 1] = tuple(r - a * p for r, p in zip(rows[k - 1], pivot))
+    rows[i - 1] = tuple(-p for p in pivot)
+    return tuple(rows)
 
 
 def _word_from_matrix(cd: CartanData, m: Matrix) -> Tuple[int, ...]:
@@ -117,10 +108,11 @@ def element_from_matrix(cd: CartanData, m: Matrix) -> WeylElement:
 
 
 def element_from_word(cd: CartanData, word: Tuple[int, ...]) -> WeylElement:
-    m = _identity_matrix(cd.rank)
     for i in word:
         cd.check_node(i)
-        m = _mat_mul(m, _simple_matrix(cd, i))
+    m = _identity_matrix(cd.rank)
+    for i in reversed(word):
+        m = _reflect_rows(cd, i, m)
     return element_from_matrix(cd, m)
 
 
@@ -136,7 +128,7 @@ def longest_element(cd: CartanData) -> WeylElement:
         for i in cd.nodes:
             if lam[i - 1] > 0:
                 lam = reflect(cd, i, lam)
-                m = _mat_mul(_simple_matrix(cd, i), m)
+                m = _reflect_rows(cd, i, m)
                 break
         else:
             return element_from_matrix(cd, m)
@@ -214,14 +206,23 @@ def orbit_edges(cd: CartanData, lam: Weight) -> Iterator[Tuple[Weight, int, Weig
 def min_coset_reps(cd: CartanData, lam: Weight) -> List[WeylElement]:
     """Minimal-length coset representatives for W / Stab(lam).
 
-    lam must be dominant.  One matrix per edge of ``orbit_edges``; the
-    returned list is sorted by (length, canonical word).
+    lam must be dominant.  A minimal representative w has as left
+    descents exactly the negative coordinates of w(lam), so with i the
+    first of them, w = s_i (s_i w), and s_i w is the minimal
+    representative of s_i w(lam), one level up the orbit walk.  Its
+    canonical word (smallest left descent first) is i followed by that
+    of s_i w.  The returned list is sorted by (length, canonical word).
     """
-    mats: Dict[Weight, Matrix] = {lam: _identity_matrix(cd.rank)}
-    for mu, j, nu in orbit_edges(cd, lam):
-        mats[nu] = _mat_mul(_simple_matrix(cd, j), mats[mu])
-    reps = (element_from_matrix(cd, m) for m in mats.values())
-    return sorted(reps, key=lambda w: (w.length, w.word))
+    reps: Dict[Weight, WeylElement] = {
+        lam: WeylElement(word=(), matrix=_identity_matrix(cd.rank))
+    }
+    for _mu, _j, nu in orbit_edges(cd, lam):
+        i = next(k for k, c in enumerate(nu, start=1) if c < 0)
+        parent = reps[reflect(cd, i, nu)]
+        reps[nu] = WeylElement(
+            word=(i,) + parent.word, matrix=_reflect_rows(cd, i, parent.matrix)
+        )
+    return sorted(reps.values(), key=lambda w: (w.length, w.word))
 
 
 def weight_orbit(cd: CartanData, lam: Weight) -> List[Tuple[Weight, WeylElement]]:
@@ -229,24 +230,32 @@ def weight_orbit(cd: CartanData, lam: Weight) -> List[Tuple[Weight, WeylElement]
     return [(w.apply(lam), w) for w in min_coset_reps(cd, lam)]
 
 
-def dominance_diff(cd: CartanData, lam: Weight, mu: Weight) -> Optional[RootCoords]:
-    """Root coordinates of lam - mu, or None if not in the root lattice."""
+@lru_cache(maxsize=None)
+def _inverse_cartan(cd: CartanData) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The exact inverse of the Cartan matrix, by Gauss-Jordan elimination."""
     n = cd.rank
-    target = [Fraction(lam[i] - mu[i]) for i in range(n)]
-    rows = [[Fraction(cd.a(i + 1, j + 1)) for j in range(n)] for i in range(n)]
-    # Gaussian elimination; the Cartan matrix is invertible over Q.
+    rows = [
+        [Fraction(cd.a(i + 1, j + 1)) for j in range(n)]
+        + [Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    # The Cartan matrix is invertible over Q.
     for col in range(n):
         piv = next(r for r in range(col, n) if rows[r][col])
         rows[col], rows[piv] = rows[piv], rows[col]
-        target[col], target[piv] = target[piv], target[col]
         inv = 1 / rows[col][col]
         rows[col] = [t * inv for t in rows[col]]
-        target[col] *= inv
         for r in range(n):
             if r != col and rows[r][col]:
                 f = rows[r][col]
                 rows[r] = [t - f * s for t, s in zip(rows[r], rows[col])]
-                target[r] -= f * target[col]
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def dominance_diff(cd: CartanData, lam: Weight, mu: Weight) -> Optional[RootCoords]:
+    """Root coordinates of lam - mu, or None if not in the root lattice."""
+    diff = [lam[i] - mu[i] for i in range(cd.rank)]
+    target = [sum(c * d for c, d in zip(row, diff)) for row in _inverse_cartan(cd)]
     if any(t.denominator != 1 for t in target):
         return None
     return tuple(int(t) for t in target)

@@ -54,6 +54,39 @@ def test_own_node_action_divides_by_the_loop_root(label):
             assert braid_act(cd, i, om) == om * simple_lroot(cd, i, "a", e).inverse()
 
 
+# Images pinned by hand, independently of the loop-root table: the own
+# factor moves to k + 2*d_i inverted, and a neighbour j gains factors at
+# k + d_i (a_ji = -1), k + 1, k + 3 (a_ji = -2) or k + 1, k + 3, k + 5
+# (a_ji = -3).
+PINNED_IMAGES = [
+    ("B2", 1, "w[1;a,0]", "w[1;a,4]^-1*w[2;a,1]*w[2;a,3]"),
+    ("B2", 2, "w[2;a,0]", "w[1;a,1]*w[2;a,2]^-1"),
+    ("B2", 1, "w[1;a,0]^-1*w[1;a,4]*w[2;a,1]", "w[1;a,4]*w[1;a,8]^-1*w[2;a,3]^-1*w[2;a,5]*w[2;a,7]"),
+    ("C3", 3, "w[3;a,0]", "w[2;a,1]*w[2;a,3]*w[3;a,4]^-1"),
+    ("C3", 2, "w[2;a,0]", "w[1;a,1]*w[2;a,2]^-1*w[3;a,1]"),
+    ("G2", 2, "w[2;a,0]", "w[1;a,1]*w[1;a,3]*w[1;a,5]*w[2;a,6]^-1"),
+    ("G2", 1, "w[1;a,0]", "w[1;a,2]^-1*w[2;a,1]"),
+    (
+        "G2", 2, "w[1;a,0]*w[2;a,0]^2*w[2;a,6]*w[2;b,3]^-1",
+        "w[1;a,0]*w[1;a,1]^2*w[1;a,3]^2*w[1;a,5]^2*w[1;a,7]*w[1;a,9]*w[1;a,11]"
+        "*w[1;b,4]^-1*w[1;b,6]^-1*w[1;b,8]^-1*w[2;a,6]^-2*w[2;a,12]^-1*w[2;b,9]",
+    ),
+]
+
+
+@pytest.mark.parametrize("label,i,text,image", PINNED_IMAGES)
+def test_braid_act_multiply_laced_images(label, i, text, image):
+    cd = cartan_data(label)
+    assert str(braid_act(cd, i, parse_lweight(text))) == image
+
+
+def test_braid_act_rejects_nodes_beyond_the_rank():
+    cd = cartan_data("B2")
+    for text in ("w[3;a,0]", "w[1;a,0]*w[3;a,0]", "w[2;a,0]*w[3;b,1]"):
+        with pytest.raises(DomainError, match="node 3 out of range"):
+            braid_act(cd, 1, parse_lweight(text))
+
+
 @pytest.mark.parametrize("label", TYPES)
 def test_distant_nodes_are_fixed(label):
     cd = cartan_data(label)

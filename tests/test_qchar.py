@@ -4,6 +4,7 @@ import pytest
 
 from loopchar import (
     DomainError,
+    LCharacter,
     Sl2String,
     cartan_data,
     cone_check,
@@ -42,6 +43,21 @@ def test_sl2_char_fixture():
         "1 * w[1;a,0]*w[1;a,4]^-1\n"
         "1 * w[1;a,2]^-1*w[1;a,4]^-1"
     )
+
+
+@pytest.mark.parametrize("m", list(range(41)) + [100, 256])
+def test_sl2_char_matches_the_string_quotients(m):
+    """Term r is the string (e-r, m-r) divided by the string (e+m-r+2, r)."""
+    for orbit in ("a", "b"):
+        for e in range(-13, 14):
+            expected = LCharacter.from_dict(
+                {
+                    Sl2String((orbit, e - r), m - r).lweight()
+                    * Sl2String((orbit, e + m - r + 2), r).lweight().inverse(): 1
+                    for r in range(m + 1)
+                }
+            )
+            assert sl2_eval_char((orbit, e), m) == expected
 
 
 def test_sl2_char_degenerate_cases():

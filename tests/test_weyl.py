@@ -1,5 +1,9 @@
 """Weyl group machinery on classical weight coordinates."""
 
+from fractions import Fraction
+import itertools
+import random
+
 import pytest
 
 from loopchar import (
@@ -17,7 +21,15 @@ from loopchar import (
     weight_orbit,
     zero_weight,
 )
-from loopchar.weyl import highest_root, rho, root_norm, simple_root_weight
+from loopchar.verify import _CLASS_TYPES
+from loopchar.weyl import (
+    _word_from_matrix,
+    highest_root,
+    orbit_edges,
+    rho,
+    root_norm,
+    simple_root_weight,
+)
 
 
 def test_reflection_fixture():
@@ -129,3 +141,67 @@ def test_simple_root_weight_rows():
     cd = cartan_data("C2")
     assert simple_root_weight(cd, 1) == (2, -1)
     assert simple_root_weight(cd, 2) == (-2, 2)
+
+
+@pytest.mark.parametrize("label", _CLASS_TYPES)
+def test_coset_reps_agree_with_the_descent_from_rho(label):
+    """Words built from the orbit-walk parent against the matrix oracle.
+
+    Every fundamental weight is covered, except the E8 orbits larger
+    than 2160 weights.
+    """
+    cd = cartan_data(label)
+    for i in cd.nodes:
+        lam = fundamental_weight(cd, i)
+        if label == "E8" and len(list(itertools.islice(orbit_edges(cd, lam), 2160))) == 2160:
+            continue
+        reps = min_coset_reps(cd, lam)
+        assert reps == sorted(reps, key=lambda w: (w.length, w.word))
+        for w in reps:
+            assert w.word == _word_from_matrix(cd, w.matrix)
+            assert element_from_word(cd, w.word).matrix == w.matrix
+
+
+def _dominance_diff_by_elimination(cd, lam, mu):
+    """Gaussian elimination of A x = lam - mu on every call."""
+    n = cd.rank
+    target = [Fraction(lam[i] - mu[i]) for i in range(n)]
+    rows = [[Fraction(cd.a(i + 1, j + 1)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        target[col], target[piv] = target[piv], target[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [t * inv for t in rows[col]]
+        target[col] *= inv
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [t - f * s for t, s in zip(rows[r], rows[col])]
+                target[r] -= f * target[col]
+    if any(t.denominator != 1 for t in target):
+        return None
+    return tuple(int(t) for t in target)
+
+
+def test_dominance_diff_matches_elimination():
+    rng = random.Random(4)
+    outcomes = set()
+    for name in _CLASS_TYPES:
+        cd = cartan_data(name)
+        for t in range(60):
+            lam = tuple(rng.randint(-5, 5) for _ in cd.nodes)
+            if t % 2:
+                mu = tuple(rng.randint(-5, 5) for _ in cd.nodes)
+            else:
+                x = [rng.randint(-3, 3) for _ in cd.nodes]
+                mu = tuple(
+                    l - sum(cd.a(i, j) * x[j - 1] for j in cd.nodes)
+                    for i, l in zip(cd.nodes, lam)
+                )
+            got = dominance_diff(cd, lam, mu)
+            assert got == _dominance_diff_by_elimination(cd, lam, mu)
+            if t % 2 == 0:
+                assert got == tuple(x)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
