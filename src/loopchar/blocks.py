@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 from .cartan import CartanData, LieType, cartan_data
 from .errors import DomainError, ParseError
 from .intlattice import IntRowLattice, SparseIntSolver
-from .lweight import LWeight, check_orbit
+from .lweight import LWeight, check_orbit, json_int
 from .braid import _alpha_pattern
 
 FamilyExp = Tuple[str, int]
@@ -258,8 +258,8 @@ class EllipticCharacter:
         lt = LieType.parse(str(data["type"]))
         raw: Dict[Tuple[str, str, int], int] = {}
         for entry in data["terms"]:
-            key = (str(entry["orbit"]), str(entry["family"]), int(entry["exp"]))
-            raw[key] = raw.get(key, 0) + int(entry["coeff"])
+            key = (str(entry["orbit"]), str(entry["family"]), json_int(entry, "exp"))
+            raw[key] = raw.get(key, 0) + json_int(entry, "coeff")
         return EllipticCharacter.make(lt, raw)
 
 

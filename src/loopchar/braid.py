@@ -48,9 +48,43 @@ def braid_act(cd: CartanData, i: int, pi: LWeight) -> LWeight:
 
 
 def braid_act_word(cd: CartanData, word: Tuple[int, ...], pi: LWeight) -> LWeight:
+    """Apply the braid operators of ``word``, rightmost letter first.
+
+    Equals folding ``braid_act`` over the reversed word.  The factors are
+    kept grouped by node, so a letter reads only its own node's factors
+    and writes only its own and its neighbours' groups; the groups are
+    sorted once, at the end, and joined in node order.
+    """
+    if word and not (min(word) >= 1 and max(word) <= cd.rank):
+        for i in word:
+            cd.check_node(i)
+    check_lweight(cd, pi)
+    by_node: Dict[int, Dict[Tuple[str, int], int]] = {i: {} for i in cd.nodes}
+    for (j, a, k), p in pi.factors:
+        by_node[j][(a, k)] = p
+    patterns = {
+        i: [(by_node[node], off, v) for (node, off), v in _alpha_pattern(cd, i)]
+        for i in set(word)
+    }
+    fired = False
     for i in reversed(word):
-        pi = braid_act(cd, i, pi)
-    return pi
+        own = by_node[i]
+        if not own:
+            continue
+        fired = True
+        for (a, k), p in list(own.items()):
+            for powers, off, v in patterns[i]:
+                key = (a, k + off)
+                c = powers.get(key, 0) - p * v
+                if c:
+                    powers[key] = c
+                else:
+                    del powers[key]
+    if not fired:
+        return pi
+    return LWeight(
+        tuple(((j, a, k), p) for j, group in by_node.items() for (a, k), p in sorted(group.items()))
+    )
 
 
 def braid_orbit(cd: CartanData, pi: LWeight) -> Dict[Weight, LWeight]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterator, List, Tuple
 
 from .cartan import CartanData
@@ -19,6 +20,11 @@ from .errors import DomainError, ParseError
 
 SpectralParam = Tuple[str, int]
 GenKey = Tuple[int, str, int]
+Factors = Tuple[Tuple[GenKey, int], ...]
+
+# Sort key for (key, value) pairs whose keys are unique: the order is that
+# of the pairs, and each comparison looks one tuple level less deep.
+_BY_KEY = itemgetter(0)
 
 _ORBIT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _FACTOR_RE = re.compile(
@@ -37,7 +43,7 @@ def check_orbit(orbit: str) -> str:
 class LWeight:
     """An element of the loop-weight lattice, stored as sorted factors."""
 
-    factors: Tuple[Tuple[GenKey, int], ...]
+    factors: Factors
 
     @staticmethod
     def from_dict(powers: Dict[GenKey, int]) -> "LWeight":
@@ -53,10 +59,7 @@ class LWeight:
         return dict(self.factors)
 
     def __mul__(self, other: "LWeight") -> "LWeight":
-        powers = self.to_dict()
-        for k, p in other.factors:
-            powers[k] = powers.get(k, 0) + p
-        return LWeight.from_dict(powers)
+        return LWeight(_mul_factors(self.factors, other.factors))
 
     def inverse(self) -> "LWeight":
         return LWeight(tuple((k, -p) for k, p in self.factors))
@@ -111,9 +114,43 @@ class LWeight:
     def from_json(data: Dict[str, object]) -> "LWeight":
         powers: Dict[GenKey, int] = {}
         for entry in data["factors"]:
-            key = (int(entry["node"]), check_orbit(str(entry["orbit"])), int(entry["exp"]))
-            powers[key] = powers.get(key, 0) + int(entry["power"])
+            node = json_int(entry, "node")
+            if node < 1:
+                raise ParseError(f"node index must be positive, got {node}")
+            key = (node, check_orbit(str(entry["orbit"])), json_int(entry, "exp"))
+            powers[key] = powers.get(key, 0) + json_int(entry, "power")
         return LWeight.from_dict(powers)
+
+
+def _mul_factors(f: Factors, g: Factors) -> Factors:
+    """The sorted factors of a product, from the sorted factors of each side.
+
+    With disjoint keys the result is the two sorted runs merged, which the
+    sort does in linear time; otherwise shared keys add, and zeros drop.
+    The disjointness test stops at the first shared key.
+    """
+    powers = dict(f)
+    if powers.keys().isdisjoint(map(_BY_KEY, g)):
+        return tuple(sorted(f + g, key=_BY_KEY))
+    for k, p in g:
+        c = powers.get(k, 0) + p
+        if c:
+            powers[k] = c
+        else:
+            del powers[k]
+    return tuple(sorted(powers.items(), key=_BY_KEY))
+
+
+def json_int(entry: Dict[str, object], field: str) -> int:
+    """An integer field of a JSON record, taken as is.
+
+    bool is an int subclass, and int() would truncate floats and coerce
+    strings, so anything but a plain int is a ParseError.
+    """
+    value = entry[field]
+    if type(value) is not int:
+        raise ParseError(f"{field} is not an integer: {value!r}")
+    return value
 
 
 def parse_lweight(text: str) -> LWeight:
@@ -233,12 +270,18 @@ class LCharacter:
         return LCharacter.from_dict(terms)
 
     def __mul__(self, other: "LCharacter") -> "LCharacter":
-        terms: Dict[LWeight, int] = {}
+        # Keyed on factor tuples, so no LWeight is built or hashed per
+        # product; sorting by the unique keys gives from_dict's order.
+        terms: Dict[Factors, int] = {}
         for pi, m in self.terms:
+            f = pi.factors
             for tau, l in other.terms:
-                key = pi * tau
+                key = _mul_factors(f, tau.factors)
                 terms[key] = terms.get(key, 0) + m * l
-        return LCharacter.from_dict(terms)
+        items = [(key, m) for key, m in sorted(terms.items(), key=_BY_KEY) if m]
+        if any(m < 0 for _, m in items):
+            raise DomainError("character multiplicities must be positive")
+        return LCharacter(tuple((LWeight(key), m) for key, m in items))
 
     def shift(self, offset: int) -> "LCharacter":
         return LCharacter.from_dict({pi.shift(offset): m for pi, m in self.terms})
@@ -257,5 +300,5 @@ class LCharacter:
         terms: Dict[LWeight, int] = {}
         for entry in data["terms"]:
             pi = parse_lweight(str(entry["lweight"]))
-            terms[pi] = terms.get(pi, 0) + int(entry["mult"])
+            terms[pi] = terms.get(pi, 0) + json_int(entry, "mult")
         return LCharacter.from_dict(terms)

@@ -6,6 +6,7 @@ from loopchar import (
     DomainError,
     EllipticCharacter,
     LWeight,
+    ParseError,
     blocks_linked,
     cartan_data,
     classes_equal,
@@ -186,3 +187,12 @@ def test_parse_round_trips():
     assert parse_elliptic(b2.type, "-x[a,1] + 3 x[a,5]") == parse_elliptic(
         b2.type, "3 x[a,5] - x[a,1]"
     )
+
+
+@pytest.mark.parametrize("changes", [{"exp": 0.9}, {"exp": "3"}, {"coeff": 2.7}, {"coeff": True}])
+def test_class_from_json_rejects_non_integer_fields(changes):
+    entry = {"orbit": "a", "family": "-", "exp": 2, "coeff": 2}
+    chi = EllipticCharacter.from_json({"type": "D4", "terms": [entry]})
+    assert str(chi) == "2 x-[a,2]"
+    with pytest.raises(ParseError):
+        EllipticCharacter.from_json({"type": "D4", "terms": [dict(entry, **changes)]})

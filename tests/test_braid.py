@@ -1,5 +1,7 @@
 """Tests for the braid action and the loop-root lattice."""
 
+import random
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
@@ -14,6 +16,7 @@ from loopchar import (
     expand_lroots,
     fundamental_lweight,
     is_minuscule,
+    longest_element,
     lroot_decompose,
     min_coset_reps,
     parse_lweight,
@@ -112,6 +115,59 @@ def test_action_word_regressions():
     word = (2, 3, 4, 5, 6, 7, 8, 5, 4, 3, 2, 6, 5, 4, 3, 8, 5, 4, 6, 7, 5, 6, 8, 5, 4, 3, 2)
     got = braid_act_word(cd, word, fundamental_lweight(cd, 2))
     assert got == parse_lweight("w[1;a,1]*w[1;a,9]*w[1;a,17]*w[2;a,18]^-1")
+
+
+def fold_braid_act(cd, word, pi):
+    """The word action as one braid_act per letter, rightmost first."""
+    for i in reversed(word):
+        pi = braid_act(cd, i, pi)
+    return pi
+
+
+def random_lweight(rng, cd):
+    """Factors on a random subset of nodes, two orbits, powers of both signs."""
+    nodes = rng.sample(list(cd.nodes), rng.randint(1, cd.rank))
+    return LWeight.from_dict(
+        {
+            (rng.choice(nodes), rng.choice("ab"), rng.randint(-6, 6)): rng.choice((-2, -1, 1, 2, 3))
+            for _ in range(rng.randint(1, 5))
+        }
+    )
+
+
+@pytest.mark.parametrize("label", _CLASS_TYPES)
+def test_word_kernel_matches_the_fold_of_braid_act(label):
+    cd = cartan_data(label)
+    rng = random.Random(label)
+    for _ in range(25):
+        pi = random_lweight(rng, cd)
+        word = tuple(rng.choice(cd.nodes) for _ in range(rng.randint(0, 40)))
+        assert braid_act_word(cd, word, pi) == fold_braid_act(cd, word, pi)
+        # Letters off pi's nodes never fire, and pi comes back as it was.
+        idle = [i for i in cd.nodes if i not in set(pi.nodes())]
+        if idle:
+            word = tuple(rng.choice(idle) for _ in range(rng.randint(1, 6)))
+            assert braid_act_word(cd, word, pi) is pi
+
+
+@pytest.mark.parametrize("label", ["B3", "G2", "F4"])
+def test_word_kernel_on_the_longest_word(label):
+    cd = cartan_data(label)
+    word = longest_element(cd).word
+    inputs = [fundamental_lweight(cd, i, "a", 2 * i) for i in cd.nodes]
+    inputs.append(random_lweight(random.Random(label), cd))
+    for pi in inputs:
+        assert braid_act_word(cd, word, pi) == fold_braid_act(cd, word, pi)
+
+
+def test_word_action_checks_every_node_up_front():
+    cd = cartan_data("A2")
+    with pytest.raises(DomainError, match="node 7 out of range"):
+        braid_act_word(cd, (), parse_lweight("w[7;a,0]"))
+    # Letter 3 would find no factor on its node; the check still applies.
+    for word in ((3, 1), (1, 0), (-1,)):
+        with pytest.raises(DomainError, match="out of range"):
+            braid_act_word(cd, word, parse_lweight("w[2;a,0]"))
 
 
 @pytest.mark.parametrize("label,text", ORBIT_CASES)

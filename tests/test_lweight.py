@@ -10,7 +10,9 @@ from loopchar import (
     cartan_data,
     dual_lweight,
     fundamental_lweight,
+    minuscule_char,
     parse_lweight,
+    sl2_eval_char,
     weight_of,
 )
 
@@ -50,6 +52,65 @@ def test_json_round_trip(pi):
 @given(lweight_strategy(), lweight_strategy())
 def test_product_commutes(x, y):
     assert x * y == y * x
+
+
+def reference_product(x, y):
+    """The loop-weight product by dict accumulation and a full re-sort."""
+    powers = x.to_dict()
+    for k, p in y.factors:
+        powers[k] = powers.get(k, 0) + p
+    return LWeight.from_dict(powers)
+
+
+def reference_char_product(x, y):
+    terms = {}
+    for pi, m in x.terms:
+        for tau, l in y.terms:
+            key = reference_product(pi, tau)
+            terms[key] = terms.get(key, 0) + m * l
+    return LCharacter.from_dict(terms)
+
+
+def assert_products_match(x, y):
+    got, want = x * y, reference_char_product(x, y)
+    assert got.terms == want.terms
+    for pi, _ in x.terms:
+        for tau, _ in y.terms:
+            assert (pi * tau).factors == reference_product(pi, tau).factors
+
+
+@given(lweight_strategy(), lweight_strategy())
+def test_product_matches_the_reference(x, y):
+    assert (x * y).factors == reference_product(x, y).factors
+
+
+def test_products_on_disjoint_and_overlapping_keys():
+    a = parse_lweight("w[1;a,0]*w[2;a,1]^-1*w[3;b,4]^2")
+    b = parse_lweight("w[1;a,2]*w[2;b,1]*w[4;a,-3]^-1")
+    c = parse_lweight("w[1;a,0]^-1*w[2;a,1]*w[3;b,4]")
+    disjoint = (LCharacter.from_dict({a: 2, a.shift(7): 1}), LCharacter.from_dict({b: 1, b.shift(9): 3}))
+    overlapping = (LCharacter.from_dict({a: 1, c: 2, b: 1}), LCharacter.from_dict({a.inverse(): 3, c: 1}))
+    for x, y in (disjoint, overlapping):
+        assert_products_match(x, y)
+        assert_products_match(y, x)
+    assert (a * a.inverse()).factors == ()
+    assert (overlapping[0] * overlapping[1]).multiplicity(LWeight.identity()) == 3
+
+
+def test_products_of_strings():
+    for m1 in range(13):
+        x = sl2_eval_char(("a", 0), m1)
+        for m2 in range(13):
+            for p in (("a", 0), ("a", 1), ("a", m1 + m2), ("a", 2 - m2), ("b", 0)):
+                assert_products_match(x, sl2_eval_char(p, m2))
+
+
+def test_product_of_e6_minuscule_characters():
+    cd = cartan_data("E6")
+    x = minuscule_char(cd, 1, ("a", 0))
+    y = minuscule_char(cd, 5, ("a", 2))
+    assert len(x.terms) == len(y.terms) == 27
+    assert_products_match(x, y)
 
 
 @given(lweight_strategy())
@@ -187,3 +248,33 @@ def test_character_json_round_trip():
     data = x.to_json()
     assert data["dimension"] == 3
     assert LCharacter.from_json(data) == x
+
+
+def factor_entry(**changes):
+    entry = {"node": 1, "orbit": "a", "exp": 0, "power": 1}
+    entry.update(changes)
+    return {"factors": [entry]}
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"power": 1.5},
+        {"exp": 0.9},
+        {"exp": "3"},
+        {"node": True},
+        {"power": None},
+        {"node": 0},
+        {"node": -2},
+    ],
+)
+def test_lweight_from_json_rejects_non_integer_fields(changes):
+    assert LWeight.from_json(factor_entry()) == parse_lweight("w[1;a,0]")
+    with pytest.raises(ParseError):
+        LWeight.from_json(factor_entry(**changes))
+
+
+@pytest.mark.parametrize("mult", [2.7, "2", True])
+def test_character_from_json_rejects_non_integer_multiplicities(mult):
+    with pytest.raises(ParseError):
+        LCharacter.from_json({"terms": [{"lweight": "w[1;a,0]", "mult": mult}]})
