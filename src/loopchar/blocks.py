@@ -18,8 +18,8 @@ from typing import Dict, List, Tuple
 
 from .cartan import CartanData, LieType, cartan_data
 from .errors import DomainError, ParseError
-from .intlattice import IntRowLattice, SparseIntSolver
-from .lweight import LWeight, check_orbit, json_int
+from .intlattice import SparseIntSolver
+from .lweight import LWeight, check_orbit, json_int, json_str
 from .braid import _alpha_pattern
 
 FamilyExp = Tuple[str, int]
@@ -72,7 +72,7 @@ def seed_family(cd: CartanData, i: int) -> str:
 class _BlockStructure:
     """Per-type reduction data: windows, division relations, shift closure."""
 
-    __slots__ = ("families", "span", "division", "offset", "dim", "lattice")
+    __slots__ = ("families", "span", "division", "lattice")
 
     def __init__(self, cd: CartanData):
         relations = relation_set(cd)
@@ -92,16 +92,19 @@ class _BlockStructure:
                 extras.append(rel)
         if set(self.division) != set(self.families) or any(map(min, self.division.values())):
             raise ValueError("each family needs a division relation starting at exponent 0")
-        self.offset: Dict[str, int] = {}
-        pos = 0
-        for fam in self.families:
-            self.offset[fam] = pos
-            pos += self.span[fam]
-        self.dim = pos
-        self.lattice = IntRowLattice(self.dim)
-        for rel in extras:
-            self.lattice.add(self._dense(self.reduce({fe: 1 for fe in rel})))
-        self._close_under_shift()
+        self.lattice = SparseIntSolver()
+        for n, rel in enumerate(extras):
+            self.lattice.add_column(n, self.reduce({fe: 1 for fe in rel}))
+        # Close L under the exponent shift.  The shift map is unimodular,
+        # so one-sided closure suffices.
+        n, grew = len(extras), True
+        while grew:
+            grew = False
+            for row in self.lattice.basis():
+                shifted = self.reduce({(fam, e + 1): c for (fam, e), c in row.items()})
+                if shifted not in self.lattice:
+                    self.lattice.add_column(n, shifted)
+                    n, grew = n + 1, True
 
     def reduce(self, vec: Dict[FamilyExp, int]) -> Dict[FamilyExp, int]:
         """Confine every exponent to [0, span) using the division relations."""
@@ -135,49 +138,8 @@ class _BlockStructure:
                     else:
                         work.pop(key, None)
 
-    def _dense(self, vec: Dict[FamilyExp, int]) -> List[int]:
-        out = [0] * self.dim
-        for (fam, e), c in vec.items():
-            out[self.offset[fam] + e] = c
-        return out
-
-    def _shift_once(self, dense: List[int]) -> List[int]:
-        """Multiply by one exponent shift inside the window coordinates."""
-        out = [0] * self.dim
-        for fam in self.families:
-            off, span = self.offset[fam], self.span[fam]
-            for t in range(span):
-                c = dense[off + t]
-                if not c:
-                    continue
-                if t + 1 < span:
-                    out[off + t + 1] += c
-                else:
-                    for s in self.division[fam][:-1]:
-                        out[off + s] -= c
-        return out
-
-    def _close_under_shift(self) -> None:
-        # The shift map is unimodular, so one-sided closure suffices.
-        while True:
-            grew = False
-            for row in self.lattice.basis():
-                shifted = self._shift_once(row)
-                if any(shifted) and shifted not in self.lattice:
-                    self.lattice.add(shifted)
-                    grew = True
-            if not grew:
-                return
-
     def normal_form(self, vec: Dict[FamilyExp, int]) -> Tuple[Tuple[FamilyExp, int], ...]:
-        dense = self.lattice.residue(self._dense(self.reduce(vec)))
-        out = []
-        for fam in self.families:
-            off = self.offset[fam]
-            for t in range(self.span[fam]):
-                if dense[off + t]:
-                    out.append(((fam, t), dense[off + t]))
-        return tuple(out)
+        return tuple(sorted(self.lattice.residue(self.reduce(vec)).items()))
 
 
 @lru_cache(maxsize=None)
@@ -255,10 +217,11 @@ class EllipticCharacter:
 
     @staticmethod
     def from_json(data: Dict[str, object]) -> "EllipticCharacter":
-        lt = LieType.parse(str(data["type"]))
+        lt = LieType.parse(json_str(data, "type"))
         raw: Dict[Tuple[str, str, int], int] = {}
         for entry in data["terms"]:
-            key = (str(entry["orbit"]), str(entry["family"]), json_int(entry, "exp"))
+            orbit = check_orbit(json_str(entry, "orbit"))
+            key = (orbit, json_str(entry, "family"), json_int(entry, "exp"))
             raw[key] = raw.get(key, 0) + json_int(entry, "coeff")
         return EllipticCharacter.make(lt, raw)
 
@@ -317,7 +280,7 @@ def _generator_class(lt: LieType) -> Dict[int, Tuple[Tuple[FamilyExp, int], ...]
                 for fe, x in st.reduce({(fam, e + off): 1}).items():
                     vec[(j, fe)] = vec.get((j, fe), 0) + v * x
         for b, row in enumerate(st.lattice.basis()):
-            solver.add_column(("L", j, b), {(j, window[r]): x for r, x in enumerate(row)})
+            solver.add_column(("L", j, b), {(j, fe): x for fe, x in row.items()})
     for key, vec in columns.items():
         solver.add_column(key, vec)
     combo = solver.solve({key: -x for key, x in target.items()})

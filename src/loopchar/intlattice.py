@@ -1,16 +1,15 @@
-"""Exact integer linear algebra: echelon lattices and sparse solving.
+"""Exact integer linear algebra: one sparse echelon engine.
 
 Everything here works over the integers with no fractions and no
-tolerances.  ``IntRowLattice`` keeps a subgroup of Z^n in row-echelon
-form and supports membership tests and canonical coset residues;
-``SparseIntSolver`` incrementally reduces sparse integer columns while
-tracking the combination that produced each pivot, so that exact
-solutions of A x = b can be read back.
+tolerances.  ``SparseIntSolver`` keeps the span of sparse integer
+columns in echelon form, tracking the combination of original columns
+behind each pivot.  It reads back exact solutions of A x = b, tests
+membership in the span and gives canonical coset residues.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -28,118 +27,31 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _lead(v: Sequence[int]) -> Optional[int]:
-    for j, t in enumerate(v):
-        if t:
-            return j
-    return None
-
-
-class IntRowLattice:
-    """A subgroup of Z^dim held as an integer row-echelon basis.
-
-    Rows have pairwise distinct leading columns with positive leading
-    entries, which makes membership an exact divisibility-checked
-    elimination and makes ``residue`` a canonical coset representative.
-    """
-
-    __slots__ = ("dim", "_rows")
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._rows: Dict[int, List[int]] = {}
-
-    def basis(self) -> List[List[int]]:
-        return [self._rows[j][:] for j in sorted(self._rows)]
-
-    def add(self, vec: Sequence[int]) -> None:
-        if len(vec) != self.dim:
-            raise ValueError("dimension mismatch")
-        v = list(vec)
-        while True:
-            j = _lead(v)
-            if j is None:
-                return
-            row = self._rows.get(j)
-            if row is None:
-                if v[j] < 0:
-                    v = [-t for t in v]
-                self._rows[j] = v
-                return
-            a, b = row[j], v[j]
-            if b % a == 0:
-                q = b // a
-                v = [vt - q * rt for vt, rt in zip(v, row)]
-            elif a % b == 0:
-                # The incoming vector has the finer pivot; swap them.
-                if v[j] < 0:
-                    v = [-t for t in v]
-                self._rows[j] = v
-                v = row
-            else:
-                g, x, y = xgcd(a, b)
-                self._rows[j] = [x * rt + y * vt for rt, vt in zip(row, v)]
-                v = [(a // g) * vt - (b // g) * rt for rt, vt in zip(row, v)]
-
-    def __contains__(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.dim:
-            raise ValueError("dimension mismatch")
-        v = list(vec)
-        while True:
-            j = _lead(v)
-            if j is None:
-                return True
-            row = self._rows.get(j)
-            if row is None or v[j] % row[j]:
-                return False
-            q = v[j] // row[j]
-            v = [vt - q * rt for vt, rt in zip(v, row)]
-
-    def residue(self, vec: Sequence[int]) -> List[int]:
-        """Canonical representative of vec modulo the lattice.
-
-        Pivot columns are processed in ascending order with floor
-        division, leaving each pivot coordinate in [0, pivot).  The
-        result depends only on the lattice, not on the basis history.
-        """
-        if len(vec) != self.dim:
-            raise ValueError("dimension mismatch")
-        v = list(vec)
-        for j in sorted(self._rows):
-            row = self._rows[j]
-            q = v[j] // row[j]
-            if q:
-                v = [vt - q * rt for vt, rt in zip(v, row)]
-        return v
-
-
 SparseVec = Dict[Hashable, int]
 
 
-def _axpy(dst: SparseVec, src: SparseVec, q: int) -> SparseVec:
-    """Return dst - q*src with zero entries dropped."""
-    out = dict(dst)
-    for k, c in src.items():
-        t = out.get(k, 0) - q * c
-        if t:
-            out[k] = t
-        else:
-            out.pop(k, None)
+def _comb(x: int, u: SparseVec, y: int, v: SparseVec) -> SparseVec:
+    """Return x*u + y*v with zero entries dropped."""
+    out = dict(u) if x == 1 else {k: x * c for k, c in u.items() if x}
+    if y:
+        for k, c in v.items():
+            t = out.get(k, 0) + y * c
+            if t:
+                out[k] = t
+            else:
+                del out[k]
     return out
-
-
-def _negate(v: SparseVec) -> SparseVec:
-    return {k: -c for k, c in v.items()}
 
 
 class SparseIntSolver:
     """Column space over Z with combination tracking.
 
     Columns are sparse mappings from sortable row keys to integers.
-    Each stored pivot remembers the integer combination of original
-    columns that produced it, so ``solve`` can return coefficients x
-    with sum(x[k] * column[k]) == target exactly, or None when the
-    target is outside the column span.
+    Pivots have pairwise distinct leading keys with positive leading
+    entries.  Each stored pivot remembers the integer combination of
+    original columns that produced it, so ``solve`` can return
+    coefficients x with sum(x[k] * column[k]) == target exactly, or None
+    when the target is outside the column span.
     """
 
     __slots__ = ("_pivots",)
@@ -157,46 +69,26 @@ class SparseIntSolver:
             entry = self._pivots.get(j)
             if entry is None:
                 if v[j] < 0:
-                    v, combo = _negate(v), _negate(combo)
+                    v, combo = _comb(-1, v, 0, {}), _comb(-1, combo, 0, {})
                 self._pivots[j] = (v, combo)
                 return
             pv, pc = entry
             a, b = pv[j], v[j]
             if b % a == 0:
                 q = b // a
-                v = _axpy(v, pv, q)
-                combo = _axpy(combo, pc, q)
+                v, combo = _comb(1, v, -q, pv), _comb(1, combo, -q, pc)
             elif a % b == 0:
+                # The incoming vector has the finer pivot; swap them.
                 if v[j] < 0:
-                    v, combo = _negate(v), _negate(combo)
+                    v, combo = _comb(-1, v, 0, {}), _comb(-1, combo, 0, {})
                 self._pivots[j] = (v, combo)
                 v, combo = pv, pc
             else:
-                g, x, y = xgcd(a, b)
                 # pivot' = x*pv + y*v has leading entry g; the remainder
                 # (a/g)*v - (b/g)*pv has leading entry 0.
-                new_pv = {}
-                for k in set(pv) | set(v):
-                    t = x * pv.get(k, 0) + y * v.get(k, 0)
-                    if t:
-                        new_pv[k] = t
-                new_pc = {}
-                for k in set(pc) | set(combo):
-                    t = x * pc.get(k, 0) + y * combo.get(k, 0)
-                    if t:
-                        new_pc[k] = t
-                rem_v = {}
-                for k in set(pv) | set(v):
-                    t = (a // g) * v.get(k, 0) - (b // g) * pv.get(k, 0)
-                    if t:
-                        rem_v[k] = t
-                rem_c = {}
-                for k in set(pc) | set(combo):
-                    t = (a // g) * combo.get(k, 0) - (b // g) * pc.get(k, 0)
-                    if t:
-                        rem_c[k] = t
-                self._pivots[j] = (new_pv, new_pc)
-                v, combo = rem_v, rem_c
+                g, x, y = xgcd(a, b)
+                self._pivots[j] = (_comb(x, pv, y, v), _comb(x, pc, y, combo))
+                v, combo = _comb(a // g, v, -(b // g), pv), _comb(a // g, combo, -(b // g), pc)
 
     def solve(self, target: SparseVec) -> Optional[SparseVec]:
         v = {k: c for k, c in target.items() if c}
@@ -210,6 +102,28 @@ class SparseIntSolver:
             if v[j] % pv[j]:
                 return None
             q = v[j] // pv[j]
-            v = _axpy(v, pv, q)
-            combo = _axpy(combo, pc, -q)
+            v, combo = _comb(1, v, -q, pv), _comb(1, combo, q, pc)
         return combo
+
+    def __contains__(self, vec: SparseVec) -> bool:
+        # The span's own coset reduces to zero, and no other coset does.
+        return not self.residue(vec)
+
+    def basis(self) -> List[SparseVec]:
+        """The pivot vectors, in ascending order of their leading keys."""
+        return [dict(self._pivots[j][0]) for j in sorted(self._pivots)]
+
+    def residue(self, vec: SparseVec) -> SparseVec:
+        """Canonical representative of vec modulo the column span.
+
+        Pivot keys are processed in ascending order with floor division,
+        leaving each pivot coordinate in [0, pivot).  The result depends
+        only on the span, not on the order the columns came in.
+        """
+        v = {k: c for k, c in vec.items() if c}
+        for j in sorted(self._pivots):
+            pv = self._pivots[j][0]
+            q = v.get(j, 0) // pv[j]
+            if q:
+                v = _comb(1, v, -q, pv)
+        return v

@@ -117,7 +117,7 @@ class LWeight:
             node = json_int(entry, "node")
             if node < 1:
                 raise ParseError(f"node index must be positive, got {node}")
-            key = (node, check_orbit(str(entry["orbit"])), json_int(entry, "exp"))
+            key = (node, check_orbit(json_str(entry, "orbit")), json_int(entry, "exp"))
             powers[key] = powers.get(key, 0) + json_int(entry, "power")
         return LWeight.from_dict(powers)
 
@@ -141,16 +141,33 @@ def _mul_factors(f: Factors, g: Factors) -> Factors:
     return tuple(sorted(powers.items(), key=_BY_KEY))
 
 
+def _json_field(entry: Dict[str, object], field: str, kind: type, noun: str) -> object:
+    if type(entry) is not dict:
+        raise ParseError(f"expected a JSON object, got {entry!r}")
+    if field not in entry:
+        raise ParseError(f"missing field {field!r} in {entry!r}")
+    value = entry[field]
+    if type(value) is not kind:
+        raise ParseError(f"{field} is not {noun}: {value!r}")
+    return value
+
+
 def json_int(entry: Dict[str, object], field: str) -> int:
     """An integer field of a JSON record, taken as is.
 
     bool is an int subclass, and int() would truncate floats and coerce
     strings, so anything but a plain int is a ParseError.
     """
-    value = entry[field]
-    if type(value) is not int:
-        raise ParseError(f"{field} is not an integer: {value!r}")
-    return value
+    return _json_field(entry, field, int, "an integer")
+
+
+def json_str(entry: Dict[str, object], field: str) -> str:
+    """A string field of a JSON record, taken as is.
+
+    str() would turn any value into some string, so anything but a plain
+    string is a ParseError.
+    """
+    return _json_field(entry, field, str, "a string")
 
 
 def parse_lweight(text: str) -> LWeight:
@@ -299,6 +316,6 @@ class LCharacter:
     def from_json(data: Dict[str, object]) -> "LCharacter":
         terms: Dict[LWeight, int] = {}
         for entry in data["terms"]:
-            pi = parse_lweight(str(entry["lweight"]))
+            pi = parse_lweight(json_str(entry, "lweight"))
             terms[pi] = terms.get(pi, 0) + json_int(entry, "mult")
         return LCharacter.from_dict(terms)

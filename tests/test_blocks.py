@@ -1,5 +1,7 @@
 """Tests for the block group and elliptic characters."""
 
+import hashlib
+
 import pytest
 
 from loopchar import (
@@ -62,6 +64,23 @@ def test_class_string_fixtures():
         str(elliptic_class(d4, fundamental_lweight(d4, 4)))
         == "x+[a,4] + x-[a,0] - x-[a,4]"
     )
+
+
+# sha256 of the printed class of w[i;a,k] for every node i of every
+# class type and k in (-7, 0, 3), one class per line.  Recorded before the
+# block lattice moved onto the sparse solver; any change in a class's
+# bytes changes it.
+CLASS_MAP_SHA256 = "122e540217fcdcc82d77cf4bf9ccc721e4a3e8a66265050f3faedbcda439d3d3"
+
+
+def test_class_map_is_pinned():
+    lines = []
+    for label in _CLASS_TYPES:
+        cd = cartan_data(label)
+        for i in cd.nodes:
+            for k in (-7, 0, 3):
+                lines.append(str(elliptic_class(cd, LWeight.from_dict({(i, "a", k): 1}))))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CLASS_MAP_SHA256
 
 
 def test_zero_class_prints_as_zero():
@@ -196,3 +215,37 @@ def test_class_from_json_rejects_non_integer_fields(changes):
     assert str(chi) == "2 x-[a,2]"
     with pytest.raises(ParseError):
         EllipticCharacter.from_json({"type": "D4", "terms": [dict(entry, **changes)]})
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"orbit": True}, {"orbit": 7}, {"family": None}, {"orbit": "b", "family": 0}],
+)
+def test_class_from_json_rejects_non_string_fields(changes):
+    entry = {"orbit": "a", "family": "-", "exp": 2, "coeff": 2}
+    with pytest.raises(ParseError):
+        EllipticCharacter.from_json({"type": "D4", "terms": [dict(entry, **changes)]})
+    with pytest.raises(ParseError):
+        EllipticCharacter.from_json({"type": 4, "terms": [entry]})
+
+
+def test_class_from_json_checks_the_orbit_name():
+    # "a b" would print as x[a b,0], which parse_elliptic cannot read back.
+    entry = {"orbit": "a b", "family": "", "exp": 0, "coeff": 1}
+    with pytest.raises(DomainError):
+        EllipticCharacter.from_json({"type": "A2", "terms": [entry]})
+
+
+@pytest.mark.parametrize("field", ["orbit", "family", "exp", "coeff"])
+def test_class_from_json_reports_a_missing_field(field):
+    entry = {"orbit": "a", "family": "", "exp": 0, "coeff": 1}
+    del entry[field]
+    with pytest.raises(ParseError, match=field):
+        EllipticCharacter.from_json({"type": "A2", "terms": [entry]})
+    with pytest.raises(ParseError, match="type"):
+        EllipticCharacter.from_json({"terms": []})
+
+
+def test_class_from_json_rejects_a_non_object_entry():
+    with pytest.raises(ParseError):
+        EllipticCharacter.from_json({"type": "A2", "terms": [["a", "", 0, 1]]})

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopchar.intlattice import IntRowLattice, SparseIntSolver, xgcd
+from loopchar.intlattice import SparseIntSolver, xgcd
 
 
 def test_xgcd_identity():
@@ -14,51 +14,65 @@ def test_xgcd_identity():
         assert g >= 0
 
 
+def lattice(*rows):
+    """A solver holding the given dense rows as columns keyed by position."""
+    lat = SparseIntSolver()
+    for n, row in enumerate(rows):
+        lat.add_column(n, dict(enumerate(row)))
+    return lat
+
+
 def test_row_lattice_membership():
-    lat = IntRowLattice(2)
-    lat.add((2, 0))
-    lat.add((0, 3))
-    assert (4, 3) in lat
-    assert (2, -3) in lat
-    assert (1, 0) not in lat
-    assert (0, 0) in lat
+    lat = lattice((2, 0), (0, 3))
+    assert {0: 4, 1: 3} in lat
+    assert {0: 2, 1: -3} in lat
+    assert {0: 1} not in lat
+    assert {} in lat
+    assert {0: 0, 1: 0} in lat
 
 
 def test_row_lattice_residue_reduces():
-    lat = IntRowLattice(2)
-    lat.add((2, 1))
-    lat.add((0, 5))
+    lat = lattice((2, 1), (0, 5))
     for vec in ((7, 3), (-4, 9), (1, 1), (0, 0)):
-        r = lat.residue(vec)
-        assert tuple(a - b for a, b in zip(vec, r)) in lat
+        r = lat.residue(dict(enumerate(vec)))
+        assert {j: a - r.get(j, 0) for j, a in enumerate(vec)} in lat
         assert lat.residue(r) == r
+        assert 0 <= r.get(0, 0) < 2 and 0 <= r.get(1, 0) < 5
 
 
 def test_dependent_row_changes_nothing():
-    lat = IntRowLattice(3)
-    lat.add((1, 2, 0))
-    lat.add((0, 0, 4))
+    lat = lattice((1, 2, 0), (0, 0, 4))
     before = lat.basis()
-    lat.add((2, 4, 4))
+    lat.add_column(2, {0: 2, 1: 4, 2: 4})
     assert lat.basis() == before
 
 
-@settings(max_examples=60)
-@given(
-    st.lists(
-        st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
-        min_size=1,
-        max_size=4,
-    ),
-    st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)),
+rows_strategy = st.lists(
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
+    min_size=1,
+    max_size=4,
 )
+vec_strategy = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
+
+
+@settings(max_examples=60)
+@given(rows_strategy, vec_strategy)
 def test_residue_is_canonical(rows, vec):
-    lat = IntRowLattice(3)
-    for row in rows:
-        lat.add(row)
-    r = lat.residue(vec)
-    assert tuple(a - b for a, b in zip(vec, r)) in lat
+    lat = lattice(*rows)
+    r = lat.residue(dict(enumerate(vec)))
+    assert {j: a - r.get(j, 0) for j, a in enumerate(vec)} in lat
     assert lat.residue(r) == r
+
+
+@settings(max_examples=60)
+@given(rows_strategy, vec_strategy, st.randoms(use_true_random=False))
+def test_residue_ignores_row_order(rows, vec, rng):
+    # Block classes print the same bytes only if the residue depends on
+    # the lattice alone, not on the order its rows were inserted.
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    a, b = lattice(*rows), lattice(*shuffled)
+    assert a.residue(dict(enumerate(vec))) == b.residue(dict(enumerate(vec)))
 
 
 def test_solver_single_column_sign():

@@ -278,3 +278,36 @@ def test_lweight_from_json_rejects_non_integer_fields(changes):
 def test_character_from_json_rejects_non_integer_multiplicities(mult):
     with pytest.raises(ParseError):
         LCharacter.from_json({"terms": [{"lweight": "w[1;a,0]", "mult": mult}]})
+
+
+def test_lweight_from_json_rejects_a_non_string_orbit():
+    # str() used to turn this into w[1;True,0].
+    with pytest.raises(ParseError):
+        LWeight.from_json(factor_entry(orbit=True))
+
+
+@pytest.mark.parametrize("field", ["node", "orbit", "exp", "power"])
+def test_lweight_from_json_reports_a_missing_field(field):
+    data = factor_entry()
+    del data["factors"][0][field]
+    with pytest.raises(ParseError, match=field):
+        LWeight.from_json(data)
+
+
+def test_lweight_from_json_rejects_a_non_object_entry():
+    with pytest.raises(ParseError):
+        LWeight.from_json({"factors": [[1, "a", 0, 1]]})
+
+
+@pytest.mark.parametrize("lweight", [1, None, ["w[1;a,0]"]])
+def test_character_from_json_rejects_a_non_string_lweight(lweight):
+    # str() used to read the integer 1 as the identity term.
+    with pytest.raises(ParseError):
+        LCharacter.from_json({"terms": [{"lweight": lweight, "mult": 1}]})
+
+
+def test_character_from_json_reports_a_missing_field():
+    with pytest.raises(ParseError, match="lweight"):
+        LCharacter.from_json({"terms": [{"mult": 1}]})
+    with pytest.raises(ParseError, match="mult"):
+        LCharacter.from_json({"terms": [{"lweight": "1"}]})
