@@ -8,119 +8,81 @@ combinatorics alone.  Everything is integer arithmetic; there are no
 floating-point parameters anywhere.
 """
 
-from .blocks import (
-    EllipticCharacter,
-    blocks_linked,
-    classes_equal,
-    elliptic_class,
-    parse_elliptic,
-    relation_set,
-    seed_family,
-    tensor_class,
-    trivial_sets,
-)
-from .braid import (
-    braid_act,
-    braid_act_word,
-    cone_check,
-    expand_lroots,
-    lroot_decompose,
-    simple_lroot,
-    twist_by_w0,
-)
-from .cartan import CartanData, LieType, cartan_data
-from .errors import DomainError, ParseError
-from .lweight import (
-    LCharacter,
-    LWeight,
-    dual_lweight,
-    fundamental_lweight,
-    parse_lweight,
-    weight_of,
-)
-from .qchar import (
-    Sl2String,
-    cyclicity_order,
-    dn_node2_char,
-    fundamental_char,
-    is_minuscule,
-    minuscule_char,
-    sl2_eval_char,
-    sl2_tensor_irreducible,
-    tensor_char,
-    weight_projection,
-    weyl_module_dim,
-)
-from .verify import SUITE_NAMES, run_all, run_suite
-from .weyl import (
-    WeylElement,
-    coroot_pairing,
-    dominance_diff,
-    element_from_word,
-    fundamental_weight,
-    is_reduced_word,
-    longest_element,
-    min_coset_reps,
-    positive_roots,
-    reflect,
-    weight_orbit,
-    zero_weight,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CartanData",
-    "DomainError",
-    "EllipticCharacter",
-    "LCharacter",
-    "LieType",
-    "LWeight",
-    "ParseError",
-    "SUITE_NAMES",
-    "Sl2String",
-    "WeylElement",
-    "blocks_linked",
-    "braid_act",
-    "braid_act_word",
-    "cartan_data",
-    "classes_equal",
-    "cone_check",
-    "coroot_pairing",
-    "cyclicity_order",
-    "dn_node2_char",
-    "dominance_diff",
-    "dual_lweight",
-    "element_from_word",
-    "elliptic_class",
-    "expand_lroots",
-    "fundamental_char",
-    "fundamental_lweight",
-    "fundamental_weight",
-    "is_minuscule",
-    "is_reduced_word",
-    "longest_element",
-    "lroot_decompose",
-    "min_coset_reps",
-    "minuscule_char",
-    "parse_elliptic",
-    "parse_lweight",
-    "positive_roots",
-    "reflect",
-    "relation_set",
-    "run_all",
-    "run_suite",
-    "seed_family",
-    "simple_lroot",
-    "sl2_eval_char",
-    "sl2_tensor_irreducible",
-    "tensor_char",
-    "tensor_class",
-    "trivial_sets",
-    "twist_by_w0",
-    "weight_of",
-    "weight_orbit",
-    "weight_projection",
-    "weyl_module_dim",
-    "zero_weight",
-]
+# Where each public name lives, in the order of ``__all__``.  The package
+# imports a submodule only when one of its names is first read (PEP 562),
+# so a bare ``import loopchar`` loads none of them and a CLI verb loads
+# only the modules it runs.
+_SOURCES = {
+    "CartanData": "cartan",
+    "DomainError": "errors",
+    "EllipticCharacter": "blocks",
+    "LCharacter": "lweight",
+    "LieType": "cartan",
+    "LWeight": "lweight",
+    "ParseError": "errors",
+    "SUITE_NAMES": "verify",
+    "Sl2String": "qchar",
+    "WeylElement": "weyl",
+    "blocks_linked": "blocks",
+    "braid_act": "braid",
+    "braid_act_word": "braid",
+    "cartan_data": "cartan",
+    "classes_equal": "blocks",
+    "cone_check": "braid",
+    "coroot_pairing": "weyl",
+    "cyclicity_order": "qchar",
+    "dn_node2_char": "qchar",
+    "dominance_diff": "weyl",
+    "dual_lweight": "lweight",
+    "element_from_word": "weyl",
+    "elliptic_class": "blocks",
+    "expand_lroots": "braid",
+    "fundamental_char": "qchar",
+    "fundamental_lweight": "lweight",
+    "fundamental_weight": "weyl",
+    "is_minuscule": "qchar",
+    "is_reduced_word": "weyl",
+    "longest_element": "weyl",
+    "lroot_decompose": "braid",
+    "min_coset_reps": "weyl",
+    "minuscule_char": "qchar",
+    "parse_elliptic": "blocks",
+    "parse_lweight": "lweight",
+    "positive_roots": "weyl",
+    "reflect": "weyl",
+    "relation_set": "blocks",
+    "run_all": "verify",
+    "run_suite": "verify",
+    "seed_family": "blocks",
+    "simple_lroot": "braid",
+    "sl2_eval_char": "qchar",
+    "sl2_tensor_irreducible": "qchar",
+    "tensor_char": "qchar",
+    "tensor_class": "blocks",
+    "trivial_sets": "blocks",
+    "twist_by_w0": "braid",
+    "weight_of": "lweight",
+    "weight_orbit": "weyl",
+    "weight_projection": "qchar",
+    "weyl_module_dim": "qchar",
+    "zero_weight": "weyl",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str) -> object:
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -12,14 +12,13 @@ closure of the remaining relations under exponent shift.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .cartan import CartanData, LieType, cartan_data
+from .cartan import CartanData, Frozen, LieType, cartan_data
 from .errors import DomainError, ParseError
 from .intlattice import SparseIntSolver
-from .lweight import LWeight, check_orbit, json_int, json_str
+from .lweight import LWeight, _json_field, check_orbit, json_int, json_str
 from .braid import _alpha_pattern
 
 FamilyExp = Tuple[str, int]
@@ -147,12 +146,25 @@ def _structure(lt: LieType) -> _BlockStructure:
     return _BlockStructure(cartan_data(lt))
 
 
-@dataclass(frozen=True)
-class EllipticCharacter:
+class EllipticCharacter(Frozen):
     """An element of the block group, stored in reduced normal form."""
 
-    lie_type: LieType
-    terms: Tuple[Tuple[Tuple[str, str, int], int], ...]
+    __slots__ = ("lie_type", "terms")
+
+    def __init__(self, lie_type: LieType, terms: Tuple[Tuple[Tuple[str, str, int], int], ...]):
+        object.__setattr__(self, "lie_type", lie_type)
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lie_type, self.terms) == (other.lie_type, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.lie_type, self.terms))
+
+    def __repr__(self) -> str:
+        return f"EllipticCharacter(lie_type={self.lie_type!r}, terms={self.terms!r})"
 
     @staticmethod
     def make(lt: LieType, raw: Dict[Tuple[str, str, int], int]) -> "EllipticCharacter":
@@ -219,7 +231,7 @@ class EllipticCharacter:
     def from_json(data: Dict[str, object]) -> "EllipticCharacter":
         lt = LieType.parse(json_str(data, "type"))
         raw: Dict[Tuple[str, str, int], int] = {}
-        for entry in data["terms"]:
+        for entry in _json_field(data, "terms", list, "a list"):
             orbit = check_orbit(json_str(entry, "orbit"))
             key = (orbit, json_str(entry, "family"), json_int(entry, "exp"))
             raw[key] = raw.get(key, 0) + json_int(entry, "coeff")

@@ -11,7 +11,6 @@ short simple roots the ones with d_i = 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple, Union
 
@@ -30,18 +29,51 @@ _RANK_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class LieType:
-    series: str
-    rank: int
+class Frozen:
+    """Base of the immutable value classes.
 
-    def __post_init__(self):
-        bounds = _RANK_BOUNDS.get(self.series)
+    Subclasses list their fields in ``__slots__`` and set each one once,
+    in ``__init__``, through ``object.__setattr__``.  A plain class costs
+    nothing to define, where ``dataclasses`` pulls in ``inspect`` and
+    ``ast`` on every cold start.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # __init__ takes the fields in slot order; pickle and copy use this.
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class LieType(Frozen):
+    __slots__ = ("series", "rank")
+
+    def __init__(self, series: str, rank: int):
+        bounds = _RANK_BOUNDS.get(series)
         if bounds is None:
-            raise DomainError(f"unknown series {self.series!r}")
+            raise DomainError(f"unknown series {series!r}")
         lo, hi = bounds
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise DomainError(f"rank {self.rank} out of range for series {self.series}")
+        if rank < lo or (hi is not None and rank > hi):
+            raise DomainError(f"rank {rank} out of range for series {series}")
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "rank", rank)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.series, self.rank) == (other.series, other.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.series, self.rank))
+
+    def __repr__(self) -> str:
+        return f"LieType(series={self.series!r}, rank={self.rank!r})"
 
     @staticmethod
     def parse(text: str) -> "LieType":
@@ -108,17 +140,40 @@ def _w0_perm(series: str, n: int) -> Tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class CartanData:
-    type: LieType
-    rank: int
-    matrix: Tuple[Tuple[int, ...], ...]
-    sym: Tuple[int, ...]
-    dual_coxeter: int
-    lacing: int
-    seed_nodes: Tuple[int, ...]
-    w0_perm: Tuple[int, ...]
-    adjacency: Tuple[Tuple[int, ...], ...]
+class CartanData(Frozen):
+    __slots__ = (
+        "type", "rank", "matrix", "sym", "dual_coxeter", "lacing",
+        "seed_nodes", "w0_perm", "adjacency",
+    )
+
+    def __init__(
+        self,
+        type: LieType,
+        rank: int,
+        matrix: Tuple[Tuple[int, ...], ...],
+        sym: Tuple[int, ...],
+        dual_coxeter: int,
+        lacing: int,
+        seed_nodes: Tuple[int, ...],
+        w0_perm: Tuple[int, ...],
+        adjacency: Tuple[Tuple[int, ...], ...],
+    ):
+        for name, value in zip(self.__slots__, (
+            type, rank, matrix, sym, dual_coxeter, lacing, seed_nodes, w0_perm, adjacency
+        )):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"CartanData({body})"
 
     def __hash__(self) -> int:
         # Equal Cartan data share their type, so the type alone is a valid

@@ -10,36 +10,33 @@ Exit codes: 0 on success (predicates report their answer and still exit
 """
 
 import argparse
-import json
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from .blocks import (
-    EllipticCharacter,
-    blocks_linked,
-    elliptic_class,
-    tensor_class,
-    trivial_sets,
-)
-from .braid import braid_act_word, cone_check, lroot_decompose, simple_lroot, twist_by_w0
+# Every verb loads cartan and lweight.  Each handler imports the rest of
+# the library itself, and json is imported where JSON is read or written,
+# so a cold process compiles and runs only what its verb needs.
 from .cartan import CartanData, cartan_data
 from .errors import DomainError, ParseError
 from .lweight import LCharacter, LWeight, check_lweight, parse_lweight
-from .qchar import (
-    Sl2String,
-    dn_node2_char,
-    fundamental_char,
-    is_minuscule,
-    minuscule_char,
-    sl2_eval_char,
-    sl2_tensor_irreducible,
-    tensor_char,
+
+# The choices of ``verify --suite``, kept equal to verify.SUITE_NAMES by a
+# test, so that building the parser does not import the verify module.
+SUITES = (
+    "alpha-lists",
+    "braid-relations",
+    "w0-twist",
+    "ellfund",
+    "xi-oracle",
+    "trivial-sets",
+    "dn-adjoint",
+    "sl2",
 )
-from .verify import SUITE_NAMES, run_suite
-from .weyl import is_reduced_word
 
 
 def _dump(obj: object) -> str:
+    import json
+
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -54,6 +51,8 @@ def _parse_word(text: str) -> Tuple[int, ...]:
 
 
 def _parse_table(text: str, rank: int) -> Dict[Tuple[int, ...], int]:
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
@@ -92,12 +91,17 @@ def _print_bool(value: bool, fmt: str) -> None:
 
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
+    from .braid import simple_lroot
+
     cd = cartan_data(args.type)
     _print_lweight(simple_lroot(cd, args.node, args.orbit, args.exp), args.format)
     return 0
 
 
 def _cmd_act(args: argparse.Namespace) -> int:
+    from .braid import braid_act_word
+    from .weyl import is_reduced_word
+
     cd = cartan_data(args.type)
     word = _parse_word(args.word)
     for i in word:
@@ -110,6 +114,8 @@ def _cmd_act(args: argparse.Namespace) -> int:
 
 
 def _cmd_twist(args: argparse.Namespace) -> int:
+    from .braid import twist_by_w0
+
     cd = cartan_data(args.type)
     (pi,) = _weights(cd, [args.weight])
     _print_lweight(twist_by_w0(cd, pi), args.format)
@@ -127,6 +133,8 @@ def _coeff_sign(values: List[int]) -> str:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from .braid import lroot_decompose
+
     cd = cartan_data(args.type)
     (pi,) = _weights(cd, [args.weight])
     coeffs = lroot_decompose(cd, pi, args.sign)
@@ -157,6 +165,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_cone(args: argparse.Namespace) -> int:
+    from .braid import cone_check
+
     cd = cartan_data(args.type)
     omega, pi = _weights(cd, [args.highest, args.weight])
     _print_bool(cone_check(cd, omega, pi), args.format)
@@ -164,6 +174,8 @@ def _cmd_cone(args: argparse.Namespace) -> int:
 
 
 def _cmd_block(args: argparse.Namespace) -> int:
+    from .blocks import elliptic_class
+
     cd = cartan_data(args.type)
     (pi,) = _weights(cd, [args.weight])
     chi = elliptic_class(cd, pi)
@@ -172,6 +184,8 @@ def _cmd_block(args: argparse.Namespace) -> int:
 
 
 def _cmd_linked(args: argparse.Namespace) -> int:
+    from .blocks import blocks_linked
+
     cd = cartan_data(args.type)
     w1, w2 = _weights(cd, [args.first, args.second])
     _print_bool(blocks_linked(cd, w1, w2), args.format)
@@ -179,6 +193,8 @@ def _cmd_linked(args: argparse.Namespace) -> int:
 
 
 def _cmd_trivial(args: argparse.Namespace) -> int:
+    from .blocks import trivial_sets
+
     cd = cartan_data(args.type)
     sets = trivial_sets(cd, args.orbit, args.exp)
     if args.format == "json":
@@ -190,6 +206,8 @@ def _cmd_trivial(args: argparse.Namespace) -> int:
 
 
 def _cmd_qchar_fund(args: argparse.Namespace) -> int:
+    from .qchar import dn_node2_char, fundamental_char, is_minuscule, minuscule_char
+
     cd = cartan_data(args.type)
     cd.check_node(args.node)
     p = (args.orbit, args.exp)
@@ -208,6 +226,8 @@ def _cmd_qchar_fund(args: argparse.Namespace) -> int:
 
 
 def _cmd_qchar_sl2(args: argparse.Namespace) -> int:
+    from .qchar import sl2_eval_char
+
     if args.type is not None and args.type.strip() != "A1":
         raise DomainError("string characters live in type A1")
     _print_char(sl2_eval_char((args.orbit, args.exp), args.length), args.format)
@@ -215,6 +235,8 @@ def _cmd_qchar_sl2(args: argparse.Namespace) -> int:
 
 
 def _cmd_qchar_tensor(args: argparse.Namespace) -> int:
+    from .qchar import Sl2String, sl2_eval_char, sl2_tensor_irreducible, tensor_char
+
     s1 = Sl2String((args.orbit, args.exp), args.length)
     s2 = Sl2String((args.orbit2, args.exp2), args.length2)
     product = tensor_char(sl2_eval_char(s1.a, s1.m), sl2_eval_char(s2.a, s2.m))
@@ -228,6 +250,8 @@ def _cmd_qchar_tensor(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import SUITE_NAMES, run_suite
+
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     failing = 0
     flat: List[Dict[str, str]] = []
@@ -326,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length2", type=int, required=True)
 
     p = add("verify", _cmd_verify, "run the self-check suites", typed=False)
-    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
+    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--seed", type=int, default=0)
 
     return parser

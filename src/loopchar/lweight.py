@@ -11,11 +11,10 @@ grammar accepts products joined by ``*`` (or whitespace) with optional
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Iterator, List, Tuple
 
-from .cartan import CartanData
+from .cartan import CartanData, Frozen
 from .errors import DomainError, ParseError
 
 SpectralParam = Tuple[str, int]
@@ -39,11 +38,24 @@ def check_orbit(orbit: str) -> str:
     return orbit
 
 
-@dataclass(frozen=True)
-class LWeight:
+class LWeight(Frozen):
     """An element of the loop-weight lattice, stored as sorted factors."""
 
-    factors: Factors
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: Factors):
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
+
+    def __repr__(self) -> str:
+        return f"LWeight(factors={self.factors!r})"
 
     @staticmethod
     def from_dict(powers: Dict[GenKey, int]) -> "LWeight":
@@ -113,7 +125,7 @@ class LWeight:
     @staticmethod
     def from_json(data: Dict[str, object]) -> "LWeight":
         powers: Dict[GenKey, int] = {}
-        for entry in data["factors"]:
+        for entry in _json_field(data, "factors", list, "a list"):
             node = json_int(entry, "node")
             if node < 1:
                 raise ParseError(f"node index must be positive, got {node}")
@@ -250,11 +262,24 @@ def weight_of(cd: CartanData, pi: LWeight) -> Tuple[int, ...]:
     return tuple(coords)
 
 
-@dataclass(frozen=True)
-class LCharacter:
+class LCharacter(Frozen):
     """A finite multiset of loop weights with positive multiplicities."""
 
-    terms: Tuple[Tuple[LWeight, int], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Tuple[Tuple[LWeight, int], ...]):
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+    def __repr__(self) -> str:
+        return f"LCharacter(terms={self.terms!r})"
 
     @staticmethod
     def from_dict(terms: Dict[LWeight, int]) -> "LCharacter":
@@ -315,7 +340,7 @@ class LCharacter:
     @staticmethod
     def from_json(data: Dict[str, object]) -> "LCharacter":
         terms: Dict[LWeight, int] = {}
-        for entry in data["terms"]:
+        for entry in _json_field(data, "terms", list, "a list"):
             pi = parse_lweight(json_str(entry, "lweight"))
             terms[pi] = terms.get(pi, 0) + json_int(entry, "mult")
         return LCharacter.from_dict(terms)

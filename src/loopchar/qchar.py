@@ -9,11 +9,10 @@ weights plus caller-supplied dominant weight multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cartan import CartanData, cartan_data
+from .cartan import CartanData, Frozen, cartan_data
 from .errors import DomainError
 from .lweight import (
     LCharacter,
@@ -36,16 +35,27 @@ from .weyl import (
 MultTable = Dict[Weight, int]
 
 
-@dataclass(frozen=True)
-class Sl2String:
+class Sl2String(Frozen):
     """A q-segment: rank-one factors in arithmetic exponent progression."""
 
-    a: SpectralParam
-    m: int
+    __slots__ = ("a", "m")
 
-    def __post_init__(self):
-        if self.m < 0:
-            raise DomainError(f"string length must be nonnegative, got {self.m}")
+    def __init__(self, a: SpectralParam, m: int):
+        if m < 0:
+            raise DomainError(f"string length must be nonnegative, got {m}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "m", m)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.m) == (other.a, other.m)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.m))
+
+    def __repr__(self) -> str:
+        return f"Sl2String(a={self.a!r}, m={self.m!r})"
 
     @property
     def exps(self) -> Tuple[int, ...]:

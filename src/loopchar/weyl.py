@@ -9,13 +9,14 @@ as a product of operators, so the rightmost letter acts first.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-from .cartan import CartanData
+from .cartan import CartanData, Frozen
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Weight = Tuple[int, ...]
 RootCoords = Tuple[int, ...]
@@ -88,12 +89,25 @@ def _word_from_matrix(cd: CartanData, m: Matrix) -> Tuple[int, ...]:
     return tuple(word)
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Frozen):
     """A Weyl group element; equality and hashing use the matrix only."""
 
-    word: Tuple[int, ...] = field(compare=False)
-    matrix: Matrix
+    __slots__ = ("word", "matrix")
+
+    def __init__(self, word: Tuple[int, ...], matrix: Matrix):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self) -> int:
+        return hash((self.matrix,))
+
+    def __repr__(self) -> str:
+        return f"WeylElement(word={self.word!r}, matrix={self.matrix!r})"
 
     @property
     def length(self) -> int:
@@ -233,6 +247,10 @@ def weight_orbit(cd: CartanData, lam: Weight) -> List[Tuple[Weight, WeylElement]
 @lru_cache(maxsize=None)
 def _inverse_cartan(cd: CartanData) -> Tuple[Tuple[Fraction, ...], ...]:
     """The exact inverse of the Cartan matrix, by Gauss-Jordan elimination."""
+    # Imported here: only dominance_diff needs rationals, and most cold
+    # CLI calls never reach it.
+    from fractions import Fraction
+
     n = cd.rank
     rows = [
         [Fraction(cd.a(i + 1, j + 1)) for j in range(n)]

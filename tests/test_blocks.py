@@ -249,3 +249,11 @@ def test_class_from_json_reports_a_missing_field(field):
 def test_class_from_json_rejects_a_non_object_entry():
     with pytest.raises(ParseError):
         EllipticCharacter.from_json({"type": "A2", "terms": [["a", "", 0, 1]]})
+
+
+@pytest.mark.parametrize(
+    "data", [{"type": "A2"}, {"type": "A2", "terms": 5}, {"type": "A2", "terms": None}, [], None]
+)
+def test_class_from_json_rejects_a_malformed_record(data):
+    with pytest.raises(ParseError):
+        EllipticCharacter.from_json(data)

@@ -10,6 +10,7 @@ import pytest
 
 from loopchar import cli
 from loopchar import (
+    SUITE_NAMES,
     EllipticCharacter,
     LCharacter,
     LWeight,
@@ -83,6 +84,10 @@ def test_internal_errors_exit_4(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: ArithmeticError('no class map')\n"
+
+
+def test_suite_choices_match_the_verify_module():
+    assert cli.SUITES == SUITE_NAMES
 
 
 def test_usage_errors_exit_2():

@@ -311,3 +311,15 @@ def test_character_from_json_reports_a_missing_field():
         LCharacter.from_json({"terms": [{"mult": 1}]})
     with pytest.raises(ParseError, match="mult"):
         LCharacter.from_json({"terms": [{"lweight": "1"}]})
+
+
+@pytest.mark.parametrize("data", [{}, {"factors": None}, {"factors": 5}, [], None])
+def test_lweight_from_json_rejects_a_malformed_record(data):
+    with pytest.raises(ParseError):
+        LWeight.from_json(data)
+
+
+@pytest.mark.parametrize("data", [{}, {"terms": 5}, {"terms": "w[1;a,0]"}, [], None])
+def test_character_from_json_rejects_a_malformed_record(data):
+    with pytest.raises(ParseError):
+        LCharacter.from_json(data)

@@ -1,0 +1,99 @@
+"""Package-level properties: what a cold process imports, and no asserts.
+
+Each import check runs in a fresh interpreter, since this one has long
+since imported the whole package.  The child records ``sys.modules``
+before and after, so modules its own start-up loaded never count.
+"""
+
+import ast
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import loopchar
+
+SRC = pathlib.Path(loopchar.__file__).parent
+
+# Runs ``python -m loopchar <argv>`` in-process, then prints the modules
+# the run added to sys.modules, one per line, on stderr.
+CLI_CHILD = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv = ["loopchar"] + sys.argv[1:]
+code = 0
+try:
+    runpy.run_module("loopchar", run_name="__main__", alter_sys=True)
+except SystemExit as err:
+    code = err.code
+sys.stderr.write("\\n".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+
+def loaded_by(*argv):
+    result = subprocess.run(
+        [sys.executable, "-c", CLI_CHILD, *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout, set(result.stderr.split())
+
+
+def test_bare_import_loads_no_submodule():
+    code = (
+        "import sys; before = set(sys.modules); import loopchar; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['loopchar']"
+
+
+def test_alpha_loads_only_what_it_runs():
+    stdout, loaded = loaded_by("alpha", "--type", "A2", "--node", "1")
+    assert stdout == "w[1;a,0]*w[1;a,2]*w[2;a,1]^-1\n"
+    assert "loopchar.braid" in loaded
+    skipped = {
+        "loopchar.blocks", "loopchar.intlattice", "loopchar.qchar", "loopchar.verify",
+        "dataclasses", "fractions", "json",
+    }
+    assert not loaded & skipped
+
+
+def test_block_loads_no_qchar_or_verify():
+    stdout, loaded = loaded_by("block", "--type", "B2", "w[1;a,0]")
+    assert stdout == "x[a,1] - x[a,5]\n"
+    assert "loopchar.blocks" in loaded
+    assert not loaded & {"loopchar.qchar", "loopchar.verify"}
+
+
+def test_every_public_name_resolves():
+    code = """
+import importlib, loopchar
+for name in loopchar.__all__:
+    value = getattr(loopchar, name)
+    home = importlib.import_module("loopchar." + loopchar._SOURCES[name])
+    assert getattr(home, name) is value, name
+namespace = {}
+exec("from loopchar import *", namespace)
+assert set(loopchar.__all__) <= set(namespace), "star import"
+assert set(loopchar.__all__) <= set(dir(loopchar)), "dir"
+try:
+    loopchar.no_such_name
+except AttributeError:
+    pass
+else:
+    raise SystemExit("unknown name resolved")
+print(len(loopchar.__all__))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) == len(set(loopchar.__all__)) == 53
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # ``python -O`` strips asserts, so no check may rest on one.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} asserts on lines {lines}"
