@@ -6,8 +6,9 @@ A word of operator indices is read as a composition, so in
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cartan import CartanData
 from .errors import DomainError
@@ -15,10 +16,6 @@ from .lweight import GenKey, LWeight, check_lweight, dual_lweight, weight_of
 from .weyl import Weight, longest_element, orbit_edges
 
 LRootCoeffs = Dict[GenKey, int]
-
-# Exponent offsets of the neighbour factors of a simple loop root, by
-# the Cartan entry a_ji of a multiply laced edge (a_ji = -1 uses d_i).
-_OFFSETS = {-2: (1, 3), -3: (1, 3, 5)}
 
 
 def braid_act(cd: CartanData, i: int, pi: LWeight) -> LWeight:
@@ -50,41 +47,45 @@ def braid_act(cd: CartanData, i: int, pi: LWeight) -> LWeight:
 def braid_act_word(cd: CartanData, word: Tuple[int, ...], pi: LWeight) -> LWeight:
     """Apply the braid operators of ``word``, rightmost letter first.
 
-    Equals folding ``braid_act`` over the reversed word.  The factors are
-    kept grouped by node, so a letter reads only its own node's factors
-    and writes only its own and its neighbours' groups; the groups are
-    sorted once, at the end, and joined in node order.
+    Equals folding ``braid_act`` over the reversed word.  Orbits never
+    interact, so each orbit runs through the word on its own, as one
+    {exp: power} group per node: a letter i moves its own group up by
+    2*d_i with the powers negated and writes only its neighbours'
+    groups.  The groups are sorted once, at the end.
     """
     if word and not (min(word) >= 1 and max(word) <= cd.rank):
         for i in word:
             cd.check_node(i)
     check_lweight(cd, pi)
-    by_node: Dict[int, Dict[Tuple[str, int], int]] = {i: {} for i in cd.nodes}
+    orbits: Dict[str, List[Dict[int, int]]] = defaultdict(lambda: [{} for _ in range(cd.rank + 1)])
     for (j, a, k), p in pi.factors:
-        by_node[j][(a, k)] = p
-    patterns = {
-        i: [(by_node[node], off, v) for (node, off), v in _alpha_pattern(cd, i)]
-        for i in set(word)
-    }
+        orbits[a][j][k] = p
+    table = _letter_table(cd)
     fired = False
-    for i in reversed(word):
-        own = by_node[i]
-        if not own:
-            continue
-        fired = True
-        for (a, k), p in list(own.items()):
-            for powers, off, v in patterns[i]:
-                key = (a, k + off)
-                c = powers.get(key, 0) - p * v
-                if c:
-                    powers[key] = c
-                else:
-                    del powers[key]
+    for groups in orbits.values():
+        for i in reversed(word):
+            own = groups[i]
+            if not own:
+                continue
+            fired = True
+            shift, entries = table[i]
+            groups[i] = moved = {}
+            for k, p in own.items():
+                moved[k + shift] = -p
+                for node, off, v in entries:
+                    powers = groups[node]
+                    key = k + off
+                    c = powers.get(key, 0) - p * v
+                    if c:
+                        powers[key] = c
+                    else:
+                        del powers[key]
     if not fired:
         return pi
-    return LWeight(
-        tuple(((j, a, k), p) for j, group in by_node.items() for (a, k), p in sorted(group.items()))
-    )
+    return LWeight(tuple(sorted(
+        ((j, a, k), p)
+        for a, groups in orbits.items() for j, g in enumerate(groups) for k, p in g.items()
+    )))
 
 
 def braid_orbit(cd: CartanData, pi: LWeight) -> Dict[Weight, LWeight]:
@@ -105,10 +106,18 @@ def _alpha_pattern(cd: CartanData, i: int) -> Tuple[Tuple[Tuple[int, int], int],
     """Entries of the i-th simple loop root as ((node, exp offset), value)."""
     entries = [((i, 0), 1), ((i, 2 * cd.d(i)), 1)]
     for l in cd.neighbors(i):
-        a_li = cd.a(l, i)
-        for t in (cd.d(i),) if a_li == -1 else _OFFSETS[a_li]:
-            entries.append(((l, t), -1))
+        # A neighbour l carries a q-string of |a_li| inverse factors centred at d_i.
+        entries += [((l, t), -1) for t in range(cd.d(i) + 1 + cd.a(l, i), cd.d(i) - cd.a(l, i), 2)]
     return tuple(sorted(entries))
+
+
+@lru_cache(maxsize=None)
+def _letter_table(cd: CartanData) -> Tuple[Tuple[int, Tuple[Tuple[int, int, int], ...]], ...]:
+    """Per node i (index 0 unused): 2*d_i and alpha_i's neighbour entries (node, offset, value)."""
+    return ((0, ()),) + tuple(
+        (2 * cd.d(i), tuple((l, off, v) for (l, off), v in _alpha_pattern(cd, i) if l != i))
+        for i in cd.nodes
+    )
 
 
 def simple_lroot(cd: CartanData, i: int, orbit: str = "a", exp: int = 0) -> LWeight:

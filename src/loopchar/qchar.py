@@ -245,10 +245,7 @@ def fundamental_char(
     done: set = set()
     terms: Dict[LWeight, int] = {}
 
-    while True:
-        open_levels = (set(settled) | set(bounds)) - done
-        if not open_levels:
-            break
+    while open_levels := (set(settled) | set(bounds)) - done:
         lam = min(open_levels, key=lambda w: (height_of(w), w))
         done.add(lam)
         if lam not in settled:
@@ -301,32 +298,25 @@ def _discover(
     bounds: Dict[Weight, Dict[LWeight, int]],
 ) -> None:
     """Record dominant children reachable from one orbit term."""
+    # Only a node whose powers are positive and sum to 2 descends; other powers add 3 entries.
+    exps: Dict[int, List[Tuple[str, int]]] = {}
+    for (j, orbit, k), power in term.factors:
+        exps.setdefault(j, []).extend([(orbit, k)] * (power if 0 < power < 3 else 3))
     mu = weight_of(cd, term)
-    for j in cd.nodes:
-        alpha_wt = simple_root_weight(cd, j)
-        lam2 = tuple(m - s for m, s in zip(mu, alpha_wt))
+    for j, pair in exps.items():
+        if len(pair) != 2:
+            continue
+        lam2 = tuple(m - s for m, s in zip(mu, simple_root_weight(cd, j)))
         if not is_dominant(lam2):
             continue
-        exps = []
-        ok = True
-        for (node, orbit, k), power in term.factors:
-            if node != j:
-                continue
-            if power < 0:
-                ok = False
-                break
-            exps.extend([(orbit, k)] * power)
-        if not ok or len(exps) != 2:
-            continue
-        (o1, e1), (o2, e2) = sorted(exps)
-        children: List[Tuple[str, int, int]] = []
-        if (o1, e1) == (o2, e2):
-            children.append((o1, e1, 2 * mult))
+        low, top = pair
+        if low == top:
+            children = [(top, 2 * mult)]
+        elif low[0] == top[0] and top[1] == low[1] + 2 * cd.d(j):  # adjacent: only the top
+            children = [(top, mult)]
         else:
-            children.append((o2, e2, mult))
-            if not (o1 == o2 and e2 == e1 + 2 * cd.d(j)):
-                children.append((o1, e1, mult))
-        for orbit, k, bound in children:
+            children = [(top, mult), (low, mult)]
+        for (orbit, k), bound in children:
             child = term * simple_lroot(cd, j, orbit, k).inverse()
             sub = bounds.setdefault(lam2, {})
             sub[child] = max(sub.get(child, 0), bound)

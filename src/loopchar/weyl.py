@@ -8,9 +8,8 @@ as a product of operators, so the rightmost letter acts first.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .cartan import CartanData, Frozen
 from .errors import DomainError
@@ -36,6 +35,7 @@ def rho(cd: CartanData) -> Weight:
     return (1,) * cd.rank
 
 
+@lru_cache(maxsize=None)
 def simple_root_weight(cd: CartanData, j: int) -> Weight:
     """Coordinates of alpha_j in the fundamental-weight basis."""
     cd.check_node(j)
@@ -43,11 +43,14 @@ def simple_root_weight(cd: CartanData, j: int) -> Weight:
 
 
 def reflect(cd: CartanData, i: int, lam: Weight) -> Weight:
+    """s_i lam = lam - lam_i alpha_i: only i and its neighbours change."""
     cd.check_node(i)
     c = lam[i - 1]
-    if c == 0:
-        return lam
-    return tuple(l - c * row[i - 1] for l, row in zip(lam, cd.matrix))
+    out = list(lam)
+    out[i - 1] = -c
+    for k in cd.neighbors(i):
+        out[k - 1] -= c * cd.a(k, i)
+    return tuple(out)
 
 
 def is_dominant(lam: Weight) -> bool:
@@ -136,36 +139,27 @@ def is_reduced_word(cd: CartanData, word: Tuple[int, ...]) -> bool:
 
 @lru_cache(maxsize=None)
 def longest_element(cd: CartanData) -> WeylElement:
-    lam = rho(cd)
-    m = _identity_matrix(cd.rank)
-    while True:
-        for i in cd.nodes:
-            if lam[i - 1] > 0:
-                lam = reflect(cd, i, lam)
-                m = _reflect_rows(cd, i, m)
-                break
-        else:
-            return element_from_matrix(cd, m)
+    """Walks rho down to -rho, each step at the smallest positive coordinate."""
+    lam, steps = rho(cd), []
+    while any(c > 0 for c in lam):
+        i = next(k for k in cd.nodes if lam[k - 1] > 0)
+        lam = reflect(cd, i, lam)
+        steps.append(i)
+    return element_from_word(cd, tuple(reversed(steps)))
 
 
 @lru_cache(maxsize=None)
 def positive_roots(cd: CartanData) -> Tuple[RootCoords, ...]:
     """All positive roots in simple-root coordinates, sorted."""
-    simple = [tuple(1 if k == j else 0 for k in range(cd.rank)) for j in range(cd.rank)]
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            for i in cd.nodes:
-                pairing = sum(cd.a(i, j + 1) * beta[j] for j in range(cd.rank))
-                refl = tuple(
-                    c - pairing if j == i - 1 else c for j, c in enumerate(beta)
-                )
-                if refl not in seen:
-                    seen.add(refl)
-                    nxt.append(refl)
-        frontier = nxt
+    queue = list(_identity_matrix(cd.rank))  # the simple roots; grows while it is read
+    seen = set(queue)
+    for beta in queue:
+        for i in cd.nodes:
+            pairing = sum(cd.a(i, j + 1) * beta[j] for j in range(cd.rank))
+            refl = beta[: i - 1] + (beta[i - 1] - pairing,) + beta[i:]
+            if refl not in seen:
+                seen.add(refl)
+                queue.append(refl)
     return tuple(sorted(b for b in seen if all(c >= 0 for c in b)))
 
 
@@ -193,28 +187,35 @@ def coroot_pairing(cd: CartanData, lam: Weight, beta: RootCoords) -> int:
     return num // den
 
 
-def orbit_edges(cd: CartanData, lam: Weight) -> Iterator[Tuple[Weight, int, Weight]]:
+def orbit_edges(cd: CartanData, lam: Weight) -> Tuple[Tuple[Weight, int, Weight], ...]:
     """Breadth-first spanning tree of the W-orbit of a dominant weight.
 
-    Yields one edge (mu, j, s_j mu) per orbit weight other than lam, the
+    Returns one edge (mu, j, s_j mu) per orbit weight other than lam, the
     first time that weight is reached, with j ascending at each weight.
     A step along j is taken only when mu[j] > 0, so the path from lam
     to any weight spells a reduced word (last step leftmost) for the
-    minimal coset representative carrying lam there.
+    minimal coset representative carrying lam there.  The last 128
+    walks are kept.
     """
     if not is_dominant(lam):
         raise DomainError("the Weyl orbit walk needs a dominant weight")
+    return _orbit_edges(cd, lam)
+
+
+@lru_cache(maxsize=128)
+def _orbit_edges(cd: CartanData, lam: Weight) -> Tuple[Tuple[Weight, int, Weight], ...]:
     seen = {lam}
-    queue = deque([lam])
-    while queue:
-        mu = queue.popleft()
+    queue = [lam]  # grows while it is read: breadth-first order
+    edges = []
+    for mu in queue:
         for j in cd.nodes:
             if mu[j - 1] > 0:
                 nu = reflect(cd, j, mu)
                 if nu not in seen:
                     seen.add(nu)
                     queue.append(nu)
-                    yield mu, j, nu
+                    edges.append((mu, j, nu))
+    return tuple(edges)
 
 
 def min_coset_reps(cd: CartanData, lam: Weight) -> List[WeylElement]:

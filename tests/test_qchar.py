@@ -1,5 +1,7 @@
 """Tests for q-character construction."""
 
+import hashlib
+
 import pytest
 
 from loopchar import (
@@ -13,6 +15,7 @@ from loopchar import (
     elliptic_class,
     fundamental_char,
     fundamental_lweight,
+    fundamental_weight,
     is_minuscule,
     minuscule_char,
     parse_lweight,
@@ -23,7 +26,9 @@ from loopchar import (
     weight_of,
     weight_projection,
     weyl_module_dim,
+    zero_weight,
 )
+from loopchar.verify import _CLASS_TYPES
 
 
 def test_sl2_string_exponents():
@@ -221,3 +226,33 @@ def test_weyl_module_dim_is_multiplicative():
     assert weyl_module_dim(cd, om, {1: 7, 3: 8}) == 7 * 64
     with pytest.raises(DomainError):
         weyl_module_dim(cd, om, {1: 7})
+
+
+# sha256 over the str() of the characters of ``_pinned_chars``, one per line,
+# recorded before braid words and orbit walks read per-type tables.
+_PINNED_SHA256 = "82bc9b3059c80f57b6f7d464a72f9af41335b42360d7619a3bfada09570d3bb8"
+
+
+def _pinned_chars():
+    for p in (("a", 0), ("b", -5)):
+        for name in _CLASS_TYPES:
+            cd = cartan_data(name)
+            for i in cd.nodes:
+                if is_minuscule(cd, i):
+                    yield minuscule_char(cd, i, p)
+        for n in range(4, 9):
+            cd = cartan_data(f"D{n}")
+            yield fundamental_char(cd, 2, p, weight_projection(cd, dn_node2_char(n, ("a", 0))))
+        for n in range(2, 9):
+            cd = cartan_data(f"B{n}")
+            yield fundamental_char(cd, 1, p, {fundamental_weight(cd, 1): 1, zero_weight(cd): 1})
+
+
+def test_braid_orbit_characters_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for char in _pinned_chars():
+        digest.update(str(char).encode() + b"\n")
+        count += 1
+    assert count == 94
+    assert digest.hexdigest() == _PINNED_SHA256

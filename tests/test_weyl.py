@@ -1,7 +1,7 @@
 """Weyl group machinery on classical weight coordinates."""
 
+from collections import deque
 from fractions import Fraction
-import itertools
 import random
 
 import pytest
@@ -23,6 +23,7 @@ from loopchar import (
 )
 from loopchar.verify import _CLASS_TYPES
 from loopchar.weyl import (
+    _orbit_edges,
     _word_from_matrix,
     highest_root,
     orbit_edges,
@@ -143,6 +144,78 @@ def test_simple_root_weight_rows():
     assert simple_root_weight(cd, 2) == (-2, 2)
 
 
+# The E8 fundamental orbits of at most 2160 weights: omega_1 has 240 and
+# omega_7 has 2160; the other six have 6720 to 483840.
+_E8_SMALL_NODES = (1, 7)
+
+
+def _dense_reflect(cd, i, lam):
+    """s_i lam = lam - lam_i alpha_i over the full column i of the Cartan matrix."""
+    return tuple(l - lam[i - 1] * cd.a(k, i) for k, l in zip(cd.nodes, lam))
+
+
+def _bfs_orbit_edges(cd, lam):
+    """The orbit walk without a cache, on the dense reflection."""
+    seen, queue, edges = {lam}, deque([lam]), []
+    while queue:
+        mu = queue.popleft()
+        for j in cd.nodes:
+            if mu[j - 1] > 0:
+                nu = _dense_reflect(cd, j, mu)
+                if nu not in seen:
+                    seen.add(nu)
+                    queue.append(nu)
+                    edges.append((mu, j, nu))
+    return tuple(edges)
+
+
+def _walk_cases():
+    """Fundamental weights (E8 cut as above), rho up to rank 4, seeded dominant weights."""
+    rng = random.Random(8)
+    for name in _CLASS_TYPES:
+        cd = cartan_data(name)
+        for i in cd.nodes:
+            if name != "E8" or i in _E8_SMALL_NODES:
+                yield name, fundamental_weight(cd, i)
+        if cd.rank <= 4:
+            yield name, rho(cd)
+        if cd.rank <= 5:
+            for _ in range(3):
+                yield name, tuple(rng.randint(0, 3) for _ in cd.nodes)
+
+
+@pytest.mark.parametrize("label,lam", list(_walk_cases()))
+def test_cached_orbit_walk_matches_the_uncached_walk(label, lam):
+    cd = cartan_data(label)
+    edges = orbit_edges(cd, lam)
+    assert edges == _bfs_orbit_edges(cd, lam)
+    assert orbit_edges(cd, lam) is edges
+
+
+def test_orbit_walk_caches_nothing_for_a_non_dominant_weight():
+    cd = cartan_data("B3")
+    orbit_edges(cd, rho(cd))
+    before = _orbit_edges.cache_info()
+    for lam in ((1, -1, 0), (-2, 0, 0), (0, 0, -1)):
+        with pytest.raises(DomainError):
+            orbit_edges(cd, lam)
+    after = _orbit_edges.cache_info()
+    assert after.currsize == before.currsize and after.misses == before.misses
+    assert after.maxsize == 128
+
+
+@pytest.mark.parametrize("label", _CLASS_TYPES + ("A12", "D10"))
+def test_sparse_reflection_matches_the_dense_formula(label):
+    cd = cartan_data(label)
+    rng = random.Random(label)
+    for _ in range(20):
+        lam = tuple(rng.randint(-6, 6) for _ in cd.nodes)
+        for i in cd.nodes:
+            assert reflect(cd, i, lam) == _dense_reflect(cd, i, lam)
+    with pytest.raises(DomainError):
+        reflect(cd, cd.rank + 1, lam)
+
+
 @pytest.mark.parametrize("label", _CLASS_TYPES)
 def test_coset_reps_agree_with_the_descent_from_rho(label):
     """Words built from the orbit-walk parent against the matrix oracle.
@@ -152,9 +225,9 @@ def test_coset_reps_agree_with_the_descent_from_rho(label):
     """
     cd = cartan_data(label)
     for i in cd.nodes:
-        lam = fundamental_weight(cd, i)
-        if label == "E8" and len(list(itertools.islice(orbit_edges(cd, lam), 2160))) == 2160:
+        if label == "E8" and i not in _E8_SMALL_NODES:
             continue
+        lam = fundamental_weight(cd, i)
         reps = min_coset_reps(cd, lam)
         assert reps == sorted(reps, key=lambda w: (w.length, w.word))
         for w in reps:
