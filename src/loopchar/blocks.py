@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 from .cartan import CartanData, Frozen, LieType, cartan_data
 from .errors import DomainError, ParseError
 from .intlattice import SparseIntSolver
-from .lweight import LWeight, _json_field, check_orbit, json_int, json_str
+from .lweight import LWeight, _json_field, check_orbit, check_param, json_int, json_str
 from .braid import _alpha_pattern
 
 FamilyExp = Tuple[str, int]
@@ -347,7 +347,7 @@ def trivial_sets(
     decomposes as a nonnegative product of simple loop roots, which the
     verification suite certifies.
     """
-    check_orbit(orbit)
+    check_param((orbit, exp))
     series, n = cd.type.series, cd.rank
     sets: List[Tuple[str, Tuple[Tuple[int, int], ...]]]
     if series == "A":

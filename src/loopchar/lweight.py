@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .cartan import CartanData, Frozen
 from .errors import DomainError, ParseError
@@ -33,9 +33,26 @@ _FACTOR_RE = re.compile(
 
 
 def check_orbit(orbit: str) -> str:
-    if not _ORBIT_RE.fullmatch(orbit):
+    if type(orbit) is not str or not _ORBIT_RE.fullmatch(orbit):
         raise DomainError(f"invalid orbit name {orbit!r}")
     return orbit
+
+
+def check_param(p: SpectralParam) -> SpectralParam:
+    """The spectral parameter p as an (orbit, exp) tuple, or DomainError.
+
+    The orbit must be a valid orbit name and the exponent a plain int:
+    bool is an int subclass, and a float or string exponent would reach
+    ``k + exp`` as silent non-integer exponents or a bare TypeError.
+    """
+    try:
+        orbit, exp = p
+    except (TypeError, ValueError):
+        raise DomainError(f"spectral parameter must be an (orbit, exp) pair, got {p!r}")
+    check_orbit(orbit)
+    if type(exp) is not int:
+        raise DomainError(f"spectral exponent must be an integer, got {exp!r}")
+    return orbit, exp
 
 
 class LWeight(Frozen):
@@ -99,9 +116,7 @@ class LWeight(Frozen):
 
     def shift(self, offset: int) -> "LWeight":
         """Shift every spectral parameter exponent by ``offset``."""
-        return LWeight(
-            tuple((((i, a, k + offset), p)) for (i, a, k), p in self.factors)
-        )
+        return LWeight(_translate(self.factors, offset))
 
     def __str__(self) -> str:
         if not self.factors:
@@ -151,6 +166,19 @@ def _mul_factors(f: Factors, g: Factors) -> Factors:
         else:
             del powers[k]
     return tuple(sorted(powers.items(), key=_BY_KEY))
+
+
+def _translate(f: Factors, offset: int, orbit: Optional[str] = None) -> Factors:
+    """Factors with ``offset`` added to every exponent and, if ``orbit`` is
+    given, every orbit renamed to it.
+
+    The shift preserves the order of the keys; so does the renaming when
+    all factors share one orbit, the only case it is meant for.  The
+    result is therefore sorted without a sort.
+    """
+    if orbit is None:
+        return tuple(((i, a, k + offset), p) for (i, a, k), p in f)
+    return tuple(((i, orbit, k + offset), p) for (i, _, k), p in f)
 
 
 def _json_field(entry: Dict[str, object], field: str, kind: type, noun: str) -> object:
@@ -231,7 +259,7 @@ def check_lweight(cd: CartanData, pi: LWeight) -> LWeight:
 
 def fundamental_lweight(cd: CartanData, i: int, orbit: str = "a", exp: int = 0) -> LWeight:
     cd.check_node(i)
-    check_orbit(orbit)
+    check_param((orbit, exp))
     return LWeight(((((i, orbit, exp)), 1),))
 
 
@@ -325,8 +353,16 @@ class LCharacter(Frozen):
             raise DomainError("character multiplicities must be positive")
         return LCharacter(tuple((LWeight(key), m) for key, m in items))
 
-    def shift(self, offset: int) -> "LCharacter":
-        return LCharacter.from_dict({pi.shift(offset): m for pi, m in self.terms})
+    def shift(self, offset: int, orbit: Optional[str] = None) -> "LCharacter":
+        """Every exponent moved by ``offset`` and, for a character on one
+        orbit, that orbit renamed to ``orbit`` if given.
+
+        Both maps keep the factor order within each term and the order of
+        the terms, so the result is built directly, without a sort.
+        """
+        return LCharacter(
+            tuple((LWeight(_translate(pi.factors, offset, orbit)), m) for pi, m in self.terms)
+        )
 
     def text(self) -> str:
         return "\n".join(f"{m} * {pi}" for pi, m in self.terms)

@@ -5,6 +5,12 @@ Covers the rank-one evaluation modules, minuscule fundamental modules
 character at node 2, and a table-driven descent that assembles any
 classical fundamental character from braid orbits of dominant loop
 weights plus caller-supplied dominant weight multiplicities.
+
+Moving the spectral parameter of a fundamental module from a to a*q^e
+adds e to every exponent of its character and renames the orbit (the
+spectral-shift automorphism of the quantum affine algebra).  So each
+fundamental character is built once, at ("a", 0), in a per-type cache,
+and every call translates that template to the parameter it asks for.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .lweight import (
     LCharacter,
     LWeight,
     SpectralParam,
+    check_param,
     fundamental_lweight,
     weight_of,
 )
@@ -41,6 +48,7 @@ class Sl2String(Frozen):
     __slots__ = ("a", "m")
 
     def __init__(self, a: SpectralParam, m: int):
+        a = check_param(a)
         if m < 0:
             raise DomainError(f"string length must be nonnegative, got {m}")
         object.__setattr__(self, "a", a)
@@ -73,9 +81,9 @@ def sl2_eval_char(a: SpectralParam, m: int) -> LCharacter:
     Term r is the string of length m-r at a shifted down by r, divided by
     the string of length r at a shifted up by m-r+2.
     """
+    orbit, e = check_param(a)
     if m < 0:
         raise DomainError(f"string length must be nonnegative, got {m}")
-    orbit, e = a
     # Term r has numerator exponents e-m+1, e-m+3, ..., e+m-2r-1 and
     # denominator exponents e+m-2r+3, ..., e+m+1: the first m-r entries
     # of ``num`` and the last r of ``den``.  The two ranges never
@@ -142,15 +150,36 @@ def is_minuscule(cd: CartanData, i: int) -> bool:
     )
 
 
+def _check_node(cd: CartanData, i: int) -> None:
+    """Node range check for a template cache key: True or 1.0 would hit,
+    or fill, the entry of node 1."""
+    if type(i) is not int:
+        raise DomainError(f"node must be an integer, got {i!r}")
+    cd.check_node(i)
+
+
+def _at(template: LCharacter, p: SpectralParam) -> LCharacter:
+    """A character built at ("a", 0), translated to the parameter p."""
+    orbit, e = p
+    if orbit == "a" and e == 0:
+        return template
+    return template.shift(e, orbit)
+
+
 def minuscule_char(cd: CartanData, i: int, p: SpectralParam) -> LCharacter:
     """Character of a minuscule fundamental module: one pure braid orbit."""
+    _check_node(cd, i)
     if not is_minuscule(cd, i):
         raise DomainError(
             f"node {i} of {cd.type} is not minuscule: some positive coroot "
             "pairs with the fundamental weight above 1"
         )
-    orbit, e = p
-    top = fundamental_lweight(cd, i, orbit, e)
+    return _at(_minuscule_template(cd, i), check_param(p))
+
+
+@lru_cache(maxsize=None)
+def _minuscule_template(cd: CartanData, i: int) -> LCharacter:
+    top = fundamental_lweight(cd, i)
     images = braid_orbit(cd, top)
     if len(set(images.values())) != len(images):
         raise ArithmeticError(f"braid orbit of {top} meets some loop weight twice")
@@ -165,26 +194,30 @@ def dn_node2_char(n: int, p: SpectralParam) -> LCharacter:
     """
     if n < 4:
         raise DomainError(f"rank must be at least 4, got {n}")
-    cd = cartan_data(f"D{n}")
-    orbit, e = p
-    top = fundamental_lweight(cd, 2, orbit, e)
+    # Keyed by the parsed type, so an n that names no type never reaches the cache.
+    return _at(_dn_node2_template(cartan_data(f"D{n}")), check_param(p))
+
+
+@lru_cache(maxsize=None)
+def _dn_node2_template(cd: CartanData) -> LCharacter:
+    n = cd.rank
     terms: Dict[LWeight, int] = {}
-    for pi in braid_orbit(cd, top).values():
+    for pi in braid_orbit(cd, fundamental_lweight(cd, 2)).values():
         terms[pi] = terms.get(pi, 0) + 1
     for j in range(1, n + 1):
-        core = _dn_core_term(n, j, orbit, e)
+        core = _dn_core_term(n, j)
         mult = 2 if j == n - 2 else 1
         terms[core] = terms.get(core, 0) + mult
     return LCharacter.from_dict(terms)
 
 
-def _dn_core_term(n: int, j: int, orbit: str, e: int) -> LWeight:
-    """The j-th zero-weight term of the type-D node-2 character."""
+def _dn_core_term(n: int, j: int) -> LWeight:
+    """The j-th zero-weight term of the type-D node-2 character at ("a", 0)."""
     powers: Dict[Tuple[int, str, int], int] = {}
 
     def put(node: int, exp: int, sign: int) -> None:
         if node >= 1:
-            key = (node, orbit, e + exp)
+            key = (node, "a", exp)
             powers[key] = powers.get(key, 0) + sign
 
     if j <= n - 2:
@@ -210,15 +243,31 @@ def fundamental_char(
     loop root at the top factor always descends, at the bottom factor
     only when the two factors are not in adjacent position.  Discovered
     candidates are matched against the table, which must pin every
-    multiplicity without ambiguity.
+    multiplicity without ambiguity.  The descent runs once per type,
+    node and table, at ("a", 0), and its result or its error is what
+    every parameter p gets.
     """
     if cd.type.series not in "ABCD":
         raise DomainError(
             f"the descent applies to the classical series only, not {cd.type}"
         )
-    cd.check_node(i)
-    orbit, e = p
-    top = fundamental_lweight(cd, i, orbit, e)
+    _check_node(cd, i)
+    p = check_param(p)
+    for lam, mult in table.items():
+        # The table is the cache key: 1.0 or True would hit the entry of 1.
+        if type(lam) is not tuple or any(type(c) is not int for c in lam):
+            raise DomainError(f"table weight {lam!r} is not a tuple of integers")
+        if type(mult) is not int:
+            raise DomainError(f"table multiplicity at {list(lam)} is not an integer: {mult!r}")
+    return _at(_fundamental_template(cd, i, tuple(sorted(table.items()))), p)
+
+
+@lru_cache(maxsize=128)
+def _fundamental_template(
+    cd: CartanData, i: int, items: Tuple[Tuple[Weight, int], ...]
+) -> LCharacter:
+    table = dict(items)
+    top = fundamental_lweight(cd, i)
     top_wt = fundamental_weight(cd, i)
     if table.get(top_wt) != 1:
         raise DomainError(

@@ -1,5 +1,8 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
+import hashlib
+import io
 import json
 import pathlib
 import random
@@ -23,6 +26,7 @@ from loopchar import (
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+POOL = pathlib.Path(__file__).parent.parent / "loopbench" / "cli_pool.json"
 
 
 def run_cli(*args):
@@ -37,6 +41,24 @@ def test_golden_output(name):
     assert result.returncode == 0
     assert result.stderr == ""
     assert result.stdout == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_recorded_cli_pool_replays_byte_identically():
+    """Every benchmark request gives its recorded exit code and stdout digest."""
+    requests = json.loads(POOL.read_text())["requests"]
+    mismatches = []
+    for req in requests:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = cli.main(list(req["args"]))
+            except SystemExit as exc:
+                rc = exc.code
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        if (rc, digest) != (req["exit"], req["sha256"]):
+            mismatches.append((req["args"], rc))
+    assert len(requests) == 1320
+    assert mismatches == []
 
 
 def test_repeated_runs_are_identical():

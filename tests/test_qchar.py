@@ -6,7 +6,9 @@ import pytest
 
 from loopchar import (
     DomainError,
+    ParseError,
     LCharacter,
+    LWeight,
     Sl2String,
     cartan_data,
     cone_check,
@@ -23,12 +25,16 @@ from loopchar import (
     sl2_eval_char,
     sl2_tensor_irreducible,
     tensor_char,
+    trivial_sets,
     weight_of,
     weight_projection,
     weyl_module_dim,
     zero_weight,
 )
+from loopchar import qchar
+from loopchar.braid import braid_orbit
 from loopchar.verify import _CLASS_TYPES
+from loopchar.weyl import dominance_diff
 
 
 def test_sl2_string_exponents():
@@ -256,3 +262,195 @@ def test_braid_orbit_characters_are_pinned():
         count += 1
     assert count == 94
     assert digest.hexdigest() == _PINNED_SHA256
+
+
+# Reference builds straight at the spectral parameter p, as the character
+# builders did before they translated a template built at ("a", 0).
+
+
+def _ref_minuscule_char(cd, i, p):
+    top = fundamental_lweight(cd, i, *p)
+    return LCharacter.from_dict(dict.fromkeys(braid_orbit(cd, top).values(), 1))
+
+
+def _ref_dn_core_term(n, j, orbit, e):
+    powers = {}
+
+    def put(node, exp, sign):
+        if node >= 1:
+            key = (node, orbit, e + exp)
+            powers[key] = powers.get(key, 0) + sign
+
+    if j <= n - 2:
+        put(j - 1, j + 1, -1)
+        put(j - 1, 2 * n - j - 3, +1)
+        put(j, j, +1)
+        put(j, 2 * n - j - 2, -1)
+    else:
+        put(j, n - 3, +1)
+        put(j, n + 1, -1)
+    return LWeight.from_dict(powers)
+
+
+def _ref_dn_node2_char(n, p):
+    cd = cartan_data(f"D{n}")
+    terms = {}
+    for pi in braid_orbit(cd, fundamental_lweight(cd, 2, *p)).values():
+        terms[pi] = terms.get(pi, 0) + 1
+    for j in range(1, n + 1):
+        core = _ref_dn_core_term(n, j, *p)
+        terms[core] = terms.get(core, 0) + (2 if j == n - 2 else 1)
+    return LCharacter.from_dict(terms)
+
+
+def _ref_fundamental_char(cd, i, p, table):
+    """The descent at p, for tables that pin every multiplicity."""
+    top = fundamental_lweight(cd, i, *p)
+    top_wt = fundamental_weight(cd, i)
+
+    def height(lam):
+        return sum(dominance_diff(cd, top_wt, lam))
+
+    bounds, settled, done, terms = {}, {top_wt: {top: 1}}, set(), {}
+    while open_levels := (set(settled) | set(bounds)) - done:
+        lam = min(open_levels, key=lambda w: (height(w), w))
+        done.add(lam)
+        if lam not in settled:
+            cand, want = bounds[lam], table[lam]
+            if len(cand) == 1:
+                settled[lam] = {next(iter(cand)): want}
+            else:
+                if sum(cand.values()) != want:
+                    raise ValueError(f"ambiguous table at {lam}")
+                settled[lam] = dict(cand)
+        for pi, mult in settled[lam].items():
+            for term in braid_orbit(cd, pi).values():
+                terms[term] = terms.get(term, 0) + mult
+                qchar._discover(cd, term, mult, bounds)
+    return LCharacter.from_dict(terms)
+
+
+_PARAMS = [("a", 0), ("b", -5), ("c1", 17), ("a", -10**6)]
+
+
+def _d_table(n):
+    cd = cartan_data(f"D{n}")
+    return weight_projection(cd, _ref_dn_node2_char(n, ("a", 0)))
+
+
+def _b_table(n):
+    cd = cartan_data(f"B{n}")
+    return {fundamental_weight(cd, 1): 1, zero_weight(cd): 1}
+
+
+@pytest.mark.parametrize("p", _PARAMS)
+def test_translated_minuscule_chars_match_the_build_at_p(p):
+    for name in _CLASS_TYPES:
+        cd = cartan_data(name)
+        for i in cd.nodes:
+            if is_minuscule(cd, i):
+                assert minuscule_char(cd, i, p) == _ref_minuscule_char(cd, i, p), (name, i)
+
+
+@pytest.mark.parametrize("p", _PARAMS)
+def test_translated_dn_node2_chars_match_the_build_at_p(p):
+    for n in range(4, 9):
+        assert dn_node2_char(n, p) == _ref_dn_node2_char(n, p), n
+
+
+@pytest.mark.parametrize("p", _PARAMS)
+def test_translated_descents_match_the_build_at_p(p):
+    for n in range(4, 9):
+        cd, table = cartan_data(f"D{n}"), _d_table(n)
+        assert fundamental_char(cd, 2, p, table) == _ref_fundamental_char(cd, 2, p, table), n
+    for n in range(2, 9):
+        cd, table = cartan_data(f"B{n}"), _b_table(n)
+        assert fundamental_char(cd, 1, p, table) == _ref_fundamental_char(cd, 1, p, table), n
+
+
+def test_translation_reuses_the_cached_template():
+    e6, d5 = cartan_data("E6"), cartan_data("D5")
+    table = _d_table(5)
+    calls = [
+        (qchar._minuscule_template, lambda p: minuscule_char(e6, 1, p)),
+        (qchar._dn_node2_template, lambda p: dn_node2_char(5, p)),
+        (qchar._fundamental_template, lambda p: fundamental_char(d5, 2, p, table)),
+    ]
+    for cache, build in calls:
+        build(("a", 3))
+        before = cache.cache_info()
+        build(("b", -11))
+        after = cache.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 1
+
+
+def test_a_bad_table_raises_the_same_error_on_every_call():
+    b2 = cartan_data("B2")
+    messages = []
+    for p in (("a", 0), ("a", 0), ("b", 4)):
+        with pytest.raises(DomainError) as err:
+            fundamental_char(b2, 1, p, {(1, 0): 1})
+        messages.append(str(err.value))
+    assert messages == ["descent reached dominant weight [0, 0] missing from the table"] * 3
+
+
+_BAD_PARAMS = {
+    "bool exponent": ("a", True),
+    "float exponent": ("a", 1.5),
+    "string exponent": ("a", "3"),
+    "orbit with a space": ("b c", 0),
+    "tuple orbit": (("a",), 0),
+}
+
+_PARAM_ENTRY_POINTS = {
+    "fundamental_lweight": lambda p: fundamental_lweight(cartan_data("A3"), 1, *p),
+    "sl2_eval_char": lambda p: sl2_eval_char(p, 2),
+    "Sl2String": lambda p: Sl2String(p, 2),
+    "trivial_sets": lambda p: trivial_sets(cartan_data("A3"), *p),
+    "minuscule_char": lambda p: minuscule_char(cartan_data("E6"), 1, p),
+    "dn_node2_char": lambda p: dn_node2_char(4, p),
+    "fundamental_char": lambda p: fundamental_char(cartan_data("B2"), 1, p, _b_table(2)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_PARAMS))
+@pytest.mark.parametrize("entry", sorted(_PARAM_ENTRY_POINTS))
+def test_entry_points_reject_bad_spectral_parameters(entry, bad):
+    with pytest.raises(DomainError):
+        _PARAM_ENTRY_POINTS[entry](_BAD_PARAMS[bad])
+
+
+@pytest.mark.parametrize("p", [("a",), "a0", 5])
+def test_spectral_parameters_must_be_pairs(p):
+    with pytest.raises(DomainError):
+        minuscule_char(cartan_data("A2"), 1, p)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {(1, 0): True, (0, 0): 1},
+        {(1, 0): 1, (0, 0): 1.0},
+        {(1, 0): 1, (0, 0): "1"},
+        {(1, 0): 1, (0.0, 0): 1},
+        {(1, 0): 1, "0,0": 1},
+    ],
+)
+def test_fundamental_char_rejects_non_integer_tables(table):
+    with pytest.raises(DomainError):
+        fundamental_char(cartan_data("B2"), 1, ("a", 0), table)
+
+
+def test_template_keys_take_plain_integers_only():
+    a3, b2 = cartan_data("A3"), cartan_data("B2")
+    minuscule_char(a3, 1, ("a", 0))
+    fundamental_char(b2, 1, ("a", 0), _b_table(2))
+    dn_node2_char(4, ("a", 0))
+    for node in (True, 1.0):
+        with pytest.raises(DomainError):
+            minuscule_char(a3, node, ("a", 0))
+        with pytest.raises(DomainError):
+            fundamental_char(b2, node, ("a", 0), _b_table(2))
+    with pytest.raises(ParseError):
+        dn_node2_char(4.0, ("a", 0))
