@@ -17,6 +17,8 @@ from .weyl import Weight, longest_element, orbit_edges
 
 LRootCoeffs = Dict[GenKey, int]
 
+_INT = frozenset((int,))
+
 
 def braid_act(cd: CartanData, i: int, pi: LWeight) -> LWeight:
     """Apply the i-th braid operator.
@@ -53,7 +55,8 @@ def braid_act_word(cd: CartanData, word: Tuple[int, ...], pi: LWeight) -> LWeigh
     2*d_i with the powers negated and writes only its neighbours'
     groups.  The groups are sorted once, at the end.
     """
-    if word and not (min(word) >= 1 and max(word) <= cd.rank):
+    # One pass over the letters' types first: True or 1.0 passes min/max.
+    if word and not ({*map(type, word)} == _INT and min(word) >= 1 and max(word) <= cd.rank):
         for i in word:
             cd.check_node(i)
     check_lweight(cd, pi)

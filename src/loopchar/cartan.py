@@ -197,6 +197,10 @@ class CartanData(Frozen):
         return range(1, self.rank + 1)
 
     def check_node(self, i: int) -> None:
+        # bool is an int subclass and 1.0 == 1: either would pass the range
+        # test, print as a node, and hit or fill node 1's cache entries.
+        if type(i) is not int:
+            raise DomainError(f"node must be an integer, got {i!r}")
         if not 1 <= i <= self.rank:
             raise DomainError(f"node {i} out of range for type {self.type}")
 

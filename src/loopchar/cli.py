@@ -239,6 +239,9 @@ def _cmd_qchar_tensor(args: argparse.Namespace) -> int:
 
     s1 = Sl2String((args.orbit, args.exp), args.length)
     s2 = Sl2String((args.orbit2, args.exp2), args.length2)
+    # The product's own bound, checked before the strings are built: the
+    # character of a string of length m has m+1 terms of m factors each.
+    LCharacter.check_product_bound((s1.m + 1) * (s2.m + 1) * (s1.m + s2.m))
     product = tensor_char(sl2_eval_char(s1.a, s1.m), sl2_eval_char(s2.a, s2.m))
     irr = sl2_tensor_irreducible([s1, s2])
     if args.format == "json":

@@ -25,6 +25,11 @@ Factors = Tuple[Tuple[GenKey, int], ...]
 # of the pairs, and each comparison looks one tuple level less deep.
 _BY_KEY = itemgetter(0)
 
+# LCharacter.__mul__ refuses a product whose factor count, bounded before
+# any term pair is multiplied, could pass this; the largest products the
+# benchmark and the tests build hold about 1.3e5 factors.
+MAX_PRODUCT_FACTORS = 20_000_000
+
 _ORBIT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _FACTOR_RE = re.compile(
     r"w\[\s*(\d+)\s*;\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:,\s*(-?\d+)\s*)?\]"
@@ -339,19 +344,34 @@ class LCharacter(Frozen):
             terms[pi] = terms.get(pi, 0) + m
         return LCharacter.from_dict(terms)
 
+    @staticmethod
+    def check_product_bound(bound: int) -> None:
+        """Refuse a product whose output may hold ``bound`` factors, if that
+        is more than MAX_PRODUCT_FACTORS.
+
+        For characters x and y the bound is |terms of y| * (factors over
+        x's terms) + |terms of x| * (factors over y's terms).
+        """
+        if bound > MAX_PRODUCT_FACTORS:
+            raise DomainError(
+                f"character product may hold {bound} factors, more than {MAX_PRODUCT_FACTORS}"
+            )
+
     def __mul__(self, other: "LCharacter") -> "LCharacter":
-        # Keyed on factor tuples, so no LWeight is built or hashed per
-        # product; sorting by the unique keys gives from_dict's order.
-        terms: Dict[Factors, int] = {}
-        for pi, m in self.terms:
-            f = pi.factors
-            for tau, l in other.terms:
-                key = _mul_factors(f, tau.factors)
-                terms[key] = terms.get(key, 0) + m * l
-        items = [(key, m) for key, m in sorted(terms.items(), key=_BY_KEY) if m]
-        if any(m < 0 for _, m in items):
-            raise DomainError("character multiplicities must be positive")
-        return LCharacter(tuple((LWeight(key), m) for key, m in items))
+        """The term-by-term product, refused above MAX_PRODUCT_FACTORS.
+
+        The kernel is in ``_charmul``, loaded by the first product, since
+        every cold CLI process compiles this module and most multiply no
+        characters.
+        """
+        from ._charmul import _multiply_terms
+
+        x, y = self.terms, other.terms
+        LCharacter.check_product_bound(
+            len(y) * sum(len(pi.factors) for pi, _ in x)
+            + len(x) * sum(len(pi.factors) for pi, _ in y)
+        )
+        return LCharacter(_multiply_terms(x, y))
 
     def shift(self, offset: int, orbit: Optional[str] = None) -> "LCharacter":
         """Every exponent moved by ``offset`` and, for a character on one

@@ -141,21 +141,18 @@ def cyclicity_order(
     return tuple(perm)
 
 
-@lru_cache(maxsize=None)
 def is_minuscule(cd: CartanData, i: int) -> bool:
+    # Checked before the cache, where True or 1.0 would hit node 1's entry.
     cd.check_node(i)
+    return _is_minuscule(cd, i)
+
+
+@lru_cache(maxsize=None)
+def _is_minuscule(cd: CartanData, i: int) -> bool:
     lam = fundamental_weight(cd, i)
     return all(
         coroot_pairing(cd, lam, beta) in (0, 1) for beta in positive_roots(cd)
     )
-
-
-def _check_node(cd: CartanData, i: int) -> None:
-    """Node range check for a template cache key: True or 1.0 would hit,
-    or fill, the entry of node 1."""
-    if type(i) is not int:
-        raise DomainError(f"node must be an integer, got {i!r}")
-    cd.check_node(i)
 
 
 def _at(template: LCharacter, p: SpectralParam) -> LCharacter:
@@ -168,8 +165,7 @@ def _at(template: LCharacter, p: SpectralParam) -> LCharacter:
 
 def minuscule_char(cd: CartanData, i: int, p: SpectralParam) -> LCharacter:
     """Character of a minuscule fundamental module: one pure braid orbit."""
-    _check_node(cd, i)
-    if not is_minuscule(cd, i):
+    if not is_minuscule(cd, i):  # which checks the node
         raise DomainError(
             f"node {i} of {cd.type} is not minuscule: some positive coroot "
             "pairs with the fundamental weight above 1"
@@ -251,7 +247,7 @@ def fundamental_char(
         raise DomainError(
             f"the descent applies to the classical series only, not {cd.type}"
         )
-    _check_node(cd, i)
+    cd.check_node(i)
     p = check_param(p)
     for lam, mult in table.items():
         # The table is the cache key: 1.0 or True would hit the entry of 1.

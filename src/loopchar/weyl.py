@@ -35,10 +35,15 @@ def rho(cd: CartanData) -> Weight:
     return (1,) * cd.rank
 
 
-@lru_cache(maxsize=None)
 def simple_root_weight(cd: CartanData, j: int) -> Weight:
     """Coordinates of alpha_j in the fundamental-weight basis."""
+    # Checked before the cache, where True or 1.0 would hit node 1's entry.
     cd.check_node(j)
+    return _simple_root_weight(cd, j)
+
+
+@lru_cache(maxsize=None)
+def _simple_root_weight(cd: CartanData, j: int) -> Weight:
     return tuple(cd.a(i, j) for i in cd.nodes)
 
 

@@ -1,9 +1,27 @@
 """Cartan data tables across all supported series."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from loopchar import DomainError, LieType, ParseError, cartan_data
+from loopchar import (
+    DomainError,
+    LieType,
+    ParseError,
+    braid_act,
+    braid_act_word,
+    cartan_data,
+    fundamental_lweight,
+    is_minuscule,
+    parse_lweight,
+    reflect,
+    simple_lroot,
+)
 from loopchar.blocks import seed_family
+from loopchar.weyl import simple_root_weight
 
 
 def test_parse_and_str():
@@ -104,3 +122,58 @@ def test_check_node():
         cd.check_node(3)
     with pytest.raises(DomainError):
         cd.check_node(0)
+
+
+# Each takes a node of A3 first; all of them must refuse True and 1.0,
+# which pass a range test and equal node 1 as cache keys.
+NODE_ENTRY_POINTS = {
+    "fundamental_lweight": lambda cd, i: fundamental_lweight(cd, i),
+    "simple_lroot": lambda cd, i: simple_lroot(cd, i, "a", 0),
+    "braid_act": lambda cd, i: braid_act(cd, i, parse_lweight("w[1;a,0]")),
+    "braid_act_word": lambda cd, i: braid_act_word(cd, (2, i), parse_lweight("w[1;a,0]")),
+    "reflect": lambda cd, i: reflect(cd, i, (1, 0, 0)),
+    "is_minuscule": lambda cd, i: is_minuscule(cd, i),
+    "simple_root_weight": lambda cd, i: simple_root_weight(cd, i),
+}
+
+
+@pytest.mark.parametrize("node", [True, 1.0, "1", None])
+def test_check_node_refuses_non_integers(node):
+    with pytest.raises(DomainError, match="integer"):
+        cartan_data("A2").check_node(node)
+
+
+@pytest.mark.parametrize("name", sorted(NODE_ENTRY_POINTS))
+@pytest.mark.parametrize("node", [True, 1.0])
+def test_node_entry_points_refuse_non_integers(name, node):
+    cd = cartan_data("A3")
+    call = NODE_ENTRY_POINTS[name]
+    call(cd, 1)  # node 1's cache entries are filled first
+    with pytest.raises(DomainError, match="integer"):
+        call(cd, node)
+
+
+def test_a_refused_node_leaves_no_cache_entry():
+    # In a fresh process no cache holds node 1 yet, so a True that got
+    # through would fill node 1's entries and print in later results.
+    script = """
+from loopchar import DomainError, braid_act, cartan_data, parse_lweight, simple_lroot
+cd = cartan_data("A3")
+try:
+    simple_lroot(cd, True, "a", 0)
+except DomainError:
+    pass
+else:
+    raise SystemExit("simple_lroot accepted True")
+print(simple_lroot(cd, 1, "a", 0))
+print(braid_act(cd, 1, parse_lweight("w[1;a,0]")))
+"""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "w[1;a,0]*w[1;a,2]*w[2;a,1]^-1\nw[1;a,2]^-1*w[2;a,1]\n"

@@ -3,7 +3,9 @@
 from hypothesis import given, strategies as st
 import pytest
 
+from loopchar import cli, lweight, qchar
 from loopchar import (
+    DomainError,
     LCharacter,
     LWeight,
     ParseError,
@@ -111,6 +113,108 @@ def test_product_of_e6_minuscule_characters():
     y = minuscule_char(cd, 5, ("a", 2))
     assert len(x.terms) == len(y.terms) == 27
     assert_products_match(x, y)
+
+
+@st.composite
+def character_pairs(draw):
+    """Two characters on a few shared keys, with powers up to 10**30.
+
+    Some right terms are left terms, inverted (so a pair cancels to the
+    identity) or as they are (so the largest power doubles); either side
+    may hold the identity term or no term at all.
+    """
+    huge = st.integers(min_value=-(10**30), max_value=10**30)
+    power = st.one_of(st.integers(min_value=-3, max_value=3), huge).filter(bool)
+    key = st.tuples(
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from(["a", "b", "z9"]),
+        st.integers(min_value=-3, max_value=3),
+    )
+    lweights = st.lists(st.dictionaries(key, power, max_size=5).map(LWeight.from_dict), max_size=5)
+    left, right = draw(lweights), draw(lweights)
+    for pi in draw(st.lists(st.sampled_from(left), max_size=3)) if left else ():
+        right.append(pi.inverse() if draw(st.booleans()) else pi)
+    for side in (left, right):
+        if draw(st.booleans()):
+            side.append(LWeight.identity())
+    mult = st.integers(min_value=1, max_value=3)
+    return tuple(LCharacter.from_dict({pi: draw(mult) for pi in side}) for side in (left, right))
+
+
+@given(character_pairs())
+def test_character_product_matches_the_reference(pair):
+    x, y = pair
+    for a, b in ((x, y), (y, x)):
+        assert (a * b).terms == reference_char_product(a, b).terms
+
+
+def test_products_of_huge_powers_keep_their_slots():
+    # The sums of the largest powers, 2 * 10**30 and -2 * 10**30, on keys
+    # either side of a key that cancels.
+    big = 10**30
+    x = LCharacter.from_dict({
+        parse_lweight(f"w[1;a,0]^{big}*w[1;a,1]^-{big}*w[2;a,0]^-{big}"): 1,
+        parse_lweight(f"w[1;a,1]^{big}"): 2,
+    })
+    y = LCharacter.from_dict({
+        parse_lweight(f"w[1;a,0]^{big}*w[1;a,1]^{big}*w[2;a,0]^-{big}"): 3,
+        LWeight.identity(): 1,
+    })
+    assert (x * y).terms == reference_char_product(x, y).terms
+    assert (x * y).multiplicity(parse_lweight(f"w[1;a,0]^{2 * big}*w[2;a,0]^-{2 * big}")) == 3
+
+
+def test_negative_multiplicities_are_refused():
+    x = LCharacter(((parse_lweight("w[1;a,0]"), 2),))
+    y = LCharacter(((parse_lweight("w[2;b,1]^-1"), -1),))
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(DomainError, match="positive"):
+            a * b
+
+
+def test_products_of_long_strings():
+    # Exponents of one parity share no key with the other parity's.
+    for m1, m2 in ((40, 40), (40, 17), (9, 40)):
+        x = sl2_eval_char(("a", 0), m1)
+        for e in (1, 2, m1 + m2 - 1):
+            y = sl2_eval_char(("a", e), m2)
+            assert (x * y).terms == reference_char_product(x, y).terms
+
+
+def test_product_of_e6_minuscule_characters_on_two_orbits():
+    cd = cartan_data("E6")
+    x = minuscule_char(cd, 1, ("a", 0))
+    y = minuscule_char(cd, 5, ("b", 2))
+    product = x * y
+    assert product.terms == reference_char_product(x, y).terms
+    assert len(product.terms) == 27 * 27
+
+
+def test_product_size_is_capped_before_any_pair(monkeypatch):
+    x = sl2_eval_char(("a", 0), 3)  # 4 terms of 3 factors
+    y = sl2_eval_char(("b", 0), 2)  # 3 terms of 2 factors
+    bound = 3 * 12 + 4 * 6
+    monkeypatch.setattr(lweight, "MAX_PRODUCT_FACTORS", bound)
+    assert (x * y).terms == reference_char_product(x, y).terms
+    monkeypatch.setattr(lweight, "MAX_PRODUCT_FACTORS", bound - 1)
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(DomainError, match=str(bound)):
+            a * b
+
+
+def test_cli_refuses_a_large_string_tensor_before_building_it(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the strings were built")
+
+    bound = 6 * 9 * 13  # (m1 + 1) * (m2 + 1) * (m1 + m2)
+    monkeypatch.setattr(lweight, "MAX_PRODUCT_FACTORS", bound - 1)
+    monkeypatch.setattr(qchar, "sl2_eval_char", refuse)
+    assert cli.main(["qchar-tensor", "--length", "5", "--length2", "8"]) == 3
+    assert f"may hold {bound} factors" in capsys.readouterr().err
+    # The library's own bound for the same two strings.
+    x, y = sl2_eval_char(("a", 0), 5), sl2_eval_char(("a", 0), 8)
+    with pytest.raises(DomainError, match=f"may hold {bound} factors"):
+        x * y
 
 
 @given(lweight_strategy())

@@ -1,5 +1,6 @@
 """Tests for the self-check runner."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from loopchar import DomainError
+from loopchar import DomainError, cli
 from loopchar.verify import SUITE_NAMES, run_all, run_suite
 
 
@@ -56,3 +57,15 @@ def test_verify_passes_with_asserts_stripped():
     )
     assert result.returncode == 0, result.stderr
     assert "all checks pass" in result.stdout
+
+
+# sha256 of `verify --suite all --format json`, the same at both seeds.
+# The sl2 suite multiplies characters, so this also pins tensor_char.
+VERIFY_JSON_SHA256 = "2fbd7f10a8d3911e19c968cb7c620ccca0dc717a32d1d80f2f8af95b7bca64c8"
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_verify_json_is_pinned(seed, capsys):
+    rc = cli.main(["verify", "--suite", "all", "--format", "json", "--seed", seed])
+    assert rc == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_JSON_SHA256
