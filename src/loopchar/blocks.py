@@ -18,7 +18,15 @@ from typing import Dict, List, Tuple
 from .cartan import CartanData, Frozen, LieType, cartan_data
 from .errors import DomainError, ParseError
 from .intlattice import SparseIntSolver
-from .lweight import LWeight, _json_field, check_orbit, check_param, json_int, json_str
+from .lweight import (
+    LWeight,
+    _json_field,
+    check_lweight,
+    check_orbit,
+    check_param,
+    json_int,
+    json_str,
+)
 from .braid import _alpha_pattern
 
 FamilyExp = Tuple[str, int]
@@ -154,17 +162,6 @@ class EllipticCharacter(Frozen):
     def __init__(self, lie_type: LieType, terms: Tuple[Tuple[Tuple[str, str, int], int], ...]):
         object.__setattr__(self, "lie_type", lie_type)
         object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lie_type, self.terms) == (other.lie_type, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.lie_type, self.terms))
-
-    def __repr__(self) -> str:
-        return f"EllipticCharacter(lie_type={self.lie_type!r}, terms={self.terms!r})"
 
     @staticmethod
     def make(lt: LieType, raw: Dict[Tuple[str, str, int], int]) -> "EllipticCharacter":
@@ -307,9 +304,9 @@ def _generator_class(lt: LieType) -> Dict[int, Tuple[Tuple[FamilyExp, int], ...]
 
 def elliptic_class(cd: CartanData, pi: LWeight) -> EllipticCharacter:
     """The class of a loop weight in the block group."""
+    check_lweight(cd, pi)
     raw: Dict[Tuple[str, str, int], int] = {}
     for (i, a, k), p in pi.factors:
-        cd.check_node(i)
         if i in cd.seed_nodes:
             gen = (((seed_family(cd, i), 0), 1),)
         else:

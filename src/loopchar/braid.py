@@ -12,12 +12,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .cartan import CartanData
 from .errors import DomainError
-from .lweight import GenKey, LWeight, check_lweight, dual_lweight, weight_of
+from .lweight import GenKey, LWeight, check_lweight, check_param, dual_lweight, weight_of
 from .weyl import Weight, longest_element, orbit_edges
 
 LRootCoeffs = Dict[GenKey, int]
-
-_INT = frozenset((int,))
 
 
 def braid_act(cd: CartanData, i: int, pi: LWeight) -> LWeight:
@@ -55,10 +53,7 @@ def braid_act_word(cd: CartanData, word: Tuple[int, ...], pi: LWeight) -> LWeigh
     2*d_i with the powers negated and writes only its neighbours'
     groups.  The groups are sorted once, at the end.
     """
-    # One pass over the letters' types first: True or 1.0 passes min/max.
-    if word and not ({*map(type, word)} == _INT and min(word) >= 1 and max(word) <= cd.rank):
-        for i in word:
-            cd.check_node(i)
+    cd.check_nodes(word)
     check_lweight(cd, pi)
     orbits: Dict[str, List[Dict[int, int]]] = defaultdict(lambda: [{} for _ in range(cd.rank + 1)])
     for (j, a, k), p in pi.factors:
@@ -126,6 +121,7 @@ def _letter_table(cd: CartanData) -> Tuple[Tuple[int, Tuple[Tuple[int, int, int]
 def simple_lroot(cd: CartanData, i: int, orbit: str = "a", exp: int = 0) -> LWeight:
     """The simple loop root: the ratio of omega_{i,a} by its braid image."""
     cd.check_node(i)
+    check_param((orbit, exp))
     return LWeight.from_dict(
         {(node, orbit, exp + off): v for (node, off), v in _alpha_pattern(cd, i)}
     )
@@ -146,11 +142,13 @@ def lroot_decompose(
     """
     if sign not in ("any", "+", "-"):
         raise DomainError(f"unknown sign constraint {sign!r}")
+    check_lweight(cd, pi)
     coeffs: LRootCoeffs = {}
     by_orbit: Dict[str, Dict[Tuple[int, int], int]] = {}
     for (j, a, k), p in pi.factors:
-        cd.check_node(j)
         by_orbit.setdefault(a, {})[(j, k)] = p
+    # Looked up once per call: each cache lookup hashes the Cartan data.
+    patterns = [_alpha_pattern(cd, j) for j in cd.nodes]
     for orbit, work in by_orbit.items():
         top = max(k for _, k in work)
         level = min(k for _, k in work)
@@ -160,7 +158,7 @@ def lroot_decompose(
                 if not c:
                     continue
                 coeffs[(j, orbit, level)] = c
-                for (node, off), v in _alpha_pattern(cd, j):
+                for (node, off), v in patterns[j - 1]:
                     key = (node, level + off)
                     nv = work.get(key, 0) - c * v
                     if nv:
@@ -188,6 +186,9 @@ def cone_check(cd: CartanData, omega: LWeight, pi: LWeight) -> bool:
     """Whether pi lies below omega: their ratio is a negative loop-root product."""
     if not omega.is_dominant:
         raise DomainError("cone check needs a dominant reference weight")
+    # The quotient merges a bad node with its int twin; check both sides first.
+    check_lweight(cd, omega)
+    check_lweight(cd, pi)
     return lroot_decompose(cd, pi * omega.inverse(), sign="-") is not None
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Tuple, Union
+from operator import attrgetter
+from typing import Sequence, Tuple, Union
 
 from .errors import DomainError, ParseError
 
@@ -33,12 +34,31 @@ class Frozen:
     """Base of the immutable value classes.
 
     Subclasses list their fields in ``__slots__`` and set each one once,
-    in ``__init__``, through ``object.__setattr__``.  A plain class costs
-    nothing to define, where ``dataclasses`` pulls in ``inspect`` and
-    ``ast`` on every cold start.
+    in ``__init__``, through ``object.__setattr__``.  Two values are equal
+    when they have the same class and equal fields; the hash is that of
+    the fields, and the repr is ``Name(field=value, ...)`` in slot order.
+    A plain class costs nothing to define, where ``dataclasses`` pulls in
+    ``inspect`` and ``ast`` on every cold start.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A C-level getter of the slot values, for equality and hashing.
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -63,17 +83,6 @@ class LieType(Frozen):
             raise DomainError(f"rank {rank} out of range for series {series}")
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "rank", rank)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.series, self.rank) == (other.series, other.rank)
-
-    def __hash__(self) -> int:
-        return hash((self.series, self.rank))
-
-    def __repr__(self) -> str:
-        return f"LieType(series={self.series!r}, rank={self.rank!r})"
 
     @staticmethod
     def parse(text: str) -> "LieType":
@@ -163,18 +172,6 @@ class CartanData(Frozen):
         )):
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"CartanData({body})"
-
     def __hash__(self) -> int:
         # Equal Cartan data share their type, so the type alone is a valid
         # hash, and far cheaper than the matrix for the per-type caches.
@@ -203,6 +200,17 @@ class CartanData(Frozen):
             raise DomainError(f"node must be an integer, got {i!r}")
         if not 1 <= i <= self.rank:
             raise DomainError(f"node {i} out of range for type {self.type}")
+
+    def check_nodes(self, seq: Sequence[int]) -> None:
+        """check_node on every item of seq, in order, so the first bad node is named.
+
+        The test is inlined and check_node called only to raise: a plain
+        loop beats a set of types plus min and max at every length.
+        """
+        rank = self.rank
+        for i in seq:
+            if type(i) is not int or not 1 <= i <= rank:
+                self.check_node(i)
 
 
 @lru_cache(maxsize=None)

@@ -104,8 +104,7 @@ def _cmd_act(args: argparse.Namespace) -> int:
 
     cd = cartan_data(args.type)
     word = _parse_word(args.word)
-    for i in word:
-        cd.check_node(i)
+    cd.check_nodes(word)
     if not is_reduced_word(cd, word):
         print("warning: word is not reduced", file=sys.stderr)
     (pi,) = _weights(cd, [args.weight])

@@ -68,17 +68,6 @@ class LWeight(Frozen):
     def __init__(self, factors: Factors):
         object.__setattr__(self, "factors", factors)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
-
-    def __repr__(self) -> str:
-        return f"LWeight(factors={self.factors!r})"
-
     @staticmethod
     def from_dict(powers: Dict[GenKey, int]) -> "LWeight":
         if 0 in powers.values():
@@ -251,13 +240,15 @@ def parse_lweight(text: str) -> LWeight:
 
 
 def check_lweight(cd: CartanData, pi: LWeight) -> LWeight:
-    """Raise DomainError naming the first out-of-range node of pi, if any.
+    """Raise DomainError naming the first bad node of pi, if any.
 
-    Factors are sorted by node, so the two ends decide whether to look.
+    The test of ``CartanData.check_nodes``, run on the factors in place:
+    building their node list first made the check two to three times
+    slower on the one- to three-factor weights of the hot paths.
     """
-    f = pi.factors
-    if f and not (f[0][0][0] >= 1 and f[-1][0][0] <= cd.rank):
-        for i in pi.nodes():
+    rank = cd.rank
+    for (i, _, _), _ in pi.factors:
+        if type(i) is not int or not 1 <= i <= rank:
             cd.check_node(i)
     return pi
 
@@ -278,19 +269,19 @@ def dual_lweight(cd: CartanData, pi: LWeight) -> LWeight:
     """
     if not pi.is_dominant:
         raise DomainError("dual is defined for dominant loop weights")
+    check_lweight(cd, pi)
     offset = cd.lacing * cd.dual_coxeter
     powers: Dict[GenKey, int] = {}
     for (i, a, k), p in pi.factors:
-        cd.check_node(i)
         powers[(cd.w0_node(i), a, k + offset)] = p
     return LWeight.from_dict(powers)
 
 
 def weight_of(cd: CartanData, pi: LWeight) -> Tuple[int, ...]:
     """Project to the weight lattice in fundamental coordinates."""
+    check_lweight(cd, pi)
     coords = [0] * cd.rank
     for (i, _, _), p in pi.factors:
-        cd.check_node(i)
         coords[i - 1] += p
     return tuple(coords)
 
@@ -302,17 +293,6 @@ class LCharacter(Frozen):
 
     def __init__(self, terms: Tuple[Tuple[LWeight, int], ...]):
         object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
-
-    def __repr__(self) -> str:
-        return f"LCharacter(terms={self.terms!r})"
 
     @staticmethod
     def from_dict(terms: Dict[LWeight, int]) -> "LCharacter":

@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import lweight
 from .cartan import CartanData, Frozen, cartan_data
 from .errors import DomainError
 from .lweight import (
@@ -28,7 +29,7 @@ from .lweight import (
     fundamental_lweight,
     weight_of,
 )
-from .braid import braid_orbit, cone_check, simple_lroot
+from .braid import braid_orbit, simple_lroot
 from .weyl import (
     Weight,
     dominance_diff,
@@ -54,17 +55,6 @@ class Sl2String(Frozen):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "m", m)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.m) == (other.a, other.m)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.m))
-
-    def __repr__(self) -> str:
-        return f"Sl2String(a={self.a!r}, m={self.m!r})"
-
     @property
     def exps(self) -> Tuple[int, ...]:
         orbit, e = self.a
@@ -84,6 +74,12 @@ def sl2_eval_char(a: SpectralParam, m: int) -> LCharacter:
     orbit, e = check_param(a)
     if m < 0:
         raise DomainError(f"string length must be nonnegative, got {m}")
+    # Refused before anything is built: the m+1 terms hold m factors each.
+    if m * (m + 1) > lweight.MAX_PRODUCT_FACTORS:
+        raise DomainError(
+            f"the character of a string of length {m} holds {m * (m + 1)} factors,"
+            f" more than {lweight.MAX_PRODUCT_FACTORS}"
+        )
     # Term r has numerator exponents e-m+1, e-m+3, ..., e+m-2r-1 and
     # denominator exponents e+m-2r+3, ..., e+m+1: the first m-r entries
     # of ``num`` and the last r of ``den``.  The two ranges never

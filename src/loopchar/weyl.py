@@ -81,20 +81,25 @@ def _reflect_rows(cd: CartanData, i: int, m: Matrix) -> Matrix:
     return tuple(rows)
 
 
-def _word_from_matrix(cd: CartanData, m: Matrix) -> Tuple[int, ...]:
-    """Canonical reduced word via repeated smallest left descent."""
-    lam = _mat_apply(m, rho(cd))
+def _descent(cd: CartanData, lam: Weight) -> Tuple[int, ...]:
+    """The canonical reduced word of the w with w(rho) = lam.
+
+    A left descent of w is a negative coordinate of lam; the word takes
+    the smallest one first and goes on from s_i lam up to rho.
+    """
     word: List[int] = []
-    target = rho(cd)
-    while lam != target:
-        for i in cd.nodes:
-            if lam[i - 1] < 0:
-                lam = reflect(cd, i, lam)
-                word.append(i)
+    while True:
+        for i, c in enumerate(lam, start=1):
+            if c < 0:
                 break
         else:
-            raise AssertionError("matrix does not act by the Weyl group")
-    return tuple(word)
+            return tuple(word)
+        lam = reflect(cd, i, lam)
+        word.append(i)
+
+
+def _word_from_matrix(cd: CartanData, m: Matrix) -> Tuple[int, ...]:
+    return _descent(cd, _mat_apply(m, rho(cd)))
 
 
 class WeylElement(Frozen):
@@ -112,10 +117,7 @@ class WeylElement(Frozen):
         return self.matrix == other.matrix
 
     def __hash__(self) -> int:
-        return hash((self.matrix,))
-
-    def __repr__(self) -> str:
-        return f"WeylElement(word={self.word!r}, matrix={self.matrix!r})"
+        return hash(self.matrix)
 
     @property
     def length(self) -> int:
@@ -125,32 +127,33 @@ class WeylElement(Frozen):
         return _mat_apply(self.matrix, lam)
 
 
-def element_from_matrix(cd: CartanData, m: Matrix) -> WeylElement:
-    return WeylElement(word=_word_from_matrix(cd, m), matrix=m)
-
-
 def element_from_word(cd: CartanData, word: Tuple[int, ...]) -> WeylElement:
-    for i in word:
-        cd.check_node(i)
+    cd.check_nodes(word)
     m = _identity_matrix(cd.rank)
     for i in reversed(word):
         m = _reflect_rows(cd, i, m)
-    return element_from_matrix(cd, m)
+    return WeylElement(word=_word_from_matrix(cd, m), matrix=m)
 
 
 def is_reduced_word(cd: CartanData, word: Tuple[int, ...]) -> bool:
-    return element_from_word(cd, word).length == len(word)
+    """Whether each letter, read right to left, lengthens the element so far.
+
+    Prepending s_i to u lengthens it exactly when u(rho) has a positive
+    i-th coordinate, so rho is walked through the word; no matrix is built.
+    """
+    cd.check_nodes(word)
+    lam = rho(cd)
+    for i in reversed(word):
+        if lam[i - 1] <= 0:
+            return False
+        lam = reflect(cd, i, lam)
+    return True
 
 
 @lru_cache(maxsize=None)
 def longest_element(cd: CartanData) -> WeylElement:
-    """Walks rho down to -rho, each step at the smallest positive coordinate."""
-    lam, steps = rho(cd), []
-    while any(c > 0 for c in lam):
-        i = next(k for k in cd.nodes if lam[k - 1] > 0)
-        lam = reflect(cd, i, lam)
-        steps.append(i)
-    return element_from_word(cd, tuple(reversed(steps)))
+    """The element sending rho to -rho, with its canonical word."""
+    return element_from_word(cd, _descent(cd, tuple(-c for c in rho(cd))))
 
 
 @lru_cache(maxsize=None)
@@ -202,6 +205,10 @@ def orbit_edges(cd: CartanData, lam: Weight) -> Tuple[Tuple[Weight, int, Weight]
     minimal coset representative carrying lam there.  The last 128
     walks are kept.
     """
+    # Checked before the cache, where True or 1.0 would hit or fill an
+    # entry of the plain-int weight.
+    if type(lam) is not tuple or len(lam) != cd.rank or any(type(c) is not int for c in lam):
+        raise DomainError(f"weight must be a tuple of {cd.rank} integers, got {lam!r}")
     if not is_dominant(lam):
         raise DomainError("the Weyl orbit walk needs a dominant weight")
     return _orbit_edges(cd, lam)
@@ -233,10 +240,11 @@ def min_coset_reps(cd: CartanData, lam: Weight) -> List[WeylElement]:
     canonical word (smallest left descent first) is i followed by that
     of s_i w.  The returned list is sorted by (length, canonical word).
     """
+    edges = orbit_edges(cd, lam)
     reps: Dict[Weight, WeylElement] = {
         lam: WeylElement(word=(), matrix=_identity_matrix(cd.rank))
     }
-    for _mu, _j, nu in orbit_edges(cd, lam):
+    for _mu, _j, nu in edges:
         i = next(k for k, c in enumerate(nu, start=1) if c < 0)
         parent = reps[reflect(cd, i, nu)]
         reps[nu] = WeylElement(

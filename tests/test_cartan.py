@@ -10,17 +10,27 @@ import pytest
 from loopchar import (
     DomainError,
     LieType,
+    LWeight,
     ParseError,
     braid_act,
     braid_act_word,
     cartan_data,
+    cone_check,
+    dual_lweight,
+    element_from_word,
+    elliptic_class,
     fundamental_lweight,
     is_minuscule,
+    is_reduced_word,
+    lroot_decompose,
     parse_lweight,
     reflect,
     simple_lroot,
+    weight_of,
 )
 from loopchar.blocks import seed_family
+from loopchar.braid import braid_orbit
+from loopchar.lweight import check_lweight
 from loopchar.weyl import simple_root_weight
 
 
@@ -134,6 +144,8 @@ NODE_ENTRY_POINTS = {
     "reflect": lambda cd, i: reflect(cd, i, (1, 0, 0)),
     "is_minuscule": lambda cd, i: is_minuscule(cd, i),
     "simple_root_weight": lambda cd, i: simple_root_weight(cd, i),
+    "is_reduced_word": lambda cd, i: is_reduced_word(cd, (2, i)),
+    "element_from_word": lambda cd, i: element_from_word(cd, (2, i)),
 }
 
 
@@ -177,3 +189,57 @@ print(braid_act(cd, 1, parse_lweight("w[1;a,0]")))
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "w[1;a,0]*w[1;a,2]*w[2;a,1]^-1\nw[1;a,2]^-1*w[2;a,1]\n"
+
+
+def _first_refusal(cd, seq):
+    for i in seq:
+        try:
+            cd.check_node(i)
+        except DomainError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seq", [
+    (), [], (1,), (1, 2, 3), [3, 1, 2, 2],
+    (1, True), (2, 1.0, 3), ("1",), (1, None), (0, 2), (1, 4), (4, 0), (2, 5, True),
+])
+def test_check_nodes_refuses_what_check_node_refuses_first(seq):
+    cd = cartan_data("A3")
+    expected = _first_refusal(cd, seq)
+    if expected is None:
+        assert cd.check_nodes(seq) is None
+    else:
+        with pytest.raises(DomainError) as info:
+            cd.check_nodes(seq)
+        assert str(info.value) == expected
+
+
+# A loop weight built directly, not parsed, with a bad node between good
+# ones: sorting puts True and 2.0 among the int nodes, so the two ends
+# of the factor tuple alone do not show it.
+BAD_NODE_WEIGHTS = [
+    LWeight((((True, "a", 0), 1),)),
+    LWeight((((1, "a", 0), 1), ((2.0, "a", 0), 1), ((3, "a", 0), 1))),
+    LWeight((((1, "a", 0), 1), ((True, "a", 2), 1), ((2, "a", 0), 1))),
+]
+
+# Every function that reads the factor nodes of a loop weight of A3.
+LWEIGHT_ENTRY_POINTS = {
+    "check_lweight": check_lweight,
+    "braid_act": lambda cd, pi: braid_act(cd, 1, pi),
+    "braid_act_word": lambda cd, pi: braid_act_word(cd, (1, 2), pi),
+    "braid_orbit": braid_orbit,
+    "weight_of": weight_of,
+    "dual_lweight": dual_lweight,
+    "lroot_decompose": lroot_decompose,
+    "cone_check": lambda cd, pi: cone_check(cd, parse_lweight("w[1;a,0]"), pi),
+    "elliptic_class": elliptic_class,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LWEIGHT_ENTRY_POINTS))
+@pytest.mark.parametrize("index", range(len(BAD_NODE_WEIGHTS)))
+def test_every_factor_node_is_checked(name, index):
+    with pytest.raises(DomainError, match="integer"):
+        LWEIGHT_ENTRY_POINTS[name](cartan_data("A3"), BAD_NODE_WEIGHTS[index])

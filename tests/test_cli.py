@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -95,6 +96,38 @@ def test_domain_errors_exit_3():
     result = run_cli("qchar-fund", "--type", "B3", "--node", "2")
     assert result.returncode == 3
     assert "node 2 of B3 needs an explicit multiplicity table" in result.stderr
+
+
+@pytest.mark.parametrize("orbit", ["x]*w[2", "1a", ""])
+def test_alpha_refuses_an_orbit_that_would_not_parse_back(orbit):
+    result = run_cli("alpha", "--type", "A2", "--node", "1", "--orbit", orbit)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: invalid orbit name")
+
+
+# Runs whose output passes through hashed values: class maps and block
+# normal forms keyed on Lie types, characters keyed on loop weights.
+HASH_SEED_RUNS = [
+    ["verify", "--suite", "all", "--format", "json"],
+    MANIFEST["block-d4-json"],
+    MANIFEST["qchar-fund-b2-table"],
+    MANIFEST["trivial-f4"],
+]
+
+
+@pytest.mark.parametrize("args", HASH_SEED_RUNS, ids=lambda args: " ".join(args[:3]))
+def test_output_does_not_depend_on_the_hash_seed(args):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        result = subprocess.run(
+            [sys.executable, "-m", "loopchar", *args], capture_output=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_internal_errors_exit_4(monkeypatch, capsys):

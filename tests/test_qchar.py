@@ -22,6 +22,7 @@ from loopchar import (
     minuscule_char,
     parse_lweight,
     positive_roots,
+    simple_lroot,
     sl2_eval_char,
     sl2_tensor_irreducible,
     tensor_char,
@@ -31,7 +32,7 @@ from loopchar import (
     weyl_module_dim,
     zero_weight,
 )
-from loopchar import qchar
+from loopchar import cli, lweight, qchar
 from loopchar.braid import braid_orbit
 from loopchar.verify import _CLASS_TYPES
 from loopchar.weyl import dominance_diff
@@ -405,6 +406,7 @@ _BAD_PARAMS = {
 
 _PARAM_ENTRY_POINTS = {
     "fundamental_lweight": lambda p: fundamental_lweight(cartan_data("A3"), 1, *p),
+    "simple_lroot": lambda p: simple_lroot(cartan_data("A3"), 1, *p),
     "sl2_eval_char": lambda p: sl2_eval_char(p, 2),
     "Sl2String": lambda p: Sl2String(p, 2),
     "trivial_sets": lambda p: trivial_sets(cartan_data("A3"), *p),
@@ -419,6 +421,25 @@ _PARAM_ENTRY_POINTS = {
 def test_entry_points_reject_bad_spectral_parameters(entry, bad):
     with pytest.raises(DomainError):
         _PARAM_ENTRY_POINTS[entry](_BAD_PARAMS[bad])
+
+
+def test_string_characters_are_refused_above_the_factor_cap(monkeypatch):
+    # m + 1 terms of m factors each; the real cap refuses m = 4472 at once.
+    with pytest.raises(DomainError, match="length 4472 holds 20003256 factors"):
+        sl2_eval_char(("a", 0), 4472)
+    monkeypatch.setattr(lweight, "MAX_PRODUCT_FACTORS", 12)
+    assert len(sl2_eval_char(("a", 0), 3).terms) == 4
+    with pytest.raises(DomainError, match="length 4 holds 20 factors, more than 12"):
+        sl2_eval_char(("a", 0), 4)
+
+
+def test_cli_refuses_a_long_string_before_building_it(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the string was built")
+
+    monkeypatch.setattr(qchar, "LCharacter", refuse)
+    assert cli.main(["qchar-sl2", "--length", "5000"]) == 3
+    assert "holds 25005000 factors" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [("a",), "a0", 5])

@@ -1,13 +1,16 @@
 """The contract of the immutable value classes.
 
-Each class is a plain ``__slots__`` class with hand-written equality,
-hashing and repr.  The repr strings below are the ones the earlier
-dataclass versions printed, so they pin the text users already see.
+Each class is a plain ``__slots__`` class on ``cartan.Frozen``, which
+gives every one the same equality, hashing and repr over its slots.
+The repr strings below are the ones the earlier dataclass versions
+printed, so they pin the text users already see.
 """
 
 import pickle
 
 import pytest
+
+from loopchar.cartan import Frozen
 
 from loopchar import (
     CartanData,
@@ -167,3 +170,27 @@ def test_keyword_construction():
     lt = LieType("A", 1)
     assert EllipticCharacter(lie_type=lt, terms=()).is_zero
     assert Sl2String(a=("b", 2), m=1).lweight() == parse_lweight("w[1;b,2]")
+
+
+# The only value classes that replace Frozen's protocol, and what with.
+OVERRIDES = {
+    "WeylElement": {"__eq__", "__hash__"},  # the matrix alone
+    "CartanData": {"__hash__"},  # the type alone, the per-type cache key
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_protocol_comes_from_frozen(name):
+    cls = type(CASES[name][0]())
+    assert issubclass(cls, Frozen)
+    own = {"__eq__", "__hash__", "__repr__"} & set(vars(cls))
+    assert own == OVERRIDES.get(name, set())
+
+
+def test_every_value_class_is_checked():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    assert {cls.__name__ for cls in subclasses(Frozen)} == set(CASES)

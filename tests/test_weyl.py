@@ -2,7 +2,11 @@
 
 from collections import deque
 from fractions import Fraction
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +27,7 @@ from loopchar import (
 )
 from loopchar.verify import _CLASS_TYPES
 from loopchar.weyl import (
+    _descent,
     _orbit_edges,
     _word_from_matrix,
     highest_root,
@@ -278,3 +283,76 @@ def test_dominance_diff_matches_elimination():
                 assert got == tuple(x)
             outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+# One type per series, and all three E types.
+_DESCENT_TYPES = ("A4", "B4", "C3", "D5", "E6", "E7", "E8", "F4", "G2")
+
+
+@pytest.mark.parametrize("label", _DESCENT_TYPES)
+def test_reduced_words_by_the_rho_walk_match_the_matrix_length(label):
+    """The rho walk against the length of the canonical word of the matrix."""
+    cd = cartan_data(label)
+    rng = random.Random(label)
+    w0 = longest_element(cd).word
+    words = [w0, w0 + (1,), w0[1:]]
+    for _ in range(300):
+        words.append(tuple(rng.choice(cd.nodes) for _ in range(rng.randint(0, 3 * cd.rank))))
+    for word in words:
+        expected = len(_word_from_matrix(cd, element_from_word(cd, word).matrix)) == len(word)
+        assert is_reduced_word(cd, word) == expected, word
+
+
+@pytest.mark.parametrize("label", _DESCENT_TYPES)
+def test_longest_element_is_the_descent_from_minus_rho(label):
+    """The longest element against its old construction: rho walked down to
+    -rho at the smallest positive coordinate, then the canonical word."""
+    cd = cartan_data(label)
+    lam, steps = rho(cd), []
+    while any(c > 0 for c in lam):
+        i = next(k for k in cd.nodes if lam[k - 1] > 0)
+        lam = reflect(cd, i, lam)
+        steps.append(i)
+    old = element_from_word(cd, tuple(reversed(steps)))
+    w0 = longest_element(cd)
+    assert w0.word == old.word == _descent(cd, tuple(-c for c in rho(cd)))
+    assert w0.matrix == old.matrix
+    assert len(w0.word) == len(positive_roots(cd))
+
+
+@pytest.mark.parametrize("lam", [(True, 0), (1.5, 0), (1,), (1, 0, 0), [1, 0], (1, "0"), (1, None)])
+def test_orbit_walk_refuses_a_weight_that_is_not_a_rank_tuple_of_ints(lam):
+    cd = cartan_data("A2")
+    before = _orbit_edges.cache_info()
+    with pytest.raises(DomainError, match="tuple of 2 integers"):
+        orbit_edges(cd, lam)
+    with pytest.raises(DomainError):
+        min_coset_reps(cd, lam)
+    after = _orbit_edges.cache_info()
+    assert after.currsize == before.currsize and after.misses == before.misses
+
+
+def test_a_refused_weight_leaves_no_orbit_walk_entry():
+    # In a fresh process the cache holds no (1, 0) walk yet, so a (True, 0)
+    # that got through would fill it and print in the later walk.
+    script = """
+from loopchar import DomainError, cartan_data
+from loopchar.weyl import orbit_edges
+cd = cartan_data("A2")
+try:
+    orbit_edges(cd, (True, 0))
+except DomainError:
+    pass
+else:
+    raise SystemExit("orbit_edges accepted (True, 0)")
+print(orbit_edges(cd, (1, 0)))
+"""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "(((1, 0), 1, (-1, 1)), ((-1, 1), 2, (0, -1)))\n"
