@@ -6,13 +6,21 @@ A word of operator indices is read as a composition, so in
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanData
 from .errors import DomainError
-from .lweight import GenKey, LWeight, check_lweight, check_param, dual_lweight, weight_of
+from .lweight import (
+    Factors,
+    GenKey,
+    LWeight,
+    _mul_factors,
+    check_lweight,
+    check_param,
+    dual_lweight,
+    weight_of,
+)
 from .weyl import Weight, longest_element, orbit_edges
 
 LRootCoeffs = Dict[GenKey, int]
@@ -28,6 +36,11 @@ def braid_act(cd: CartanData, i: int, pi: LWeight) -> LWeight:
     """
     cd.check_node(i)
     check_lweight(cd, pi)
+    return _act_letter(cd, i, pi)
+
+
+def _act_letter(cd: CartanData, i: int, pi: LWeight) -> LWeight:
+    """``braid_act`` on a node and a loop weight already checked."""
     own = [(a, k, p) for (j, a, k), p in pi.factors if j == i]
     if not own:
         return pi
@@ -44,58 +57,79 @@ def braid_act(cd: CartanData, i: int, pi: LWeight) -> LWeight:
     return LWeight.from_dict(powers)
 
 
-def braid_act_word(cd: CartanData, word: Tuple[int, ...], pi: LWeight) -> LWeight:
+def braid_act_word(cd: CartanData, word: Sequence[int], pi: LWeight) -> LWeight:
     """Apply the braid operators of ``word``, rightmost letter first.
 
-    Equals folding ``braid_act`` over the reversed word.  Orbits never
-    interact, so each orbit runs through the word on its own, as one
-    {exp: power} group per node: a letter i moves its own group up by
-    2*d_i with the powers negated and writes only its neighbours'
-    groups.  The groups are sorted once, at the end.
+    Equals folding ``braid_act`` over the reversed word.  T_word is
+    multiplicative and commutes with the spectral shift and with renaming
+    an orbit, so the image of pi is the product, over its factors
+    w[j;a,k]^p, of the cached image of w[j;a,0] moved to (a, k) and
+    raised to p; moving keeps the factor order.  pi itself comes back
+    when no letter fires.
     """
     cd.check_nodes(word)
     check_lweight(cd, pi)
-    orbits: Dict[str, List[Dict[int, int]]] = defaultdict(lambda: [{} for _ in range(cd.rank + 1)])
-    for (j, a, k), p in pi.factors:
-        orbits[a][j][k] = p
-    table = _letter_table(cd)
+    word = tuple(word)
+    out: Factors = ()
     fired = False
-    for groups in orbits.values():
-        for i in reversed(word):
-            own = groups[i]
-            if not own:
-                continue
+    for (j, a, k), p in pi.factors:
+        image = _generator_image(cd, word, j)
+        if image is None:
+            moved: Factors = (((j, a, k), p),)
+        else:
             fired = True
-            shift, entries = table[i]
-            groups[i] = moved = {}
-            for k, p in own.items():
-                moved[k + shift] = -p
-                for node, off, v in entries:
-                    powers = groups[node]
-                    key = k + off
-                    c = powers.get(key, 0) - p * v
-                    if c:
-                        powers[key] = c
-                    else:
-                        del powers[key]
-    if not fired:
-        return pi
-    return LWeight(tuple(sorted(
-        ((j, a, k), p)
-        for a, groups in orbits.items() for j, g in enumerate(groups) for k, p in g.items()
-    )))
+            moved = tuple(((i, a, e + k), c * p) for i, e, c in image)
+        out = _mul_factors(out, moved) if out else moved
+    return LWeight(out) if fired else pi
+
+
+@lru_cache(maxsize=4096)
+def _generator_image(
+    cd: CartanData, word: Tuple[int, ...], j: int
+) -> Optional[Tuple[Tuple[int, int, int], ...]]:
+    """T_word(w[j;a,0]) as sorted (node, exp, power) triples, or None when
+    no letter of word is j.
+
+    Until a letter j is reached no letter fires.  Each node's factors
+    are one {exp: power} group: a letter i moves its own group up by
+    2*d_i with the powers negated and writes only its neighbours'
+    groups.  The groups are sorted once, at the end.
+    """
+    if j not in word:
+        return None
+    groups: List[Dict[int, int]] = [{} for _ in range(cd.rank + 1)]
+    groups[j][0] = 1
+    table = _letter_table(cd)
+    for i in reversed(word):
+        own = groups[i]
+        if not own:
+            continue
+        shift, entries = table[i]
+        groups[i] = moved = {}
+        for k, p in own.items():
+            moved[k + shift] = -p
+            for node, off, v in entries:
+                powers = groups[node]
+                key = k + off
+                c = powers.get(key, 0) - p * v
+                if c:
+                    powers[key] = c
+                else:
+                    del powers[key]
+    return tuple(sorted((node, k, p) for node, g in enumerate(groups) for k, p in g.items()))
 
 
 def braid_orbit(cd: CartanData, pi: LWeight) -> Dict[Weight, LWeight]:
     """The braid orbit of pi, keyed by the W-orbit of its dominant weight.
 
     Each weight w(lam) maps to T_w pi for the minimal representative w;
-    one braid operator is applied per edge of the orbit walk.
+    one braid operator is applied per edge of the orbit walk.  pi is
+    checked once, by ``weight_of``.
     """
     lam = weight_of(cd, pi)
     images = {lam: pi}
     for mu, j, nu in orbit_edges(cd, lam):
-        images[nu] = braid_act(cd, j, images[mu])
+        images[nu] = _act_letter(cd, j, images[mu])
     return images
 
 
@@ -143,6 +177,11 @@ def lroot_decompose(
     if sign not in ("any", "+", "-"):
         raise DomainError(f"unknown sign constraint {sign!r}")
     check_lweight(cd, pi)
+    return _decompose(cd, pi, sign)
+
+
+def _decompose(cd: CartanData, pi: LWeight, sign: str) -> Optional[LRootCoeffs]:
+    """``lroot_decompose`` on a loop weight and sign already checked."""
     coeffs: LRootCoeffs = {}
     by_orbit: Dict[str, Dict[Tuple[int, int], int]] = {}
     for (j, a, k), p in pi.factors:
@@ -186,10 +225,11 @@ def cone_check(cd: CartanData, omega: LWeight, pi: LWeight) -> bool:
     """Whether pi lies below omega: their ratio is a negative loop-root product."""
     if not omega.is_dominant:
         raise DomainError("cone check needs a dominant reference weight")
-    # The quotient merges a bad node with its int twin; check both sides first.
+    # The quotient merges a bad node with its int twin; check both sides
+    # first, after which the quotient needs no check of its own.
     check_lweight(cd, omega)
     check_lweight(cd, pi)
-    return lroot_decompose(cd, pi * omega.inverse(), sign="-") is not None
+    return _decompose(cd, pi * omega.inverse(), "-") is not None
 
 
 def twist_by_w0(cd: CartanData, pi: LWeight) -> LWeight:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cartan import CartanData, Frozen
 from .errors import DomainError, ParseError
@@ -100,13 +100,6 @@ class LWeight(Frozen):
     @property
     def is_dominant(self) -> bool:
         return all(p > 0 for _, p in self.factors)
-
-    def nodes(self) -> Iterator[int]:
-        seen = set()
-        for (i, _, _), _p in self.factors:
-            if i not in seen:
-                seen.add(i)
-                yield i
 
     def shift(self, offset: int) -> "LWeight":
         """Shift every spectral parameter exponent by ``offset``."""

@@ -205,13 +205,17 @@ def orbit_edges(cd: CartanData, lam: Weight) -> Tuple[Tuple[Weight, int, Weight]
     minimal coset representative carrying lam there.  The last 128
     walks are kept.
     """
-    # Checked before the cache, where True or 1.0 would hit or fill an
+    _check_dominant(cd, lam)
+    return _orbit_edges(cd, lam)
+
+
+def _check_dominant(cd: CartanData, lam: Weight) -> None:
+    # Checked before the caches, where True or 1.0 would hit or fill an
     # entry of the plain-int weight.
     if type(lam) is not tuple or len(lam) != cd.rank or any(type(c) is not int for c in lam):
         raise DomainError(f"weight must be a tuple of {cd.rank} integers, got {lam!r}")
     if not is_dominant(lam):
         raise DomainError("the Weyl orbit walk needs a dominant weight")
-    return _orbit_edges(cd, lam)
 
 
 @lru_cache(maxsize=128)
@@ -238,19 +242,26 @@ def min_coset_reps(cd: CartanData, lam: Weight) -> List[WeylElement]:
     first of them, w = s_i (s_i w), and s_i w is the minimal
     representative of s_i w(lam), one level up the orbit walk.  Its
     canonical word (smallest left descent first) is i followed by that
-    of s_i w.  The returned list is sorted by (length, canonical word).
+    of s_i w.  The returned list is sorted by (length, canonical word);
+    it is a fresh list, over representatives kept for the last 32
+    weights.
     """
-    edges = orbit_edges(cd, lam)
+    _check_dominant(cd, lam)
+    return list(_min_coset_reps(cd, lam))
+
+
+@lru_cache(maxsize=32)
+def _min_coset_reps(cd: CartanData, lam: Weight) -> Tuple[WeylElement, ...]:
     reps: Dict[Weight, WeylElement] = {
         lam: WeylElement(word=(), matrix=_identity_matrix(cd.rank))
     }
-    for _mu, _j, nu in edges:
+    for _mu, _j, nu in _orbit_edges(cd, lam):
         i = next(k for k, c in enumerate(nu, start=1) if c < 0)
         parent = reps[reflect(cd, i, nu)]
         reps[nu] = WeylElement(
             word=(i,) + parent.word, matrix=_reflect_rows(cd, i, parent.matrix)
         )
-    return sorted(reps.values(), key=lambda w: (w.length, w.word))
+    return tuple(sorted(reps.values(), key=lambda w: (w.length, w.word)))
 
 
 def weight_orbit(cd: CartanData, lam: Weight) -> List[Tuple[Weight, WeylElement]]:

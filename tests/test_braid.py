@@ -24,8 +24,9 @@ from loopchar import (
     twist_by_w0,
     weight_of,
 )
-from loopchar.braid import braid_orbit
+from loopchar.braid import _generator_image, braid_orbit
 from loopchar.verify import _CLASS_TYPES
+from loopchar.weyl import _min_coset_reps
 
 TYPES = ["A3", "B3", "C3", "D4", "F4", "G2"]
 
@@ -144,7 +145,7 @@ def test_word_kernel_matches_the_fold_of_braid_act(label):
         word = tuple(rng.choice(cd.nodes) for _ in range(rng.randint(0, 40)))
         assert braid_act_word(cd, word, pi) == fold_braid_act(cd, word, pi)
         # Letters off pi's nodes never fire, and pi comes back as it was.
-        idle = [i for i in cd.nodes if i not in set(pi.nodes())]
+        idle = [i for i in cd.nodes if i not in {j for (j, _, _), _ in pi.factors}]
         if idle:
             word = tuple(rng.choice(idle) for _ in range(rng.randint(1, 6)))
             assert braid_act_word(cd, word, pi) is pi
@@ -168,6 +169,98 @@ def test_word_action_checks_every_node_up_front():
     for word in ((3, 1), (1, 0), (-1,)):
         with pytest.raises(DomainError, match="out of range"):
             braid_act_word(cd, word, parse_lweight("w[2;a,0]"))
+
+
+SEVERAL_FACTORS = [
+    ("A2", "w[1;a,0]^2*w[2;a,1]^-3*w[1;b,4]^-2*w[2;b,-1]^3"),
+    ("B3", "w[1;a,-2]^3*w[2;a,0]^-2*w[3;b,5]^2*w[3;a,1]^-3"),
+    ("G2", "w[1;a,0]^-3*w[2;a,3]^2*w[1;b,1]^2*w[2;b,0]^-2"),
+    ("D4", "w[1;a,0]^2*w[3;a,2]^-2*w[4;b,-3]^3*w[2;b,1]^-3"),
+]
+
+
+@pytest.mark.parametrize("label,text", SEVERAL_FACTORS)
+def test_word_images_of_several_factors_on_two_orbits(label, text):
+    cd = cartan_data(label)
+    pi = parse_lweight(text)
+    rng = random.Random(text)
+    words = [longest_element(cd).word] + [
+        tuple(rng.choice(cd.nodes) for _ in range(rng.randint(1, 12))) for _ in range(10)
+    ]
+    for word in words:
+        want = fold_braid_act(cd, word, pi)
+        assert braid_act_word(cd, word, pi) == want
+        assert braid_act_word(cd, list(word), pi) == want
+
+
+@pytest.mark.parametrize("word", [(1, 1), (1, 2, 1, 2, 1, 2), [2, 2, 1], [1, 2, 1, 2, 1, 2, 1, 2]])
+def test_word_images_on_non_reduced_words(word):
+    cd = cartan_data("A2")
+    om = fundamental_lweight(cd, 1)
+    for pi in (om, om * fundamental_lweight(cd, 2, "a", 3) ** -2, om ** 3):
+        assert braid_act_word(cd, word, pi) == fold_braid_act(cd, word, pi)
+    # T_1 squared is not the identity on w[1;a,0].
+    assert str(braid_act_word(cd, (1, 1), om)) == "w[1;a,4]*w[2;a,1]*w[2;a,3]^-1"
+
+
+def test_a_repeated_word_reads_its_images_from_the_cache():
+    cd = cartan_data("C3")
+    # A word no other test uses, so the first call misses on every node.
+    word = (3, 2, 3, 1, 2, 3, 2, 1, 1, 3, 2, 1, 3)
+    pi = parse_lweight("w[1;a,0]*w[3;a,2]^-2*w[1;b,-1]^3")
+    want = fold_braid_act(cd, word, pi)
+    before = _generator_image.cache_info()
+    assert braid_act_word(cd, word, pi) == want
+    first = _generator_image.cache_info()
+    assert (first.misses - before.misses, first.hits - before.hits) == (2, 1)
+    assert braid_act_word(cd, list(word), pi) == want
+    second = _generator_image.cache_info()
+    assert (second.misses - first.misses, second.hits - first.hits) == (0, 3)
+    assert second.maxsize == 4096
+
+
+def test_pi_comes_back_as_itself_when_no_letter_fires():
+    cd = cartan_data("D4")
+    pi = parse_lweight("w[1;a,0]^2*w[3;b,1]^-3")
+    for word in ((), (2,), [4, 2, 4], (2, 4, 2, 4)):
+        assert braid_act_word(cd, word, pi) is pi
+    assert braid_act_word(cd, (1,), pi) is not pi
+
+
+def test_a_refused_word_or_weight_reads_no_cache():
+    cd = cartan_data("A3")
+    om = parse_lweight("w[1;a,0]")
+    true_node = LWeight((((True, "a", 0), 1),))
+    refused = [
+        lambda: braid_act_word(cd, (1, 4), om),
+        lambda: braid_act_word(cd, (True, 2), om),
+        lambda: braid_act_word(cd, [1, 2.0], om),
+        lambda: braid_act_word(cd, (1, 2), parse_lweight("w[4;a,0]")),
+        lambda: braid_act_word(cd, (1, 2), parse_lweight("w[1;a,0]*w[5;b,1]")),
+        lambda: braid_act_word(cd, (1, 2), true_node),
+        lambda: braid_orbit(cd, true_node),
+        lambda: min_coset_reps(cd, (True, 0, 0)),
+        lambda: min_coset_reps(cd, (1, -1, 0)),
+    ]
+    before = (_generator_image.cache_info(), _min_coset_reps.cache_info())
+    for call in refused:
+        with pytest.raises(DomainError):
+            call()
+    assert (_generator_image.cache_info(), _min_coset_reps.cache_info()) == before
+
+
+def test_coset_reps_come_back_in_a_fresh_list():
+    cd = cartan_data("B3")
+    lam = (0, 1, 0)
+    reps = min_coset_reps(cd, lam)
+    want = list(reps)
+    reps.reverse()
+    reps.append(reps[0])
+    del reps[1]
+    again = min_coset_reps(cd, lam)
+    assert again == want and again is not reps
+    assert [w.word for w in again] == [w.word for w in want]
+    assert _min_coset_reps.cache_info().maxsize == 32
 
 
 @pytest.mark.parametrize("label,text", ORBIT_CASES)
