@@ -32,11 +32,10 @@ from .lweight import (
 from .braid import braid_orbit, simple_lroot
 from .weyl import (
     Weight,
+    _root_norms,
     dominance_diff,
     fundamental_weight,
     is_dominant,
-    positive_roots,
-    coroot_pairing,
     simple_root_weight,
 )
 
@@ -138,6 +137,14 @@ def cyclicity_order(
 
 
 def is_minuscule(cd: CartanData, i: int) -> bool:
+    """Whether the fundamental weight omega_i is minuscule.
+
+    omega_i is minuscule when <omega_i, beta^vee> = 2 d_i beta_i / (beta, beta)
+    is 0 or 1 for every positive root beta (Bourbaki, Lie Groups and Lie
+    Algebras, Ch. VIII, section 7).  It is never negative on a positive
+    root, so the test is 2 d_i beta_i <= (beta, beta) over the per-type
+    root table; no pairing is computed.
+    """
     # Checked before the cache, where True or 1.0 would hit node 1's entry.
     cd.check_node(i)
     return _is_minuscule(cd, i)
@@ -145,10 +152,8 @@ def is_minuscule(cd: CartanData, i: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _is_minuscule(cd: CartanData, i: int) -> bool:
-    lam = fundamental_weight(cd, i)
-    return all(
-        coroot_pairing(cd, lam, beta) in (0, 1) for beta in positive_roots(cd)
-    )
+    twice_d = 2 * cd.d(i)
+    return all(twice_d * beta[i - 1] <= norm for beta, norm in _root_norms(cd).items())
 
 
 def _at(template: LCharacter, p: SpectralParam) -> LCharacter:

@@ -157,42 +157,81 @@ def longest_element(cd: CartanData) -> WeylElement:
 
 
 @lru_cache(maxsize=None)
-def positive_roots(cd: CartanData) -> Tuple[RootCoords, ...]:
-    """All positive roots in simple-root coordinates, sorted."""
-    queue = list(_identity_matrix(cd.rank))  # the simple roots; grows while it is read
-    seen = set(queue)
+def _root_norms(cd: CartanData) -> Dict[RootCoords, int]:
+    """Every positive root, in simple-root coordinates, with its norm (beta, beta).
+
+    Walks up from the simple roots.  s_i keeps every positive root other
+    than alpha_i positive, and the norm is W-invariant, so each new root
+    takes its parent's norm.  The pairing <beta, alpha_i^vee> reads node i
+    and its neighbours only, so the walk is O(|Phi+| * deg) pairing steps.
+    The dict is shared by every caller and never mutated.
+    """
+    norms: Dict[RootCoords, int] = {}
+    for i in cd.nodes:
+        norms[tuple(int(k == i) for k in cd.nodes)] = 2 * cd.d(i)
+    queue = list(norms)  # grows while it is read
     for beta in queue:
         for i in cd.nodes:
-            pairing = sum(cd.a(i, j + 1) * beta[j] for j in range(cd.rank))
-            refl = beta[: i - 1] + (beta[i - 1] - pairing,) + beta[i:]
-            if refl not in seen:
-                seen.add(refl)
+            c = 2 * beta[i - 1] + sum(cd.a(i, j) * beta[j - 1] for j in cd.neighbors(i))
+            top = beta[i - 1] - c
+            if c == 0 or top < 0:  # s_i fixes beta, or beta is alpha_i
+                continue
+            refl = beta[: i - 1] + (top,) + beta[i:]
+            if refl not in norms:
+                norms[refl] = norms[beta]
                 queue.append(refl)
-    return tuple(sorted(b for b in seen if all(c >= 0 for c in b)))
+    return norms
+
+
+@lru_cache(maxsize=None)
+def positive_roots(cd: CartanData) -> Tuple[RootCoords, ...]:
+    """All positive roots in simple-root coordinates, sorted."""
+    return tuple(sorted(_root_norms(cd)))
 
 
 @lru_cache(maxsize=None)
 def highest_root(cd: CartanData) -> RootCoords:
-    return max(positive_roots(cd), key=lambda b: (sum(b), b))
+    return max(_root_norms(cd), key=lambda b: (sum(b), b))
+
+
+def _table_norm(cd: CartanData, beta: RootCoords) -> Optional[int]:
+    """(beta, beta) when beta or -beta is a positive root, else None."""
+    norms = _root_norms(cd)
+    norm = norms.get(beta)
+    return norms.get(tuple(-c for c in beta)) if norm is None else norm
 
 
 def root_norm(cd: CartanData, beta: RootCoords) -> int:
-    """(beta, beta) under the symmetrized form (alpha_i, alpha_j) = d_i a_ij."""
-    n = cd.rank
+    """(beta, beta) under the symmetrized form (alpha_i, alpha_j) = d_i a_ij.
+
+    A root is looked up in the per-type table; any other integer vector
+    goes through the sparse form sum_i d_i beta_i (2 beta_i + sum_j a_ij beta_j)
+    over i's neighbours j, in O(n + edges).
+    """
+    _check_coords(cd, beta, "root coordinates")
+    norm = _table_norm(cd, beta)
+    if norm is not None:
+        return norm
     return sum(
-        beta[i] * cd.d(i + 1) * cd.a(i + 1, j + 1) * beta[j]
-        for i in range(n)
-        for j in range(n)
+        cd.d(i) * b * (2 * b + sum(cd.a(i, j) * beta[j - 1] for j in cd.neighbors(i)))
+        for i, b in zip(cd.nodes, beta)
+        if b
     )
 
 
 def coroot_pairing(cd: CartanData, lam: Weight, beta: RootCoords) -> int:
-    """<lam, beta^vee> = 2 (lam, beta) / (beta, beta), always an integer."""
-    num = 2 * sum(lam[i] * cd.d(i + 1) * beta[i] for i in range(cd.rank))
-    den = root_norm(cd, beta)
-    if num % den:
-        raise AssertionError("non-integral coroot pairing")
-    return num // den
+    """<lam, beta^vee> = 2 (lam, beta) / (beta, beta) for a root beta.
+
+    lam and beta must be tuples of rank integers, and beta or -beta must
+    be a positive root; otherwise DomainError, before any arithmetic.
+    The result is then always an integer.
+    """
+    _check_coords(cd, lam, "weight")
+    _check_coords(cd, beta, "root coordinates")
+    den = _table_norm(cd, beta)
+    if den is None:
+        raise DomainError(f"{beta!r} is not a root of {cd.type}")
+    return 2 * sum(lam[i - 1] * cd.d(i) * b for i, b in zip(cd.nodes, beta) if b) // den
 
 
 def orbit_edges(cd: CartanData, lam: Weight) -> Tuple[Tuple[Weight, int, Weight], ...]:
@@ -209,11 +248,15 @@ def orbit_edges(cd: CartanData, lam: Weight) -> Tuple[Tuple[Weight, int, Weight]
     return _orbit_edges(cd, lam)
 
 
-def _check_dominant(cd: CartanData, lam: Weight) -> None:
+def _check_coords(cd: CartanData, v: Tuple[int, ...], what: str) -> None:
     # Checked before the caches, where True or 1.0 would hit or fill an
-    # entry of the plain-int weight.
-    if type(lam) is not tuple or len(lam) != cd.rank or any(type(c) is not int for c in lam):
-        raise DomainError(f"weight must be a tuple of {cd.rank} integers, got {lam!r}")
+    # entry of the plain-int vector.
+    if type(v) is not tuple or len(v) != cd.rank or any(type(c) is not int for c in v):
+        raise DomainError(f"{what} must be a tuple of {cd.rank} integers, got {v!r}")
+
+
+def _check_dominant(cd: CartanData, lam: Weight) -> None:
+    _check_coords(cd, lam, "weight")
     if not is_dominant(lam):
         raise DomainError("the Weyl orbit walk needs a dominant weight")
 

@@ -17,6 +17,7 @@ from loopchar import (
     dominance_diff,
     element_from_word,
     fundamental_weight,
+    is_minuscule,
     is_reduced_word,
     longest_element,
     min_coset_reps,
@@ -25,10 +26,12 @@ from loopchar import (
     weight_orbit,
     zero_weight,
 )
+from loopchar.qchar import _is_minuscule
 from loopchar.verify import _CLASS_TYPES
 from loopchar.weyl import (
     _descent,
     _orbit_edges,
+    _root_norms,
     _word_from_matrix,
     highest_root,
     orbit_edges,
@@ -88,6 +91,32 @@ def test_coroot_pairing_on_simple_roots():
         for j in cd.nodes:
             unit = tuple(1 if k == j else 0 for k in cd.nodes)
             assert coroot_pairing(cd, fundamental_weight(cd, i), unit) == (i == j)
+
+
+@pytest.mark.parametrize(
+    "lam,beta",
+    [
+        ((1, 0), (0, 0)),
+        ((1, 0), (1, 2)),
+        ((1, 0), (1,)),
+        ((1, 0, 0), (1, 1)),
+        ((1, 0), (1, True)),
+        ([1, 0], (1, 0)),
+    ],
+)
+def test_coroot_pairing_refuses_a_non_root_or_a_vector_that_is_not_a_rank_tuple_of_ints(lam, beta):
+    cd = cartan_data("A2")
+    with pytest.raises(DomainError):
+        coroot_pairing(cd, lam, beta)
+
+
+def test_root_norm_takes_any_rank_tuple_of_ints():
+    cd = cartan_data("A2")
+    assert root_norm(cd, (1, 2)) == 6
+    assert root_norm(cd, (0, 0)) == 0
+    for beta in ((1,), (1, 0, 0), [1, 0], (1.0, 0)):
+        with pytest.raises(DomainError):
+            root_norm(cd, beta)
 
 
 def test_min_coset_reps_sizes():
@@ -356,3 +385,70 @@ print(orbit_edges(cd, (1, 0)))
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "(((1, 0), 1, (-1, 1)), ((-1, 1), 2, (0, -1)))\n"
+
+
+def _dense_positive_roots(cd):
+    """The full reflection closure of the simple roots over +-roots, with
+    dense pairings, kept positive at the end."""
+    queue = [tuple(int(k == i) for k in cd.nodes) for i in cd.nodes]  # grows while read
+    seen = set(queue)
+    for beta in queue:
+        for i in cd.nodes:
+            pairing = sum(cd.a(i, j) * beta[j - 1] for j in cd.nodes)
+            refl = beta[: i - 1] + (beta[i - 1] - pairing,) + beta[i:]
+            if refl not in seen:
+                seen.add(refl)
+                queue.append(refl)
+    return tuple(sorted(b for b in seen if all(c >= 0 for c in b)))
+
+
+def _dense_root_norm(cd, beta):
+    """The double sum of beta_i d_i a_ij beta_j."""
+    return sum(beta[i - 1] * cd.d(i) * cd.a(i, j) * beta[j - 1] for i in cd.nodes for j in cd.nodes)
+
+
+def _dense_coroot_pairing(cd, lam, beta):
+    num = 2 * sum(lam[i - 1] * cd.d(i) * beta[i - 1] for i in cd.nodes)
+    den = _dense_root_norm(cd, beta)
+    assert num % den == 0
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "label",
+    _CLASS_TYPES
+    + tuple(f"A{n}" for n in range(9, 17))
+    + tuple(f"{s}{n}" for s in "BC" for n in range(6, 11))
+    + tuple(f"D{n}" for n in range(7, 11)),
+)
+def test_root_table_matches_the_dense_closure(label):
+    cd = cartan_data(label)
+    roots = _dense_positive_roots(cd)
+    table = _root_norms(cd)
+    assert len(table) == len(roots)
+    assert all(c >= 0 for beta in table for c in beta)
+    assert positive_roots(cd) == roots
+    assert highest_root(cd) == max(roots, key=lambda b: (sum(b), b))
+    for beta in roots:
+        neg = tuple(-c for c in beta)
+        assert root_norm(cd, beta) == root_norm(cd, neg) == _dense_root_norm(cd, beta) == table[beta]
+    rng = random.Random(label)
+    for _ in range(30):
+        v = tuple(rng.randint(-4, 4) for _ in cd.nodes)
+        assert root_norm(cd, v) == _dense_root_norm(cd, v)
+    for i in cd.nodes:
+        lam = fundamental_weight(cd, i)
+        pairings = [coroot_pairing(cd, lam, beta) for beta in roots]
+        assert pairings == [_dense_coroot_pairing(cd, lam, beta) for beta in roots]
+        assert [coroot_pairing(cd, lam, tuple(-c for c in beta)) for beta in roots] == [-p for p in pairings]
+        assert is_minuscule(cd, i) == all(p in (0, 1) for p in pairings)
+
+
+def test_a_refused_node_reads_no_minuscule_or_root_table_entry():
+    cd = cartan_data("B3")
+    is_minuscule(cd, 1)
+    before = (_is_minuscule.cache_info(), _root_norms.cache_info())
+    for i in (True, 1.0, 0, 4, "1"):
+        with pytest.raises(DomainError):
+            is_minuscule(cd, i)
+    assert (_is_minuscule.cache_info(), _root_norms.cache_info()) == before
