@@ -32,7 +32,7 @@ from .lweight import (
 from .braid import braid_orbit, simple_lroot
 from .weyl import (
     Weight,
-    _root_norms,
+    _fundamental_is_minuscule,
     dominance_diff,
     fundamental_weight,
     is_dominant,
@@ -142,7 +142,7 @@ def is_minuscule(cd: CartanData, i: int) -> bool:
     omega_i is minuscule when <omega_i, beta^vee> = 2 d_i beta_i / (beta, beta)
     is 0 or 1 for every positive root beta (Bourbaki, Lie Groups and Lie
     Algebras, Ch. VIII, section 7).  It is never negative on a positive
-    root, so the test is 2 d_i beta_i <= (beta, beta) over the per-type
+    root, so weyl tests 2 d_i beta_i <= (beta, beta) over its per-type
     root table; no pairing is computed.
     """
     # Checked before the cache, where True or 1.0 would hit node 1's entry.
@@ -152,8 +152,7 @@ def is_minuscule(cd: CartanData, i: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _is_minuscule(cd: CartanData, i: int) -> bool:
-    twice_d = 2 * cd.d(i)
-    return all(twice_d * beta[i - 1] <= norm for beta, norm in _root_norms(cd).items())
+    return _fundamental_is_minuscule(cd, i)
 
 
 def _at(template: LCharacter, p: SpectralParam) -> LCharacter:

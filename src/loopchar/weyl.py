@@ -160,11 +160,12 @@ def longest_element(cd: CartanData) -> WeylElement:
 def _root_norms(cd: CartanData) -> Dict[RootCoords, int]:
     """Every positive root, in simple-root coordinates, with its norm (beta, beta).
 
-    Walks up from the simple roots.  s_i keeps every positive root other
-    than alpha_i positive, and the norm is W-invariant, so each new root
-    takes its parent's norm.  The pairing <beta, alpha_i^vee> reads node i
-    and its neighbours only, so the walk is O(|Phi+| * deg) pairing steps.
-    The dict is shared by every caller and never mutated.
+    Walks up from the simple roots: s_i raises beta exactly when
+    <beta, alpha_i^vee> < 0, and every positive root is reached from a
+    simple root by such steps.  The norm is W-invariant, so each new root
+    takes its parent's norm.  The walk makes |Phi+| * n pairings, each
+    reading node i and its neighbours, so O(|Phi+| * n) on a Dynkin
+    diagram.  The dict is shared by every caller and never mutated.
     """
     norms: Dict[RootCoords, int] = {}
     for i in cd.nodes:
@@ -173,10 +174,9 @@ def _root_norms(cd: CartanData) -> Dict[RootCoords, int]:
     for beta in queue:
         for i in cd.nodes:
             c = 2 * beta[i - 1] + sum(cd.a(i, j) * beta[j - 1] for j in cd.neighbors(i))
-            top = beta[i - 1] - c
-            if c == 0 or top < 0:  # s_i fixes beta, or beta is alpha_i
+            if c >= 0:
                 continue
-            refl = beta[: i - 1] + (top,) + beta[i:]
+            refl = beta[: i - 1] + (beta[i - 1] - c,) + beta[i:]
             if refl not in norms:
                 norms[refl] = norms[beta]
                 queue.append(refl)
@@ -194,24 +194,25 @@ def highest_root(cd: CartanData) -> RootCoords:
     return max(_root_norms(cd), key=lambda b: (sum(b), b))
 
 
-def _table_norm(cd: CartanData, beta: RootCoords) -> Optional[int]:
-    """(beta, beta) when beta or -beta is a positive root, else None."""
-    norms = _root_norms(cd)
-    norm = norms.get(beta)
-    return norms.get(tuple(-c for c in beta)) if norm is None else norm
+def _fundamental_is_minuscule(cd: CartanData, i: int) -> bool:
+    """Whether <omega_i, beta^vee> <= 1 for every positive root beta.
+
+    The pairing is 2 d_i beta_i / (beta, beta) and never negative on a
+    positive root, so the test is 2 d_i beta_i <= (beta, beta) over the
+    root table; no pairing is computed.
+    """
+    twice_d = 2 * cd.d(i)
+    return all(twice_d * beta[i - 1] <= norm for beta, norm in _root_norms(cd).items())
 
 
 def root_norm(cd: CartanData, beta: RootCoords) -> int:
     """(beta, beta) under the symmetrized form (alpha_i, alpha_j) = d_i a_ij.
 
-    A root is looked up in the per-type table; any other integer vector
-    goes through the sparse form sum_i d_i beta_i (2 beta_i + sum_j a_ij beta_j)
-    over i's neighbours j, in O(n + edges).
+    beta is any tuple of rank integers; the form is summed sparsely as
+    sum_i d_i beta_i (2 beta_i + sum_j a_ij beta_j) over i's neighbours j,
+    in O(n + edges).
     """
     _check_coords(cd, beta, "root coordinates")
-    norm = _table_norm(cd, beta)
-    if norm is not None:
-        return norm
     return sum(
         cd.d(i) * b * (2 * b + sum(cd.a(i, j) * beta[j - 1] for j in cd.neighbors(i)))
         for i, b in zip(cd.nodes, beta)
@@ -228,7 +229,8 @@ def coroot_pairing(cd: CartanData, lam: Weight, beta: RootCoords) -> int:
     """
     _check_coords(cd, lam, "weight")
     _check_coords(cd, beta, "root coordinates")
-    den = _table_norm(cd, beta)
+    norms = _root_norms(cd)
+    den = norms.get(beta) or norms.get(tuple(-c for c in beta))
     if den is None:
         raise DomainError(f"{beta!r} is not a root of {cd.type}")
     return 2 * sum(lam[i - 1] * cd.d(i) * b for i, b in zip(cd.nodes, beta) if b) // den

@@ -119,6 +119,13 @@ def test_root_norm_takes_any_rank_tuple_of_ints():
             root_norm(cd, beta)
 
 
+def test_root_norm_reads_no_root_table():
+    cd = cartan_data("E7")
+    before = _root_norms.cache_info()
+    assert root_norm(cd, (1,) * 7) == 2
+    assert _root_norms.cache_info() == before
+
+
 def test_min_coset_reps_sizes():
     cd = cartan_data("A2")
     assert len(min_coset_reps(cd, fundamental_weight(cd, 1))) == 3
