@@ -137,9 +137,9 @@ def braid_orbit(cd: CartanData, pi: LWeight) -> Dict[Weight, LWeight]:
 def _alpha_pattern(cd: CartanData, i: int) -> Tuple[Tuple[Tuple[int, int], int], ...]:
     """Entries of the i-th simple loop root as ((node, exp offset), value)."""
     entries = [((i, 0), 1), ((i, 2 * cd.d(i)), 1)]
-    for l in cd.neighbors(i):
+    for l, _, a_li in cd.links[i - 1]:
         # A neighbour l carries a q-string of |a_li| inverse factors centred at d_i.
-        entries += [((l, t), -1) for t in range(cd.d(i) + 1 + cd.a(l, i), cd.d(i) - cd.a(l, i), 2)]
+        entries += [((l, t), -1) for t in range(cd.d(i) + 1 + a_li, cd.d(i) - a_li, 2)]
     return tuple(sorted(entries))
 
 

@@ -150,41 +150,52 @@ def _w0_perm(series: str, n: int) -> Tuple[int, ...]:
 
 
 class CartanData(Frozen):
+    """The Dynkin diagram of a type, with its symmetrizer and W-data.
+
+    ``links[i-1]`` lists node i's edges as ``(k, a_ik, a_ki)`` over its
+    neighbours k, ascending: the only nonzero off-diagonal Cartan
+    entries.  The diagonal is 2 everywhere, so no n x n matrix is kept.
+    """
+
     __slots__ = (
-        "type", "rank", "matrix", "sym", "dual_coxeter", "lacing",
-        "seed_nodes", "w0_perm", "adjacency",
+        "type", "rank", "sym", "dual_coxeter", "lacing", "seed_nodes", "w0_perm", "links",
     )
 
     def __init__(
         self,
         type: LieType,
         rank: int,
-        matrix: Tuple[Tuple[int, ...], ...],
         sym: Tuple[int, ...],
         dual_coxeter: int,
         lacing: int,
         seed_nodes: Tuple[int, ...],
         w0_perm: Tuple[int, ...],
-        adjacency: Tuple[Tuple[int, ...], ...],
+        links: Tuple[Tuple[Tuple[int, int, int], ...], ...],
     ):
         for name, value in zip(self.__slots__, (
-            type, rank, matrix, sym, dual_coxeter, lacing, seed_nodes, w0_perm, adjacency
+            type, rank, sym, dual_coxeter, lacing, seed_nodes, w0_perm, links
         )):
             object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         # Equal Cartan data share their type, so the type alone is a valid
-        # hash, and far cheaper than the matrix for the per-type caches.
+        # hash, and far cheaper than the links for the per-type caches.
         return hash(self.type)
 
     def a(self, i: int, j: int) -> int:
-        return self.matrix[i - 1][j - 1]
+        """The Cartan entry a_ij: 2 on the diagonal, the edge entry, else 0."""
+        if i == j:
+            return 2
+        for k, a_ik, _ in self.links[i - 1]:
+            if k == j:
+                return a_ik
+        return 0
 
     def d(self, i: int) -> int:
         return self.sym[i - 1]
 
     def neighbors(self, i: int) -> Tuple[int, ...]:
-        return self.adjacency[i - 1]
+        return tuple(k for k, _, _ in self.links[i - 1])
 
     def w0_node(self, i: int) -> int:
         return self.w0_perm[i - 1]
@@ -217,33 +228,23 @@ class CartanData(Frozen):
 def _build(lt: LieType) -> CartanData:
     n = lt.rank
     d = _symmetrizer(lt.series, n)
-    adj = [set() for _ in range(n)]
+    links = [[] for _ in range(n)]
     for i, j in _edges(lt.series, n):
-        adj[i - 1].add(j)
-        adj[j - 1].add(i)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i == j:
-                row.append(2)
-            elif j in adj[i - 1]:
-                # Adjacent entries follow from the symmetrized inner
-                # product (alpha_i, alpha_j) = -max(d_i, d_j).
-                row.append(-max(d[i - 1], d[j - 1]) // d[i - 1])
-            else:
-                row.append(0)
-        rows.append(tuple(row))
+        # Both entries follow from the symmetrized inner product
+        # (alpha_i, alpha_j) = d_i a_ij = -max(d_i, d_j).
+        a_ij = -max(d[i - 1], d[j - 1]) // d[i - 1]
+        a_ji = -max(d[i - 1], d[j - 1]) // d[j - 1]
+        links[i - 1].append((j, a_ij, a_ji))
+        links[j - 1].append((i, a_ji, a_ij))
     return CartanData(
         type=lt,
         rank=n,
-        matrix=tuple(rows),
         sym=d,
         dual_coxeter=_dual_coxeter(lt.series, n),
         lacing=max(d),
         seed_nodes=_seed_nodes(lt.series, n),
         w0_perm=_w0_perm(lt.series, n),
-        adjacency=tuple(tuple(sorted(s)) for s in adj),
+        links=tuple(tuple(sorted(edges)) for edges in links),
     )
 
 

@@ -9,13 +9,10 @@ as a product of operators, so the rightmost letter acts first.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cartan import CartanData, Frozen
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 Weight = Tuple[int, ...]
 RootCoords = Tuple[int, ...]
@@ -50,11 +47,17 @@ def _simple_root_weight(cd: CartanData, j: int) -> Weight:
 def reflect(cd: CartanData, i: int, lam: Weight) -> Weight:
     """s_i lam = lam - lam_i alpha_i: only i and its neighbours change."""
     cd.check_node(i)
+    _check_coords(cd, lam, "weight")
+    return _reflect(cd, i, lam)
+
+
+def _reflect(cd: CartanData, i: int, lam: Weight) -> Weight:
+    """reflect without the checks, for the walks whose steps are valid by construction."""
     c = lam[i - 1]
     out = list(lam)
     out[i - 1] = -c
-    for k in cd.neighbors(i):
-        out[k - 1] -= c * cd.a(k, i)
+    for k, _, a_ki in cd.links[i - 1]:
+        out[k - 1] -= c * a_ki
     return tuple(out)
 
 
@@ -74,9 +77,8 @@ def _reflect_rows(cd: CartanData, i: int, m: Matrix) -> Matrix:
     """The product s_i m; only row i and the rows of i's neighbours change."""
     rows = list(m)
     pivot = rows[i - 1]
-    for k in cd.neighbors(i):
-        a = cd.a(k, i)
-        rows[k - 1] = tuple(r - a * p for r, p in zip(rows[k - 1], pivot))
+    for k, _, a_ki in cd.links[i - 1]:
+        rows[k - 1] = tuple(r - a_ki * p for r, p in zip(rows[k - 1], pivot))
     rows[i - 1] = tuple(-p for p in pivot)
     return tuple(rows)
 
@@ -94,7 +96,7 @@ def _descent(cd: CartanData, lam: Weight) -> Tuple[int, ...]:
                 break
         else:
             return tuple(word)
-        lam = reflect(cd, i, lam)
+        lam = _reflect(cd, i, lam)
         word.append(i)
 
 
@@ -146,7 +148,7 @@ def is_reduced_word(cd: CartanData, word: Tuple[int, ...]) -> bool:
     for i in reversed(word):
         if lam[i - 1] <= 0:
             return False
-        lam = reflect(cd, i, lam)
+        lam = _reflect(cd, i, lam)
     return True
 
 
@@ -167,13 +169,14 @@ def _root_norms(cd: CartanData) -> Dict[RootCoords, int]:
     reading node i and its neighbours, so O(|Phi+| * n) on a Dynkin
     diagram.  The dict is shared by every caller and never mutated.
     """
+    links = cd.links
     norms: Dict[RootCoords, int] = {}
     for i in cd.nodes:
         norms[tuple(int(k == i) for k in cd.nodes)] = 2 * cd.d(i)
     queue = list(norms)  # grows while it is read
     for beta in queue:
         for i in cd.nodes:
-            c = 2 * beta[i - 1] + sum(cd.a(i, j) * beta[j - 1] for j in cd.neighbors(i))
+            c = 2 * beta[i - 1] + sum(a_ij * beta[j - 1] for j, a_ij, _ in links[i - 1])
             if c >= 0:
                 continue
             refl = beta[: i - 1] + (beta[i - 1] - c,) + beta[i:]
@@ -214,8 +217,8 @@ def root_norm(cd: CartanData, beta: RootCoords) -> int:
     """
     _check_coords(cd, beta, "root coordinates")
     return sum(
-        cd.d(i) * b * (2 * b + sum(cd.a(i, j) * beta[j - 1] for j in cd.neighbors(i)))
-        for i, b in zip(cd.nodes, beta)
+        d * b * (2 * b + sum(a_ij * beta[j - 1] for j, a_ij, _ in links))
+        for d, b, links in zip(cd.sym, beta, cd.links)
         if b
     )
 
@@ -271,7 +274,7 @@ def _orbit_edges(cd: CartanData, lam: Weight) -> Tuple[Tuple[Weight, int, Weight
     for mu in queue:
         for j in cd.nodes:
             if mu[j - 1] > 0:
-                nu = reflect(cd, j, mu)
+                nu = _reflect(cd, j, mu)
                 if nu not in seen:
                     seen.add(nu)
                     queue.append(nu)
@@ -302,7 +305,7 @@ def _min_coset_reps(cd: CartanData, lam: Weight) -> Tuple[WeylElement, ...]:
     }
     for _mu, _j, nu in _orbit_edges(cd, lam):
         i = next(k for k, c in enumerate(nu, start=1) if c < 0)
-        parent = reps[reflect(cd, i, nu)]
+        parent = reps[_reflect(cd, i, nu)]
         reps[nu] = WeylElement(
             word=(i,) + parent.word, matrix=_reflect_rows(cd, i, parent.matrix)
         )
@@ -314,36 +317,24 @@ def weight_orbit(cd: CartanData, lam: Weight) -> List[Tuple[Weight, WeylElement]
     return [(w.apply(lam), w) for w in min_coset_reps(cd, lam)]
 
 
-@lru_cache(maxsize=None)
-def _inverse_cartan(cd: CartanData) -> Tuple[Tuple[Fraction, ...], ...]:
-    """The exact inverse of the Cartan matrix, by Gauss-Jordan elimination."""
-    # Imported here: only dominance_diff needs rationals, and most cold
-    # CLI calls never reach it.
-    from fractions import Fraction
-
-    n = cd.rank
-    rows = [
-        [Fraction(cd.a(i + 1, j + 1)) for j in range(n)]
-        + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    # The Cartan matrix is invertible over Q.
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [t * inv for t in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [t - f * s for t, s in zip(rows[r], rows[col])]
-    return tuple(tuple(row[n:]) for row in rows)
-
-
 def dominance_diff(cd: CartanData, lam: Weight, mu: Weight) -> Optional[RootCoords]:
-    """Root coordinates of lam - mu, or None if not in the root lattice."""
-    diff = [lam[i] - mu[i] for i in range(cd.rank)]
-    target = [sum(c * d for c, d in zip(row, diff)) for row in _inverse_cartan(cd)]
-    if any(t.denominator != 1 for t in target):
+    """Root coordinates of lam - mu, or None if not in the root lattice.
+
+    Solved over the integers against the simple roots, whose weight
+    coordinates are the Cartan columns: 2 at j and a_kj at each neighbour k.
+    """
+    _check_coords(cd, lam, "weight")
+    _check_coords(cd, mu, "weight")
+    # Imported here: most cold CLI calls never reach a solve.
+    from .intlattice import SparseIntSolver
+
+    solver = SparseIntSolver()
+    for j, links in zip(cd.nodes, cd.links):
+        column = {j: 2}
+        for k, _, a_kj in links:
+            column[k] = a_kj
+        solver.add_column(j, column)
+    x = solver.solve({i: l - m for i, l, m in zip(cd.nodes, lam, mu)})
+    if x is None:
         return None
-    return tuple(int(t) for t in target)
+    return tuple(x.get(j, 0) for j in cd.nodes)

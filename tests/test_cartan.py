@@ -29,9 +29,18 @@ from loopchar import (
     weight_of,
 )
 from loopchar.blocks import seed_family
+from loopchar.cartan import _edges, _symmetrizer
 from loopchar.braid import braid_orbit
 from loopchar.lweight import check_lweight
+from loopchar.verify import _CLASS_TYPES
 from loopchar.weyl import simple_root_weight
+
+# Larger classical ranks, beside the 21 class types, for the diagram oracles.
+_LARGER_TYPES = (
+    tuple(f"A{n}" for n in range(9, 17))
+    + tuple(f"{s}{n}" for s in "BC" for n in range(6, 11))
+    + tuple(f"D{n}" for n in range(7, 11))
+)
 
 
 def test_parse_and_str():
@@ -61,12 +70,49 @@ def test_symmetrizers():
     assert cartan_data("E7").sym == (1,) * 7
 
 
+def _matrix(cd):
+    return tuple(tuple(cd.a(i, j) for j in cd.nodes) for i in cd.nodes)
+
+
 def test_cartan_matrix_samples():
-    assert cartan_data("A2").matrix == ((2, -1), (-1, 2))
-    assert cartan_data("B2").matrix == ((2, -1), (-2, 2))
-    assert cartan_data("G2").matrix == ((2, -3), (-1, 2))
+    assert _matrix(cartan_data("A2")) == ((2, -1), (-1, 2))
+    assert _matrix(cartan_data("B2")) == ((2, -1), (-2, 2))
+    assert _matrix(cartan_data("G2")) == ((2, -3), (-1, 2))
     c3 = cartan_data("C3")
     assert c3.a(2, 3) == -2 and c3.a(3, 2) == -1
+
+
+def _dense_matrix(lt):
+    """The Cartan matrix row by row over all n^2 entries, from the edges."""
+    n = lt.rank
+    d = _symmetrizer(lt.series, n)
+    adj = [set() for _ in range(n)]
+    for i, j in _edges(lt.series, n):
+        adj[i - 1].add(j)
+        adj[j - 1].add(i)
+    rows = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            if i == j:
+                row.append(2)
+            elif j in adj[i - 1]:
+                # Adjacent entries follow from the symmetrized inner
+                # product (alpha_i, alpha_j) = -max(d_i, d_j).
+                row.append(-max(d[i - 1], d[j - 1]) // d[i - 1])
+            else:
+                row.append(0)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("label", _CLASS_TYPES + _LARGER_TYPES)
+def test_links_match_the_dense_matrix(label):
+    cd = cartan_data(label)
+    dense = _dense_matrix(cd.type)
+    assert _matrix(cd) == dense
+    for i in cd.nodes:
+        assert cd.neighbors(i) == tuple(j for j in cd.nodes if j != i and dense[i - 1][j - 1])
 
 
 def test_matrix_symmetrizes():

@@ -60,6 +60,16 @@ def test_alpha_loads_only_what_it_runs():
     assert not loaded & skipped
 
 
+def test_dominance_diff_loads_no_rationals():
+    # qchar-fund with a table ranks its weights by dominance_diff.
+    stdout, loaded = loaded_by(
+        "qchar-fund", "--type", "B3", "--node", "1", "--table", '{"1,0,0":1,"0,0,0":1}'
+    )
+    assert stdout
+    assert "fractions" not in loaded
+    assert "loopchar.intlattice" in loaded
+
+
 def test_block_loads_no_qchar_or_verify():
     stdout, loaded = loaded_by("block", "--type", "B2", "w[1;a,0]")
     assert stdout == "x[a,1] - x[a,5]\n"

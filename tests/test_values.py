@@ -3,7 +3,8 @@
 Each class is a plain ``__slots__`` class on ``cartan.Frozen``, which
 gives every one the same equality, hashing and repr over its slots.
 The repr strings below are the ones the earlier dataclass versions
-printed, so they pin the text users already see.
+printed, so they pin the text users already see; only ``CartanData``'s
+differs, since its dense ``matrix`` and ``adjacency`` gave way to ``links``.
 """
 
 import pickle
@@ -33,8 +34,7 @@ from loopchar import (
 FIELDS = {
     "LieType": ("series", "rank"),
     "CartanData": (
-        "type", "rank", "matrix", "sym", "dual_coxeter", "lacing", "seed_nodes", "w0_perm",
-        "adjacency",
+        "type", "rank", "sym", "dual_coxeter", "lacing", "seed_nodes", "w0_perm", "links",
     ),
     "LWeight": ("factors",),
     "LCharacter": ("terms",),
@@ -60,9 +60,8 @@ CASES = {
     "CartanData": (
         _a2,
         lambda: cartan_data("B2"),
-        "CartanData(type=LieType(series='A', rank=2), rank=2, matrix=((2, -1), (-1, 2)),"
-        " sym=(1, 1), dual_coxeter=3, lacing=1, seed_nodes=(1,), w0_perm=(2, 1),"
-        " adjacency=((2,), (1,)))",
+        "CartanData(type=LieType(series='A', rank=2), rank=2, sym=(1, 1), dual_coxeter=3,"
+        " lacing=1, seed_nodes=(1,), w0_perm=(2, 1), links=(((2, -1, -1),), ((1, -1, -1),)))",
     ),
     "LWeight": (
         lambda: parse_lweight("w[1;a,0]*w[2;b,-3]^-2"),

@@ -40,6 +40,13 @@ from loopchar.weyl import (
     simple_root_weight,
 )
 
+# Larger classical ranks, beside the 21 class types, for the diagram oracles.
+_LARGER_TYPES = (
+    tuple(f"A{n}" for n in range(9, 17))
+    + tuple(f"{s}{n}" for s in "BC" for n in range(6, 11))
+    + tuple(f"D{n}" for n in range(7, 11))
+)
+
 
 def test_reflection_fixture():
     cd = cartan_data("A2")
@@ -179,6 +186,22 @@ def test_dominance_diff():
     assert dominance_diff(cd, fundamental_weight(cd, 1), fundamental_weight(cd, 2)) is None
 
 
+def test_dominance_diff_refuses_a_weight_of_another_length():
+    cd = cartan_data("A2")
+    with pytest.raises(DomainError, match="tuple of 2 integers"):
+        dominance_diff(cd, (2, -1, 9), (0, 0))
+
+
+def test_reflect_refuses_a_longer_weight():
+    with pytest.raises(DomainError, match="tuple of 2 integers"):
+        reflect(cartan_data("A2"), 1, (1, 0, 4))
+
+
+def test_reflect_refuses_a_shorter_weight():
+    with pytest.raises(DomainError, match="tuple of 2 integers"):
+        reflect(cartan_data("A2"), 2, (1,))
+
+
 def test_simple_root_weight_rows():
     cd = cartan_data("C2")
     assert simple_root_weight(cd, 1) == (2, -1)
@@ -276,48 +299,58 @@ def test_coset_reps_agree_with_the_descent_from_rho(label):
             assert element_from_word(cd, w.word).matrix == w.matrix
 
 
-def _dominance_diff_by_elimination(cd, lam, mu):
-    """Gaussian elimination of A x = lam - mu on every call."""
+def _dominance_diffs_by_elimination(cd, pairs):
+    """Gauss-Jordan elimination of A x = lam - mu over Q, one column per (lam, mu)."""
     n = cd.rank
-    target = [Fraction(lam[i] - mu[i]) for i in range(n)]
-    rows = [[Fraction(cd.a(i + 1, j + 1)) for j in range(n)] for i in range(n)]
+    rows = [
+        [Fraction(cd.a(i + 1, j + 1)) for j in range(n)]
+        + [Fraction(lam[i] - mu[i]) for lam, mu in pairs]
+        for i in range(n)
+    ]
     for col in range(n):
         piv = next(r for r in range(col, n) if rows[r][col])
         rows[col], rows[piv] = rows[piv], rows[col]
-        target[col], target[piv] = target[piv], target[col]
         inv = 1 / rows[col][col]
         rows[col] = [t * inv for t in rows[col]]
-        target[col] *= inv
         for r in range(n):
             if r != col and rows[r][col]:
                 f = rows[r][col]
                 rows[r] = [t - f * s for t, s in zip(rows[r], rows[col])]
-                target[r] -= f * target[col]
-    if any(t.denominator != 1 for t in target):
-        return None
-    return tuple(int(t) for t in target)
+    out = []
+    for k in range(n, n + len(pairs)):
+        target = [row[k] for row in rows]
+        if any(t.denominator != 1 for t in target):
+            out.append(None)
+        else:
+            out.append(tuple(int(t) for t in target))
+    return out
 
 
 def test_dominance_diff_matches_elimination():
     rng = random.Random(4)
     outcomes = set()
-    for name in _CLASS_TYPES:
+    for name in _CLASS_TYPES + _LARGER_TYPES:
         cd = cartan_data(name)
+        pairs, roots = [], []
         for t in range(60):
             lam = tuple(rng.randint(-5, 5) for _ in cd.nodes)
             if t % 2:
                 mu = tuple(rng.randint(-5, 5) for _ in cd.nodes)
+                roots.append(None)
             else:
                 x = [rng.randint(-3, 3) for _ in cd.nodes]
                 mu = tuple(
                     l - sum(cd.a(i, j) * x[j - 1] for j in cd.nodes)
                     for i, l in zip(cd.nodes, lam)
                 )
-            got = dominance_diff(cd, lam, mu)
-            assert got == _dominance_diff_by_elimination(cd, lam, mu)
-            if t % 2 == 0:
-                assert got == tuple(x)
-            outcomes.add(got is None)
+                roots.append(tuple(x))
+            pairs.append((lam, mu))
+        got = [dominance_diff(cd, lam, mu) for lam, mu in pairs]
+        assert got == _dominance_diffs_by_elimination(cd, pairs)
+        for g, x in zip(got, roots):
+            if x is not None:
+                assert g == x
+            outcomes.add(g is None)
     assert outcomes == {True, False}
 
 
@@ -421,13 +454,7 @@ def _dense_coroot_pairing(cd, lam, beta):
     return num // den
 
 
-@pytest.mark.parametrize(
-    "label",
-    _CLASS_TYPES
-    + tuple(f"A{n}" for n in range(9, 17))
-    + tuple(f"{s}{n}" for s in "BC" for n in range(6, 11))
-    + tuple(f"D{n}" for n in range(7, 11)),
-)
+@pytest.mark.parametrize("label", _CLASS_TYPES + _LARGER_TYPES)
 def test_root_table_matches_the_dense_closure(label):
     cd = cartan_data(label)
     roots = _dense_positive_roots(cd)
