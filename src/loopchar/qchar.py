@@ -10,7 +10,8 @@ Moving the spectral parameter of a fundamental module from a to a*q^e
 adds e to every exponent of its character and renames the orbit (the
 spectral-shift automorphism of the quantum affine algebra).  So each
 fundamental character is built once, at ("a", 0), in a per-type cache,
-and every call translates that template to the parameter it asks for.
+and every call translates that template to the parameter it asks for,
+through a ``ShiftPlan`` kept next to it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import DomainError
 from .lweight import (
     LCharacter,
     LWeight,
+    ShiftPlan,
     SpectralParam,
     check_param,
     fundamental_lweight,
@@ -42,6 +44,18 @@ from .weyl import (
 MultTable = Dict[Weight, int]
 
 
+def check_length(m: int) -> None:
+    """The string length m as a nonnegative plain int, or DomainError.
+
+    bool is an int subclass, so True would pass as length 1, and a float
+    or string length would reach ``range`` as a bare TypeError.
+    """
+    if type(m) is not int:
+        raise DomainError(f"string length must be an integer, got {m!r}")
+    if m < 0:
+        raise DomainError(f"string length must be nonnegative, got {m}")
+
+
 class Sl2String(Frozen):
     """A q-segment: rank-one factors in arithmetic exponent progression."""
 
@@ -49,8 +63,7 @@ class Sl2String(Frozen):
 
     def __init__(self, a: SpectralParam, m: int):
         a = check_param(a)
-        if m < 0:
-            raise DomainError(f"string length must be nonnegative, got {m}")
+        check_length(m)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "m", m)
 
@@ -71,8 +84,7 @@ def sl2_eval_char(a: SpectralParam, m: int) -> LCharacter:
     the string of length r at a shifted up by m-r+2.
     """
     orbit, e = check_param(a)
-    if m < 0:
-        raise DomainError(f"string length must be nonnegative, got {m}")
+    check_length(m)
     # Refused before anything is built: the m+1 terms hold m factors each.
     if m * (m + 1) > lweight.MAX_PRODUCT_FACTORS:
         raise DomainError(
@@ -155,12 +167,28 @@ def _is_minuscule(cd: CartanData, i: int) -> bool:
     return _fundamental_is_minuscule(cd, i)
 
 
-def _at(template: LCharacter, p: SpectralParam) -> LCharacter:
-    """A character built at ("a", 0), translated to the parameter p."""
+class _Template:
+    """A character built at ("a", 0), and the plan that translates it.
+
+    The plan is made by the first translation, not with the character, so
+    that a caller who only ever asks for ("a", 0) never pays for it.
+    """
+
+    __slots__ = ("char", "plan")
+
+    def __init__(self, char: LCharacter):
+        self.char = char
+        self.plan: Optional[ShiftPlan] = None
+
+
+def _at(template: _Template, p: SpectralParam) -> LCharacter:
+    """A cached character, translated from ("a", 0) to the parameter p."""
     orbit, e = p
     if orbit == "a" and e == 0:
-        return template
-    return template.shift(e, orbit)
+        return template.char
+    if template.plan is None:
+        template.plan = ShiftPlan(template.char)
+    return template.plan.apply(e, orbit)
 
 
 def minuscule_char(cd: CartanData, i: int, p: SpectralParam) -> LCharacter:
@@ -174,12 +202,12 @@ def minuscule_char(cd: CartanData, i: int, p: SpectralParam) -> LCharacter:
 
 
 @lru_cache(maxsize=None)
-def _minuscule_template(cd: CartanData, i: int) -> LCharacter:
+def _minuscule_template(cd: CartanData, i: int) -> _Template:
     top = fundamental_lweight(cd, i)
     images = braid_orbit(cd, top)
     if len(set(images.values())) != len(images):
         raise ArithmeticError(f"braid orbit of {top} meets some loop weight twice")
-    return LCharacter.from_dict(dict.fromkeys(images.values(), 1))
+    return _Template(LCharacter.from_dict(dict.fromkeys(images.values(), 1)))
 
 
 def dn_node2_char(n: int, p: SpectralParam) -> LCharacter:
@@ -195,7 +223,7 @@ def dn_node2_char(n: int, p: SpectralParam) -> LCharacter:
 
 
 @lru_cache(maxsize=None)
-def _dn_node2_template(cd: CartanData) -> LCharacter:
+def _dn_node2_template(cd: CartanData) -> _Template:
     n = cd.rank
     terms: Dict[LWeight, int] = {}
     for pi in braid_orbit(cd, fundamental_lweight(cd, 2)).values():
@@ -204,7 +232,7 @@ def _dn_node2_template(cd: CartanData) -> LCharacter:
         core = _dn_core_term(n, j)
         mult = 2 if j == n - 2 else 1
         terms[core] = terms.get(core, 0) + mult
-    return LCharacter.from_dict(terms)
+    return _Template(LCharacter.from_dict(terms))
 
 
 def _dn_core_term(n: int, j: int) -> LWeight:
@@ -261,7 +289,7 @@ def fundamental_char(
 @lru_cache(maxsize=128)
 def _fundamental_template(
     cd: CartanData, i: int, items: Tuple[Tuple[Weight, int], ...]
-) -> LCharacter:
+) -> _Template:
     table = dict(items)
     top = fundamental_lweight(cd, i)
     top_wt = fundamental_weight(cd, i)
@@ -333,7 +361,7 @@ def _fundamental_template(
             raise DomainError(
                 f"character has dominant weight {list(lam)} absent from the table"
             )
-    return char
+    return _Template(char)
 
 
 def _discover(

@@ -338,6 +338,68 @@ def test_character_shift_acts_on_terms():
     assert x.shift(3) == LCharacter.from_dict({parse_lweight("w[1;a,3]"): 2})
 
 
+@st.composite
+def characters(draw, orbits):
+    """A character whose factors lie on the given orbits."""
+    key = st.tuples(
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(orbits),
+        st.integers(min_value=-6, max_value=6),
+    )
+    power = st.integers(min_value=-3, max_value=3).filter(bool)
+    lweights = st.lists(st.dictionaries(key, power, max_size=5).map(LWeight.from_dict), max_size=6)
+    return LCharacter.from_dict({pi: draw(st.integers(min_value=1, max_value=3)) for pi in draw(lweights)})
+
+
+def shift_by_terms(x, offset, orbit=None):
+    """The shift of x rebuilt term by term through from_dict, which sorts."""
+    terms = {}
+    for pi, m in x.terms:
+        moved = LWeight.from_dict(
+            {(i, a if orbit is None else orbit, k + offset): p for (i, a, k), p in pi.factors}
+        )
+        terms[moved] = terms.get(moved, 0) + m
+    return LCharacter.from_dict(terms)
+
+
+huge_offsets = st.one_of(
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=-(10**12), max_value=10**12),
+)
+
+
+@given(characters(["b"]), huge_offsets, st.sampled_from(["a", "b", "Z", "z9"]))
+def test_shift_with_a_rename_matches_the_rebuilt_terms(x, offset, orbit):
+    # "Z" < "a" < "b" < "z9": the rename may move the orbit across others.
+    assert x.shift(offset, orbit).terms == shift_by_terms(x, offset, orbit).terms
+
+
+@given(characters(["a", "b", "z9"]), huge_offsets)
+def test_shift_on_several_orbits_matches_the_rebuilt_terms(x, offset):
+    assert x.shift(offset).terms == shift_by_terms(x, offset).terms
+
+
+@pytest.mark.parametrize(
+    "terms, offset, orbit, count",
+    [
+        # Renamed, the two terms would be equal.
+        (("w[1;a,0]", "w[1;b,0]"), 0, "c", 2),
+        # Renamed, w[1;a,3] would follow w[1;a,5].
+        (("w[1;b,0]", "w[1;b,4]", "w[1;z,2]"), 1, "a", 2),
+        (("w[1;a,0]*w[2;b,1]", "w[3;c,0]"), 5, "a", 3),
+    ],
+)
+def test_renaming_several_orbits_is_refused_before_any_term_is_built(monkeypatch, terms, offset, orbit, count):
+    x = LCharacter.from_dict({parse_lweight(t): 1 for t in terms})
+
+    def refuse(*args):
+        raise AssertionError("a translated term was built")
+
+    monkeypatch.setattr(lweight, "LWeight", refuse)
+    with pytest.raises(DomainError, match=f"cannot rename the {count} orbits"):
+        x.shift(offset, orbit)
+
+
 def test_character_text_orders_terms():
     x = LCharacter.from_dict(
         {parse_lweight("w[2;a,0]"): 1, parse_lweight("w[1;a,1]"): 3}

@@ -47,6 +47,17 @@ def test_sl2_string_exponents():
         Sl2String(("a", 0), -1)
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [(m, "must be an integer") for m in (True, False, 2.0, "3", None)]
+    + [(-1, "must be nonnegative, got -1")],
+)
+def test_string_lengths_must_be_plain_nonnegative_integers(m, message):
+    for build in (sl2_eval_char, Sl2String):
+        with pytest.raises(DomainError, match=f"string length {message}"):
+            build(("a", 0), m)
+
+
 def test_sl2_char_fixture():
     c = sl2_eval_char(("a", 1), 2)
     assert c.dimension == 3
@@ -331,7 +342,8 @@ def _ref_fundamental_char(cd, i, p, table):
     return LCharacter.from_dict(terms)
 
 
-_PARAMS = [("a", 0), ("b", -5), ("c1", 17), ("a", -10**6)]
+# ("Z", 10**12) renames across the orbit order ("Z" < "a") at a huge exponent.
+_PARAMS = [("a", 0), ("b", -5), ("c1", 17), ("a", -10**6), ("Z", 10**12)]
 
 
 def _d_table(n):
@@ -384,6 +396,19 @@ def test_translation_reuses_the_cached_template():
         after = cache.cache_info()
         assert after.misses == before.misses
         assert after.hits == before.hits + 1
+
+
+def test_the_shift_plan_is_made_by_the_first_translation_and_kept():
+    e6 = cartan_data("E6")
+    qchar._minuscule_template.cache_clear()
+    minuscule_char(e6, 5, ("a", 0))
+    template = qchar._minuscule_template(e6, 5)
+    assert template.plan is None
+    minuscule_char(e6, 5, ("b", 1))
+    plan = template.plan
+    assert plan is not None and len(plan.pairs) < sum(len(pi.factors) for pi, _ in template.char.terms)
+    minuscule_char(e6, 5, ("c", -2))
+    assert template.plan is plan
 
 
 def test_a_bad_table_raises_the_same_error_on_every_call():
