@@ -61,6 +61,12 @@ def check_param(p: SpectralParam) -> SpectralParam:
     return orbit, exp
 
 
+def _check_offset(offset: int) -> None:
+    # bool is an int subclass: True would shift by 1.
+    if type(offset) is not int:
+        raise DomainError(f"shift offset must be an integer, got {offset!r}")
+
+
 class LWeight(Frozen):
     """An element of the loop-weight lattice, stored as sorted factors."""
 
@@ -105,6 +111,7 @@ class LWeight(Frozen):
     def shift(self, offset: int) -> "LWeight":
         """Shift every spectral parameter exponent by ``offset``; the key
         order is kept, so the factors stay sorted without a sort."""
+        _check_offset(offset)
         return LWeight(tuple(((i, a, k + offset), p) for (i, a, k), p in self.factors))
 
     def __str__(self) -> str:
@@ -338,8 +345,12 @@ class LCharacter(Frozen):
     def shift(self, offset: int, orbit: Optional[str] = None) -> "LCharacter":
         """Every exponent moved by ``offset`` and, for a character on one
         orbit, that orbit renamed to ``orbit`` if given; renaming a
-        character on several orbits is a DomainError.
+        character on several orbits is a DomainError, and so is an offset
+        that is not a plain int or an invalid orbit name.
         """
+        _check_offset(offset)
+        if orbit is not None:
+            check_orbit(orbit)
         return ShiftPlan(self).apply(offset, orbit)
 
     def text(self) -> str:

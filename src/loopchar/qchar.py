@@ -153,9 +153,9 @@ def is_minuscule(cd: CartanData, i: int) -> bool:
 
     omega_i is minuscule when <omega_i, beta^vee> = 2 d_i beta_i / (beta, beta)
     is 0 or 1 for every positive root beta (Bourbaki, Lie Groups and Lie
-    Algebras, Ch. VIII, section 7).  It is never negative on a positive
-    root, so weyl tests 2 d_i beta_i <= (beta, beta) over its per-type
-    root table; no pairing is computed.
+    Algebras, Ch. VIII, section 7).  The largest pairing comes at the
+    highest short root theta_s, so weyl tests d_i (theta_s)_i <= min d on
+    one greedy ascent per type; no root table is built.
     """
     # Checked before the cache, where True or 1.0 would hit node 1's entry.
     cd.check_node(i)

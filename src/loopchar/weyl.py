@@ -9,7 +9,7 @@ as a product of operators, so the rightmost letter acts first.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanData, Frozen
 from .errors import DomainError
@@ -158,54 +158,136 @@ def longest_element(cd: CartanData) -> WeylElement:
     return element_from_word(cd, _descent(cd, tuple(-c for c in rho(cd))))
 
 
-@lru_cache(maxsize=None)
-def _root_norms(cd: CartanData) -> Dict[RootCoords, int]:
-    """Every positive root, in simple-root coordinates, with its norm (beta, beta).
+def _pairings(cd: CartanData, beta: Sequence[int]) -> List[int]:
+    """<beta, alpha_i^vee> = 2 beta_i + sum_j a_ij beta_j for every node i.
 
-    Walks up from the simple roots: s_i raises beta exactly when
-    <beta, alpha_i^vee> < 0, and every positive root is reached from a
-    simple root by such steps.  The norm is W-invariant, so each new root
-    takes its parent's norm.  The walk makes |Phi+| * n pairings, each
-    reading node i and its neighbours, so O(|Phi+| * n) on a Dynkin
-    diagram.  The dict is shared by every caller and never mutated.
+    These are beta's fundamental-weight coordinates, summed over each
+    node's links in O(n + edges).
+    """
+    return [
+        2 * b + sum(a_ij * beta[j - 1] for j, a_ij, _ in links)
+        for b, links in zip(beta, cd.links)
+    ]
+
+
+def _greedy_reflections(cd: CartanData, beta: List[int], p: List[int], sign: int):
+    """Reflect beta along some s_i while some sign * p_i < 0, yielding (i, p_i).
+
+    beta (simple-root coordinates) and its pairings p are lists changed in
+    place.  sign = 1 ascends: s_i adds -p_i > 0 to beta_i.  sign = -1
+    descends.  A step changes p only at i and its neighbours, and so does
+    the set of nodes left to take; each step is O(deg).  Each node is
+    yielded after its step, with the pairing it was taken at.
     """
     links = cd.links
-    norms: Dict[RootCoords, int] = {}
-    for i in cd.nodes:
-        norms[tuple(int(k == i) for k in cd.nodes)] = 2 * cd.d(i)
-    queue = list(norms)  # grows while it is read
-    for beta in queue:
-        for i in cd.nodes:
-            c = 2 * beta[i - 1] + sum(a_ij * beta[j - 1] for j, a_ij, _ in links[i - 1])
-            if c >= 0:
-                continue
-            refl = beta[: i - 1] + (beta[i - 1] - c,) + beta[i:]
-            if refl not in norms:
-                norms[refl] = norms[beta]
-                queue.append(refl)
-    return norms
+    todo = {i for i, c in enumerate(p, start=1) if sign * c < 0}
+    while todo:
+        i = todo.pop()
+        c = p[i - 1]
+        beta[i - 1] -= c
+        p[i - 1] = -c
+        for k, _, a_ki in links[i - 1]:
+            p[k - 1] -= c * a_ki
+            if sign * p[k - 1] < 0:
+                todo.add(k)
+            else:
+                todo.discard(k)
+        yield i, c
+
+
+def _ascend(cd: CartanData, j: int) -> RootCoords:
+    """The dominant root in the W-orbit of alpha_j, by a greedy ascent.
+
+    Every step raises beta along a simple reflection, so it stays a
+    positive root in alpha_j's orbit, and it stops at a dominant one:
+    theta from a long simple root, the highest short root from a short
+    one (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, section 1).  Each
+    step raises the height, which ends at most at h - 1, so O(n + h * deg).
+    """
+    beta = [int(k == j) for k in cd.nodes]
+    for _ in _greedy_reflections(cd, beta, _pairings(cd, beta), 1):
+        pass
+    return tuple(beta)
+
+
+@lru_cache(maxsize=None)
+def _dominant_roots(cd: CartanData) -> Tuple[RootCoords, RootCoords]:
+    """The highest root theta and the highest short root theta_s.
+
+    The two are equal on a simply-laced type, where one ascent serves.
+    """
+    sym = cd.sym
+    theta = _ascend(cd, sym.index(max(sym)) + 1)
+    if min(sym) == max(sym):
+        return theta, theta
+    return theta, _ascend(cd, sym.index(min(sym)) + 1)
 
 
 @lru_cache(maxsize=None)
 def positive_roots(cd: CartanData) -> Tuple[RootCoords, ...]:
-    """All positive roots in simple-root coordinates, sorted."""
-    return tuple(sorted(_root_norms(cd)))
+    """All positive roots in simple-root coordinates, sorted.
+
+    Walks up from the simple roots: s_i raises beta exactly when
+    <beta, alpha_i^vee> < 0, and every positive root is reached from a
+    simple root by such steps.  The walk makes |Phi+| * n pairings, each
+    reading node i and its neighbours, so O(|Phi+| * n) on a Dynkin
+    diagram.  It is the one root table, built only for a caller that
+    needs the list: the other root functions here read none.
+    """
+    queue = [tuple(int(k == i) for k in cd.nodes) for i in cd.nodes]  # grows while read
+    seen = set(queue)
+    for beta in queue:
+        for i, c in enumerate(_pairings(cd, beta), start=1):
+            if c < 0:
+                refl = beta[: i - 1] + (beta[i - 1] - c,) + beta[i:]
+                if refl not in seen:
+                    seen.add(refl)
+                    queue.append(refl)
+    return tuple(sorted(queue))
 
 
-@lru_cache(maxsize=None)
 def highest_root(cd: CartanData) -> RootCoords:
-    return max(_root_norms(cd), key=lambda b: (sum(b), b))
+    return _dominant_roots(cd)[0]
 
 
 def _fundamental_is_minuscule(cd: CartanData, i: int) -> bool:
     """Whether <omega_i, beta^vee> <= 1 for every positive root beta.
 
-    The pairing is 2 d_i beta_i / (beta, beta) and never negative on a
-    positive root, so the test is 2 d_i beta_i <= (beta, beta) over the
-    root table; no pairing is computed.
+    The pairing is the alpha_i^vee coordinate of beta^vee, and the highest
+    coroot theta_s^vee bounds every coroot coordinatewise.  Its alpha_i^vee
+    coordinate is 2 d_i (theta_s)_i / (theta_s, theta_s), and
+    (theta_s, theta_s) = 2 min d, so the test is d_i (theta_s)_i <= min d.
     """
-    twice_d = 2 * cd.d(i)
-    return all(twice_d * beta[i - 1] <= norm for beta, norm in _root_norms(cd).items())
+    sym = cd.sym
+    return sym[i - 1] * _dominant_roots(cd)[1][i - 1] <= min(sym)
+
+
+def _is_root(cd: CartanData, beta: RootCoords) -> bool:
+    """Whether beta is a root, by a greedy descent to a simple root.
+
+    Every positive root lies in the box 0 <= beta <= theta, so beta or
+    -beta must lie in it; that bounds the height, hence the steps, by
+    h - 1 for any input.  A positive root beta other than alpha_i with
+    <beta, alpha_i^vee> > 0 reflects to a lower positive root, so every
+    descent from a root reaches a simple root with no coordinate turning
+    negative.  The steps are reflections, so a descent from a non-root
+    never does.  O(n + h * deg).
+    """
+    if any(b < 0 for b in beta):
+        beta = tuple(-b for b in beta)
+    if not all(0 <= b <= t for b, t in zip(beta, highest_root(cd))):
+        return False
+    height = sum(beta)
+    if height == 1:
+        return True
+    coords = list(beta)
+    for i, c in _greedy_reflections(cd, coords, _pairings(cd, coords), -1):
+        if coords[i - 1] < 0:
+            return False
+        height -= c
+        if height == 1:
+            return True
+    return False
 
 
 def root_norm(cd: CartanData, beta: RootCoords) -> int:
@@ -226,17 +308,16 @@ def root_norm(cd: CartanData, beta: RootCoords) -> int:
 def coroot_pairing(cd: CartanData, lam: Weight, beta: RootCoords) -> int:
     """<lam, beta^vee> = 2 (lam, beta) / (beta, beta) for a root beta.
 
-    lam and beta must be tuples of rank integers, and beta or -beta must
-    be a positive root; otherwise DomainError, before any arithmetic.
-    The result is then always an integer.
+    lam and beta must be tuples of rank integers, and beta must be a
+    root; otherwise DomainError, before any pairing.  The result is then
+    always an integer.  The root test reads no root table (see _is_root).
     """
     _check_coords(cd, lam, "weight")
     _check_coords(cd, beta, "root coordinates")
-    norms = _root_norms(cd)
-    den = norms.get(beta) or norms.get(tuple(-c for c in beta))
-    if den is None:
+    if not _is_root(cd, beta):
         raise DomainError(f"{beta!r} is not a root of {cd.type}")
-    return 2 * sum(lam[i - 1] * cd.d(i) * b for i, b in zip(cd.nodes, beta) if b) // den
+    num = 2 * sum(l * d * b for l, d, b in zip(lam, cd.sym, beta) if b)
+    return num // root_norm(cd, beta)
 
 
 def orbit_edges(cd: CartanData, lam: Weight) -> Tuple[Tuple[Weight, int, Weight], ...]:

@@ -400,6 +400,26 @@ def test_renaming_several_orbits_is_refused_before_any_term_is_built(monkeypatch
         x.shift(offset, orbit)
 
 
+@pytest.mark.parametrize("offset", [1.5, 1.0, "1", None])
+def test_character_shift_refuses_an_offset_that_is_not_a_plain_int(offset):
+    x = LCharacter.single(parse_lweight("w[1;a,0]"))
+    with pytest.raises(DomainError, match="offset must be an integer"):
+        x.shift(offset)
+
+
+@pytest.mark.parametrize("orbit", ["b c", "", "1a", 3, ("a",)])
+def test_character_shift_refuses_an_invalid_orbit_name(orbit):
+    x = LCharacter.single(parse_lweight("w[1;a,0]"))
+    with pytest.raises(DomainError, match="invalid orbit name"):
+        x.shift(0, orbit)
+
+
+@pytest.mark.parametrize("offset", [True, False, 2.0, "3"])
+def test_lweight_shift_refuses_an_offset_that_is_not_a_plain_int(offset):
+    with pytest.raises(DomainError, match="offset must be an integer"):
+        parse_lweight("w[1;a,0]*w[2;b,4]^-1").shift(offset)
+
+
 def test_character_text_orders_terms():
     x = LCharacter.from_dict(
         {parse_lweight("w[2;a,0]"): 1, parse_lweight("w[1;a,1]"): 3}

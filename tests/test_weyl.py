@@ -26,12 +26,13 @@ from loopchar import (
     weight_orbit,
     zero_weight,
 )
+from loopchar import weyl
 from loopchar.qchar import _is_minuscule
 from loopchar.verify import _CLASS_TYPES
 from loopchar.weyl import (
     _descent,
+    _dominant_roots,
     _orbit_edges,
-    _root_norms,
     _word_from_matrix,
     highest_root,
     orbit_edges,
@@ -128,9 +129,9 @@ def test_root_norm_takes_any_rank_tuple_of_ints():
 
 def test_root_norm_reads_no_root_table():
     cd = cartan_data("E7")
-    before = _root_norms.cache_info()
+    before = (positive_roots.cache_info(), _dominant_roots.cache_info())
     assert root_norm(cd, (1,) * 7) == 2
-    assert _root_norms.cache_info() == before
+    assert (positive_roots.cache_info(), _dominant_roots.cache_info()) == before
 
 
 def test_min_coset_reps_sizes():
@@ -458,18 +459,30 @@ def _dense_coroot_pairing(cd, lam, beta):
 def test_root_table_matches_the_dense_closure(label):
     cd = cartan_data(label)
     roots = _dense_positive_roots(cd)
-    table = _root_norms(cd)
-    assert len(table) == len(roots)
-    assert all(c >= 0 for beta in table for c in beta)
     assert positive_roots(cd) == roots
     assert highest_root(cd) == max(roots, key=lambda b: (sum(b), b))
+    short = min(_dense_root_norm(cd, beta) for beta in roots)
+    shorts = [beta for beta in roots if _dense_root_norm(cd, beta) == short]
+    assert _dominant_roots(cd)[1] == max(shorts, key=lambda b: (sum(b), b))
     for beta in roots:
         neg = tuple(-c for c in beta)
-        assert root_norm(cd, beta) == root_norm(cd, neg) == _dense_root_norm(cd, beta) == table[beta]
+        assert root_norm(cd, beta) == root_norm(cd, neg) == _dense_root_norm(cd, beta)
     rng = random.Random(label)
     for _ in range(30):
         v = tuple(rng.randint(-4, 4) for _ in cd.nodes)
         assert root_norm(cd, v) == _dense_root_norm(cd, v)
+    # Vectors inside the box 0 <= v <= theta, where the root test must descend.
+    theta = highest_root(cd)
+    rho_ = rho(cd)
+    root_set = set(roots)
+    for _ in range(30):
+        v = tuple(rng.randint(0, t) for t in theta)
+        for w in (v, tuple(-c for c in v)):
+            if v in root_set:
+                assert coroot_pairing(cd, rho_, w) == _dense_coroot_pairing(cd, rho_, w)
+            else:
+                with pytest.raises(DomainError, match="not a root"):
+                    coroot_pairing(cd, rho_, w)
     for i in cd.nodes:
         lam = fundamental_weight(cd, i)
         pairings = [coroot_pairing(cd, lam, beta) for beta in roots]
@@ -481,8 +494,64 @@ def test_root_table_matches_the_dense_closure(label):
 def test_a_refused_node_reads_no_minuscule_or_root_table_entry():
     cd = cartan_data("B3")
     is_minuscule(cd, 1)
-    before = (_is_minuscule.cache_info(), _root_norms.cache_info())
+    before = (_is_minuscule.cache_info(), _dominant_roots.cache_info(), positive_roots.cache_info())
     for i in (True, 1.0, 0, 4, "1"):
         with pytest.raises(DomainError):
             is_minuscule(cd, i)
-    assert (_is_minuscule.cache_info(), _root_norms.cache_info()) == before
+    assert (_is_minuscule.cache_info(), _dominant_roots.cache_info(), positive_roots.cache_info()) == before
+
+
+@pytest.mark.parametrize(
+    "label,beta",
+    [
+        ("E8", (10**30,) + (0,) * 7),
+        ("E8", (-(10**30),) + (0,) * 7),
+        ("A3000", (10**30,) * 3000),
+        ("A3", (1, -1, 0)),
+        ("G2", (4, 2)),
+    ],
+)
+def test_coroot_pairing_refuses_a_vector_outside_the_theta_box_before_any_descent(monkeypatch, label, beta):
+    cd = cartan_data(label)
+    lam = (1,) * cd.rank
+    highest_root(cd)  # the box's ascent, made before the patch
+    before = positive_roots.cache_info()
+
+    def refuse(*args):
+        raise AssertionError("a descent was started")
+
+    monkeypatch.setattr(weyl, "_greedy_reflections", refuse)
+    with pytest.raises(DomainError, match="not a root"):
+        coroot_pairing(cd, lam, beta)
+    assert positive_roots.cache_info() == before
+
+
+@pytest.mark.parametrize(
+    "label,beta",
+    [("A3", (1, 0, 1)), ("A3", (-1, 0, -1)), ("A3", (0, 0, 0)), ("B3", (0, 0, 2)), ("E8", (2,) * 8)],
+)
+def test_coroot_pairing_refuses_a_non_root_inside_the_theta_box(label, beta):
+    cd = cartan_data(label)
+    before = positive_roots.cache_info()
+    with pytest.raises(DomainError, match="not a root"):
+        coroot_pairing(cd, (1,) * cd.rank, beta)
+    assert positive_roots.cache_info() == before
+
+
+def test_coroot_pairing_at_large_rank_builds_no_root_table():
+    cd = cartan_data("D3000")
+    before = positive_roots.cache_info()
+    theta = highest_root(cd)
+    assert theta == (1,) + (2,) * 2997 + (1, 1)
+    assert coroot_pairing(cd, rho(cd), theta) == 2 * 3000 - 3
+    assert coroot_pairing(cd, fundamental_weight(cd, 2), tuple(-c for c in theta)) == -2
+    assert positive_roots.cache_info() == before
+
+
+@pytest.mark.parametrize("series", "ACD")
+def test_is_minuscule_at_rank_2000_builds_no_root_table(series):
+    cd = cartan_data(f"{series}2000")
+    before = positive_roots.cache_info()
+    expected = {"A": [True, True, True], "C": [True, False, False], "D": [True, False, True]}
+    assert [is_minuscule(cd, i) for i in (1, 1000, 2000)] == expected[series]
+    assert positive_roots.cache_info() == before
