@@ -14,6 +14,7 @@ the input pairs where it can be.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import add, itemgetter
 from typing import Dict, Tuple
 
@@ -59,10 +60,10 @@ def _multiply_terms(x: Terms, y: Terms) -> Terms:
             terms[key] = terms.get(key, 0) + m * l
     if min(terms.values(), default=0) < 0:
         raise DomainError("character multiplicities must be positive")
-    decode = table.__getitem__
-    return tuple(
-        (LWeight(tuple(map(decode, key))), terms[key]) for key in sorted(terms) if terms[key]
-    )
+    keys = sorted(filter(terms.__getitem__, terms))
+    # tuple(map(table.__getitem__, key)) per term, with no Python frame.
+    factors = map(tuple, map(map, repeat(table.__getitem__), keys))
+    return tuple(zip(map(LWeight, factors), map(terms.__getitem__, keys)))
 
 
 def _coded(f: Factors, zero: Dict[GenKey, int]) -> Tuple[Tuple[int, ...], Dict[int, int]]:

@@ -4,9 +4,10 @@ Classes are written additively in generators ``x[a,k]`` indexed by a
 spectral parameter, split into two families ``x+``/``x-`` for D of even
 rank.  Each type carries finitely many defining relations, all with
 coefficient 1 and even exponent offsets; shifting a relation by any
-integer gives another relation.  Normal forms confine exponents to a
-window below the first relation's span and then reduce against the
-closure of the remaining relations under exponent shift.
+integer gives another relation.  Normal forms fold exponents modulo the
+shift period, confine them to a window below the first relation's span
+and then reduce against the closure of the remaining relations under
+exponent shift.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ def seed_family(cd: CartanData, i: int) -> str:
 
 
 class _BlockStructure:
-    """Per-type reduction data: windows, division relations, shift closure."""
+    """Per-type reduction data: windows, division relations, shift closure
+    and the shift period."""
 
-    __slots__ = ("families", "span", "division", "lattice")
+    __slots__ = ("families", "span", "division", "lattice", "period")
 
     def __init__(self, cd: CartanData):
         relations = relation_set(cd)
@@ -112,6 +114,22 @@ class _BlockStructure:
                 if shifted not in self.lattice:
                     self.lattice.add_column(n, shifted)
                     n, grew = n + 1, True
+        self.period = _shift_period(cd)
+        if not self.is_period(self.period):
+            raise ArithmeticError(
+                f"the window shift of {cd.type} does not have period {self.period}"
+            )
+
+    def is_period(self, p: int) -> bool:
+        """Whether the window shift S satisfies S^p = 1 modulo the lattice.
+
+        The lattice is closed under S, so S^p fixes every window vector
+        S^e (f, 0) once it fixes each family's (f, 0).
+        """
+        return all(
+            self.reduce({(fam, p): 1, (fam, 0): -1}) in self.lattice
+            for fam in self.families
+        )
 
     def reduce(self, vec: Dict[FamilyExp, int]) -> Dict[FamilyExp, int]:
         """Confine every exponent to [0, span) using the division relations."""
@@ -146,7 +164,19 @@ class _BlockStructure:
                         work.pop(key, None)
 
     def normal_form(self, vec: Dict[FamilyExp, int]) -> Tuple[Tuple[FamilyExp, int], ...]:
-        return tuple(sorted(self.lattice.residue(self.reduce(vec)).items()))
+        """The canonical terms of vec's class.  Exponents are folded
+        modulo the period first, so the cost does not depend on their size."""
+        period, folded = self.period, {}
+        for (fam, e), c in vec.items():
+            fe = (fam, e % period)
+            folded[fe] = folded.get(fe, 0) + c
+        return tuple(sorted(self.lattice.residue(self.reduce(folded)).items()))
+
+
+def _shift_period(cd: CartanData) -> int:
+    """The period 2·lacing·h∨ of the window shift, found by computation
+    on every class type and checked when each type's structure is built."""
+    return 2 * cd.lacing * cd.dual_coxeter
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,11 @@
 """Tests for the block group and elliptic characters."""
 
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopchar import (
     DomainError,
@@ -21,7 +24,8 @@ from loopchar import (
     tensor_class,
     trivial_sets,
 )
-from loopchar.blocks import _generator_class, relation_set
+from loopchar import blocks
+from loopchar.blocks import _generator_class, _structure, relation_set
 from loopchar.verify import _CLASS_TYPES
 
 
@@ -168,6 +172,108 @@ def test_tensor_class_is_additive():
     lhs = elliptic_class(cd, w1 * w2)
     rhs = tensor_class(elliptic_class(cd, w1), elliptic_class(cd, w2))
     assert classes_equal(lhs, rhs)
+
+
+# The 21 class types and the larger ranks on which the shift period was
+# first found by computation.
+PERIOD_TYPES = _CLASS_TYPES + ("A9", "B8", "C8", "D7", "D8")
+
+
+def _peel_form(structure, vec):
+    # The normal form without the period fold: one division step per
+    # exponent, so its cost grows with |e|.
+    return tuple(sorted(structure.lattice.residue(structure.reduce(vec)).items()))
+
+
+@pytest.mark.parametrize("label", PERIOD_TYPES)
+def test_period_fold_matches_the_peel(label):
+    structure = _structure(cartan_data(label).type)
+    rng = random.Random(label)
+    for size in [3000] * 12 + [10**6]:
+        vec = {}
+        for _ in range(3):
+            # Log-uniform magnitudes reach 10^6 on some terms and keep the
+            # peel's cost for all 26 types near 3 s.
+            e = rng.choice((-1, 1)) * int(size ** rng.random())
+            fe = (rng.choice(structure.families), e)
+            vec[fe] = vec.get(fe, 0) + rng.choice((-2, -1, 1, 3))
+        assert structure.normal_form(vec) == _peel_form(structure, vec), vec
+
+
+@pytest.mark.parametrize("label", PERIOD_TYPES)
+def test_class_repeats_with_the_shift_period(label):
+    cd = cartan_data(label)
+    period = _structure(cd.type).period
+    assert period == 2 * cd.lacing * cd.dual_coxeter
+    for i in cd.nodes:
+        for k in (-3, 0, 1):
+            chi = elliptic_class(cd, fundamental_lweight(cd, i, "a", k))
+            for t in (-1, 1, 7, 10**20, -(10**20)):
+                moved = fundamental_lweight(cd, i, "a", k + t * period)
+                assert elliptic_class(cd, moved) == chi, (i, k, t)
+
+
+@pytest.mark.parametrize("label", PERIOD_TYPES)
+def test_shift_period_is_exact(label):
+    structure = _structure(cartan_data(label).type)
+    period = structure.period
+    # The construction checks S^P only on each family's (f, 0); here it
+    # holds on every window exponent, without the shift-closure argument.
+    for fam in structure.families:
+        for e in range(structure.span[fam]):
+            moved = structure.reduce({(fam, e + period): 1, (fam, e): -1})
+            assert moved in structure.lattice, (fam, e)
+    for d in range(1, period):
+        if period % d == 0:
+            assert not structure.is_period(d), d
+
+
+@pytest.mark.parametrize("label", PERIOD_TYPES)
+def test_wrong_period_is_refused(label, monkeypatch):
+    lt = cartan_data(label).type
+    monkeypatch.setattr(
+        blocks, "_shift_period", lambda cd: 2 * cd.lacing * cd.dual_coxeter - 1
+    )
+    with pytest.raises(ArithmeticError, match="period"):
+        # Unwrapped, so the cache of the correct structures is untouched.
+        _structure.__wrapped__(lt)
+
+
+def test_huge_exponent_classes_are_immediate():
+    a3 = cartan_data("A3")
+    pi = parse_lweight("w[1;a,0]*w[1;a,100000000000]")
+    assert str(elliptic_class(a3, pi)) == "2 x[a,0]"
+    e8 = cartan_data("E8")
+    assert blocks_linked(
+        e8, parse_lweight("w[4;a,0]"), parse_lweight("w[4;a,600000000000000000000]")
+    )
+    chi = parse_elliptic(a3.type, "x[a,800000000000000000001]")
+    assert str(chi) == "x[a,1]"
+    assert EllipticCharacter.from_json(
+        {"type": "A3", "terms": [{"orbit": "a", "family": "", "exp": -(10**30), "coeff": 1}]}
+    ) == parse_elliptic(a3.type, f"x[a,{-(10**30) % 8}]")
+
+
+def _product_strategy(cd):
+    key = st.tuples(
+        st.sampled_from(list(cd.nodes)),
+        st.sampled_from(["a", "b"]),
+        st.integers(min_value=-(10**12), max_value=10**12),
+    )
+    powers = st.dictionaries(
+        key, st.integers(min_value=-3, max_value=3).filter(bool), max_size=4
+    )
+    return st.tuples(powers, powers)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.tuples(*(_product_strategy(cartan_data(label)) for label in _CLASS_TYPES)))
+def test_class_is_additive_on_random_products(draws):
+    # Every example holds one pair of loop weights per class type.
+    for label, (left, right) in zip(_CLASS_TYPES, draws):
+        cd = cartan_data(label)
+        pi, tau = LWeight.from_dict(left), LWeight.from_dict(right)
+        assert elliptic_class(cd, pi * tau) == elliptic_class(cd, pi) + elliptic_class(cd, tau)
 
 
 def test_character_arithmetic():
