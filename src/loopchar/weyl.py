@@ -1,9 +1,9 @@
 """Weyl group elements acting on integer weight coordinates.
 
 Weights are tuples of integers in the fundamental-weight basis.  A
-``WeylElement`` stores its action matrix together with a canonical
-reduced word; composition is matrix multiplication and a word is read
-as a product of operators, so the rightmost letter acts first.
+``WeylElement`` is its canonical reduced word, the one whose smallest
+left descent comes first; a word is read as a product of reflections,
+so the rightmost letter acts first.
 """
 
 from __future__ import annotations
@@ -11,12 +11,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cartan import CartanData, Frozen
+from .cartan import CartanData, Frozen, LieType, cartan_data
 from .errors import DomainError
 
 Weight = Tuple[int, ...]
 RootCoords = Tuple[int, ...]
-Matrix = Tuple[Tuple[int, ...], ...]
 
 
 def zero_weight(cd: CartanData) -> Weight:
@@ -65,29 +64,24 @@ def is_dominant(lam: Weight) -> bool:
     return all(c >= 0 for c in lam)
 
 
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-
-
-def _mat_apply(m: Matrix, lam: Weight) -> Weight:
-    return tuple(sum(r[c] * lam[c] for c in range(len(lam))) for r in m)
-
-
-def _reflect_rows(cd: CartanData, i: int, m: Matrix) -> Matrix:
-    """The product s_i m; only row i and the rows of i's neighbours change."""
-    rows = list(m)
-    pivot = rows[i - 1]
-    for k, _, a_ki in cd.links[i - 1]:
-        rows[k - 1] = tuple(r - a_ki * p for r, p in zip(rows[k - 1], pivot))
-    rows[i - 1] = tuple(-p for p in pivot)
-    return tuple(rows)
+def _act(cd: CartanData, word: Sequence[int], lam: Weight) -> Weight:
+    """lam reflected along word, rightmost letter first, in one list: O(len * deg)."""
+    out = list(lam)
+    links = cd.links
+    for i in reversed(word):
+        c = out[i - 1]
+        out[i - 1] = -c
+        for k, _, a_ki in links[i - 1]:
+            out[k - 1] -= c * a_ki
+    return tuple(out)
 
 
 def _descent(cd: CartanData, lam: Weight) -> Tuple[int, ...]:
     """The canonical reduced word of the w with w(rho) = lam.
 
     A left descent of w is a negative coordinate of lam; the word takes
-    the smallest one first and goes on from s_i lam up to rho.
+    the smallest one first and goes on from s_i lam up to rho.  Each step
+    scans and copies lam, so the descent costs O(len(w) * n).
     """
     word: List[int] = []
     while True:
@@ -100,48 +94,43 @@ def _descent(cd: CartanData, lam: Weight) -> Tuple[int, ...]:
         word.append(i)
 
 
-def _word_from_matrix(cd: CartanData, m: Matrix) -> Tuple[int, ...]:
-    return _descent(cd, _mat_apply(m, rho(cd)))
-
-
 class WeylElement(Frozen):
-    """A Weyl group element; equality and hashing use the matrix only."""
+    """A Weyl group element, held as its canonical reduced word.
 
-    __slots__ = ("word", "matrix")
+    An element has exactly one canonical word, so Frozen's equality on
+    (lie_type, word) is equality of elements.  The constructor trusts its
+    word; ``element_from_word`` makes the canonical word of any word.
+    """
 
-    def __init__(self, word: Tuple[int, ...], matrix: Matrix):
+    __slots__ = ("lie_type", "word")
+
+    def __init__(self, lie_type: LieType, word: Tuple[int, ...]):
+        object.__setattr__(self, "lie_type", lie_type)
         object.__setattr__(self, "word", word)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
 
     @property
     def length(self) -> int:
         return len(self.word)
 
     def apply(self, lam: Weight) -> Weight:
-        return _mat_apply(self.matrix, lam)
+        """w lam, one simple reflection per letter: O(len * deg)."""
+        cd = cartan_data(self.lie_type)
+        _check_coords(cd, lam, "weight")
+        return _act(cd, self.word, lam)
 
 
-def element_from_word(cd: CartanData, word: Tuple[int, ...]) -> WeylElement:
+def element_from_word(cd: CartanData, word: Sequence[int]) -> WeylElement:
+    """The element of word, with its canonical word: rho walked along the
+    word, then the descent back to rho."""
     cd.check_nodes(word)
-    m = _identity_matrix(cd.rank)
-    for i in reversed(word):
-        m = _reflect_rows(cd, i, m)
-    return WeylElement(word=_word_from_matrix(cd, m), matrix=m)
+    return WeylElement(cd.type, _descent(cd, _act(cd, word, rho(cd))))
 
 
 def is_reduced_word(cd: CartanData, word: Tuple[int, ...]) -> bool:
     """Whether each letter, read right to left, lengthens the element so far.
 
     Prepending s_i to u lengthens it exactly when u(rho) has a positive
-    i-th coordinate, so rho is walked through the word; no matrix is built.
+    i-th coordinate, so rho is walked through the word.
     """
     cd.check_nodes(word)
     lam = rho(cd)
@@ -154,8 +143,11 @@ def is_reduced_word(cd: CartanData, word: Tuple[int, ...]) -> bool:
 
 @lru_cache(maxsize=None)
 def longest_element(cd: CartanData) -> WeylElement:
-    """The element sending rho to -rho, with its canonical word."""
-    return element_from_word(cd, _descent(cd, tuple(-c for c in rho(cd))))
+    """The element sending rho to -rho, with its canonical word.
+
+    len(w0) = |Phi+|, so the descent costs O(|Phi+| * n): O(n^3) on A_n.
+    """
+    return WeylElement(cd.type, _descent(cd, tuple(-c for c in rho(cd))))
 
 
 def _pairings(cd: CartanData, beta: Sequence[int]) -> List[int]:
@@ -381,16 +373,12 @@ def min_coset_reps(cd: CartanData, lam: Weight) -> List[WeylElement]:
 
 @lru_cache(maxsize=32)
 def _min_coset_reps(cd: CartanData, lam: Weight) -> Tuple[WeylElement, ...]:
-    reps: Dict[Weight, WeylElement] = {
-        lam: WeylElement(word=(), matrix=_identity_matrix(cd.rank))
-    }
+    words: Dict[Weight, Tuple[int, ...]] = {lam: ()}
     for _mu, _j, nu in _orbit_edges(cd, lam):
         i = next(k for k, c in enumerate(nu, start=1) if c < 0)
-        parent = reps[_reflect(cd, i, nu)]
-        reps[nu] = WeylElement(
-            word=(i,) + parent.word, matrix=_reflect_rows(cd, i, parent.matrix)
-        )
-    return tuple(sorted(reps.values(), key=lambda w: (w.length, w.word)))
+        words[nu] = (i,) + words[_reflect(cd, i, nu)]
+    lt = cd.type
+    return tuple(WeylElement(lt, w) for w in sorted(words.values(), key=lambda w: (len(w), w)))
 
 
 def weight_orbit(cd: CartanData, lam: Weight) -> List[Tuple[Weight, WeylElement]]:

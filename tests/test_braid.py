@@ -314,6 +314,39 @@ def test_decompose_inverts_expand(draws):
         assert {k: c for k, c in got.items() if c} == coeffs
 
 
+# The braid order m_ij from a_ij * a_ji = 0, 1, 2, 3.
+_BRAID_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
+@st.composite
+def _braid_relation_case(draw, cd):
+    """Words u, v, nodes i != j with the two alternating runs of length
+    m_ij, and a small loop weight on two orbits."""
+    nodes = st.sampled_from(list(cd.nodes))
+    words = st.lists(nodes, max_size=4).map(tuple)
+    u, v = draw(words), draw(words)
+    i, j = draw(st.sampled_from([(i, j) for i in cd.nodes for j in cd.nodes if i != j]))
+    m = _BRAID_ORDER[cd.a(i, j) * cd.a(j, i)]
+    ij = tuple((i, j)[t % 2] for t in range(m))
+    ji = tuple((j, i)[t % 2] for t in range(m))
+    key = st.tuples(nodes, st.sampled_from(["a", "b"]), st.integers(min_value=-4, max_value=4))
+    powers = draw(st.dictionaries(key, st.integers(min_value=-2, max_value=2).filter(bool), max_size=3))
+    return u + ij + v, u + ji + v, LWeight.from_dict(powers)
+
+
+# A1 has no pair of distinct nodes.
+_BRAID_TYPES = tuple(label for label in _CLASS_TYPES if label != "A1")
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.tuples(*(_braid_relation_case(cartan_data(label)) for label in _BRAID_TYPES)))
+def test_braid_relations_hold_on_random_words(draws):
+    # Every example holds one case per class type of rank at least 2.
+    for label, (left, right, pi) in zip(_BRAID_TYPES, draws):
+        cd = cartan_data(label)
+        assert braid_act_word(cd, left, pi) == braid_act_word(cd, right, pi)
+
+
 @settings(deadline=None)
 @given(st.sampled_from(TYPES), st.data())
 def test_sign_constraints_filter_mixed_solutions(label, data):

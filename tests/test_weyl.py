@@ -2,16 +2,19 @@
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 import os
 import pathlib
 import random
 import subprocess
 import sys
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from loopchar import (
     DomainError,
+    WeylElement,
     cartan_data,
     coroot_pairing,
     dominance_diff,
@@ -33,7 +36,6 @@ from loopchar.weyl import (
     _descent,
     _dominant_roots,
     _orbit_edges,
-    _word_from_matrix,
     highest_root,
     orbit_edges,
     rho,
@@ -219,6 +221,46 @@ def _dense_reflect(cd, i, lam):
     return tuple(l - lam[i - 1] * cd.a(k, i) for k, l in zip(cd.nodes, lam))
 
 
+@lru_cache(maxsize=None)
+def _columns(cd):
+    """The dense Cartan columns: column i is alpha_i in fundamental-weight coordinates."""
+    return tuple(tuple(cd.a(k, i) for k in cd.nodes) for i in cd.nodes)
+
+
+def _matrix(cd, word, m=None):
+    """The action matrix of word on fundamental-weight coordinates, times m
+    (by default the identity): dense reflection matrices multiplied onto m,
+    rightmost letter first.
+
+    s_i M replaces each row k by row k - a_ki * row i (a_ii = 2 negates row i).
+    """
+    rows = m or tuple(tuple(int(r == c) for c in cd.nodes) for r in cd.nodes)
+    for i in reversed(word):
+        pivot = rows[i - 1]
+        rows = tuple(
+            tuple(r - a * p for r, p in zip(row, pivot)) if a else row
+            for a, row in zip(_columns(cd)[i - 1], rows)
+        )
+    return rows
+
+
+def _mat_apply(m, lam):
+    return tuple(sum(r * l for r, l in zip(row, lam)) for row in m)
+
+
+def _canonical_word(cd, m):
+    """The word of the matrix m that takes its smallest left descent first:
+    m(rho) walked back to rho on the dense reflection."""
+    lam, word = _mat_apply(m, rho(cd)), []
+    while True:
+        i = next((k for k, c in enumerate(lam, start=1) if c < 0), None)
+        if i is None:
+            return tuple(word)
+        c = lam[i - 1]
+        lam = [l - c * a for l, a in zip(lam, _columns(cd)[i - 1])]
+        word.append(i)
+
+
 def _bfs_orbit_edges(cd, lam):
     """The orbit walk without a cache, on the dense reflection."""
     seen, queue, edges = {lam}, deque([lam]), []
@@ -295,9 +337,15 @@ def test_coset_reps_agree_with_the_descent_from_rho(label):
         lam = fundamental_weight(cd, i)
         reps = min_coset_reps(cd, lam)
         assert reps == sorted(reps, key=lambda w: (w.length, w.word))
+        # A word's tail is its parent's word, which comes earlier in the
+        # sorted list, so each matrix is one reflection times a kept one.
+        matrices = {}
         for w in reps:
-            assert w.word == _word_from_matrix(cd, w.matrix)
-            assert element_from_word(cd, w.word).matrix == w.matrix
+            m = _matrix(cd, w.word[:1], matrices[w.word[1:]] if w.word else None)
+            matrices[w.word] = m
+            assert w.word == _canonical_word(cd, m)
+            assert element_from_word(cd, w.word) == w
+            assert w.apply(lam) == _mat_apply(m, lam)
 
 
 def _dominance_diffs_by_elimination(cd, pairs):
@@ -369,7 +417,7 @@ def test_reduced_words_by_the_rho_walk_match_the_matrix_length(label):
     for _ in range(300):
         words.append(tuple(rng.choice(cd.nodes) for _ in range(rng.randint(0, 3 * cd.rank))))
     for word in words:
-        expected = len(_word_from_matrix(cd, element_from_word(cd, word).matrix)) == len(word)
+        expected = len(_canonical_word(cd, _matrix(cd, word))) == len(word)
         assert is_reduced_word(cd, word) == expected, word
 
 
@@ -385,9 +433,60 @@ def test_longest_element_is_the_descent_from_minus_rho(label):
         steps.append(i)
     old = element_from_word(cd, tuple(reversed(steps)))
     w0 = longest_element(cd)
-    assert w0.word == old.word == _descent(cd, tuple(-c for c in rho(cd)))
-    assert w0.matrix == old.matrix
+    assert w0 == old
+    assert w0.word == _descent(cd, tuple(-c for c in rho(cd)))
+    assert _matrix(cd, w0.word) == _matrix(cd, tuple(reversed(steps)))
+    assert _mat_apply(_matrix(cd, w0.word), rho(cd)) == tuple(-c for c in rho(cd))
     assert len(w0.word) == len(positive_roots(cd))
+
+
+@st.composite
+def _word_pair_and_weight(draw, cd):
+    """Two words and a weight; half the time the second word is the first
+    with a cancelling pair s_i s_i inserted, so equal elements are drawn
+    on every type, not only on the small ones."""
+    nodes = st.sampled_from(list(cd.nodes))
+    words = st.lists(nodes, max_size=2 * cd.rank).map(tuple)
+    u = draw(words)
+    if draw(st.booleans()):
+        v = draw(words)
+    else:
+        p = draw(st.integers(min_value=0, max_value=len(u)))
+        i = draw(nodes)
+        v = u[:p] + (i, i) + u[p:]
+    lam = draw(st.tuples(*(st.integers(min_value=-5, max_value=5) for _ in cd.nodes)))
+    return u, v, lam
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.tuples(*(_word_pair_and_weight(cartan_data(label)) for label in _CLASS_TYPES)))
+def test_elements_are_equal_exactly_when_their_matrices_are(draws):
+    # One draw per class type in every example, so all 21 types are covered.
+    for label, (u, v, lam) in zip(_CLASS_TYPES, draws):
+        cd = cartan_data(label)
+        x, y = element_from_word(cd, u), element_from_word(cd, v)
+        mu, mv = _matrix(cd, u), _matrix(cd, v)
+        assert (x == y) == (mu == mv)
+        if x == y:
+            assert hash(x) == hash(y)
+        assert x.lie_type == cd.type
+        assert x.word == _canonical_word(cd, mu)
+        assert x.apply(lam) == _mat_apply(mu, lam)
+        assert y.apply(lam) == _mat_apply(mv, lam)
+
+
+@pytest.mark.parametrize("lam", [(1,), (1, 0, 5), (1.5, True)])
+def test_apply_refuses_a_weight_that_is_not_a_rank_tuple_of_ints(lam):
+    w = element_from_word(cartan_data("A2"), (1, 2))
+    with pytest.raises(DomainError, match="tuple of 2 integers"):
+        w.apply(lam)
+
+
+def test_an_element_is_its_type_and_canonical_word():
+    cd = cartan_data("A2")
+    w = element_from_word(cd, (2, 1, 2, 1, 2))
+    assert w == WeylElement(cd.type, (1,)) == element_from_word(cd, (1,))
+    assert w != element_from_word(cartan_data("A3"), (1,))
 
 
 @pytest.mark.parametrize("lam", [(True, 0), (1.5, 0), (1,), (1, 0, 0), [1, 0], (1, "0"), (1, None)])
