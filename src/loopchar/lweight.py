@@ -95,6 +95,9 @@ class LWeight(Frozen):
         return LWeight(tuple((k, -p) for k, p in self.factors))
 
     def __pow__(self, n: int) -> "LWeight":
+        # bool is an int subclass: True would raise to the power 1.
+        if type(n) is not int:
+            raise DomainError(f"loop weight exponent must be an integer, got {n!r}")
         if n == 0:
             return LWeight.identity()
         base = self if n > 0 else self.inverse()
@@ -285,9 +288,9 @@ class LCharacter(Frozen):
 
     @staticmethod
     def from_dict(terms: Dict[LWeight, int]) -> "LCharacter":
+        if any(type(m) is not int or m < 0 for m in terms.values()):
+            raise DomainError("character multiplicities must be positive integers")
         items = [(pi, m) for pi, m in terms.items() if m]
-        if any(m < 0 for _, m in items):
-            raise DomainError("character multiplicities must be positive")
         return LCharacter(tuple(sorted(items, key=lambda t: t[0].factors)))
 
     @staticmethod

@@ -420,5 +420,10 @@ def weyl_module_dim(
             continue
         if node not in fund_dims:
             raise DomainError(f"no fundamental dimension supplied for node {node}")
-        total *= fund_dims[node] ** coord
+        dim = fund_dims[node]
+        if type(dim) is not int or dim < 1:
+            raise DomainError(
+                f"fundamental dimension of node {node} must be a positive int, got {dim!r}"
+            )
+        total *= dim ** coord
     return total

@@ -9,6 +9,7 @@ so the rightmost letter acts first.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanData, Frozen, LieType, cartan_data
@@ -80,18 +81,11 @@ def _descent(cd: CartanData, lam: Weight) -> Tuple[int, ...]:
     """The canonical reduced word of the w with w(rho) = lam.
 
     A left descent of w is a negative coordinate of lam; the word takes
-    the smallest one first and goes on from s_i lam up to rho.  Each step
-    scans and copies lam, so the descent costs O(len(w) * n).
+    the smallest one first and goes on from s_i lam up to rho, which is
+    the greedy walk with sign 1.  Each step is O(deg + log n), so the
+    descent costs O(len(w) * (deg + log n)).
     """
-    word: List[int] = []
-    while True:
-        for i, c in enumerate(lam, start=1):
-            if c < 0:
-                break
-        else:
-            return tuple(word)
-        lam = _reflect(cd, i, lam)
-        word.append(i)
+    return tuple(i for i, _ in _greedy_reflections(cd, list(lam), 1))
 
 
 class WeylElement(Frozen):
@@ -127,25 +121,20 @@ def element_from_word(cd: CartanData, word: Sequence[int]) -> WeylElement:
 
 
 def is_reduced_word(cd: CartanData, word: Tuple[int, ...]) -> bool:
-    """Whether each letter, read right to left, lengthens the element so far.
+    """Whether word is as long as its element.
 
-    Prepending s_i to u lengthens it exactly when u(rho) has a positive
-    i-th coordinate, so rho is walked through the word.
+    The element's length is that of the descent from its image of rho.
     """
     cd.check_nodes(word)
-    lam = rho(cd)
-    for i in reversed(word):
-        if lam[i - 1] <= 0:
-            return False
-        lam = _reflect(cd, i, lam)
-    return True
+    return len(_descent(cd, _act(cd, word, rho(cd)))) == len(word)
 
 
 @lru_cache(maxsize=None)
 def longest_element(cd: CartanData) -> WeylElement:
     """The element sending rho to -rho, with its canonical word.
 
-    len(w0) = |Phi+|, so the descent costs O(|Phi+| * n): O(n^3) on A_n.
+    len(w0) = |Phi+|, so the descent costs O(|Phi+| * (deg + log n)):
+    O(n^2 log n) on A_n.
     """
     return WeylElement(cd.type, _descent(cd, tuple(-c for c in rho(cd))))
 
@@ -162,28 +151,29 @@ def _pairings(cd: CartanData, beta: Sequence[int]) -> List[int]:
     ]
 
 
-def _greedy_reflections(cd: CartanData, beta: List[int], p: List[int], sign: int):
-    """Reflect beta along some s_i while some sign * p_i < 0, yielding (i, p_i).
+def _greedy_reflections(cd: CartanData, p: List[int], sign: int):
+    """Reflect p along s_i while some sign * p_i < 0, smallest such i first,
+    yielding (i, p_i).
 
-    beta (simple-root coordinates) and its pairings p are lists changed in
-    place.  sign = 1 ascends: s_i adds -p_i > 0 to beta_i.  sign = -1
-    descends.  A step changes p only at i and its neighbours, and so does
-    the set of nodes left to take; each step is O(deg).  Each node is
-    yielded after its step, with the pairing it was taken at.
+    p is a list changed in place: weight coordinates, or a root's pairings.
+    sign = 1 takes the negative entries: on a root it ascends, s_i adding
+    -p_i > 0 to beta_i.  sign = -1 takes the positive ones.  A step
+    changes p only at i and its neighbours, and since a_ki <= 0 it moves
+    each neighbour only toward being taken: the heap holds exactly the
+    nodes left to take, so each step is O(deg + log n).  Each node is
+    yielded after its step, with the entry it was taken at.
     """
     links = cd.links
-    todo = {i for i, c in enumerate(p, start=1) if sign * c < 0}
-    while todo:
-        i = todo.pop()
+    heap = [i for i, c in enumerate(p, start=1) if sign * c < 0]  # sorted, so a heap
+    while heap:
+        i = heappop(heap)
         c = p[i - 1]
-        beta[i - 1] -= c
         p[i - 1] = -c
         for k, _, a_ki in links[i - 1]:
-            p[k - 1] -= c * a_ki
-            if sign * p[k - 1] < 0:
-                todo.add(k)
-            else:
-                todo.discard(k)
+            q = p[k - 1]
+            p[k - 1] = q - c * a_ki
+            if sign * q >= 0 > sign * p[k - 1]:
+                heappush(heap, k)
         yield i, c
 
 
@@ -194,11 +184,12 @@ def _ascend(cd: CartanData, j: int) -> RootCoords:
     positive root in alpha_j's orbit, and it stops at a dominant one:
     theta from a long simple root, the highest short root from a short
     one (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, section 1).  Each
-    step raises the height, which ends at most at h - 1, so O(n + h * deg).
+    step raises the height, which ends at most at h - 1, so
+    O(n + h * (deg + log n)).
     """
     beta = [int(k == j) for k in cd.nodes]
-    for _ in _greedy_reflections(cd, beta, _pairings(cd, beta), 1):
-        pass
+    for i, c in _greedy_reflections(cd, _pairings(cd, beta), 1):
+        beta[i - 1] -= c
     return tuple(beta)
 
 
@@ -263,7 +254,7 @@ def _is_root(cd: CartanData, beta: RootCoords) -> bool:
     <beta, alpha_i^vee> > 0 reflects to a lower positive root, so every
     descent from a root reaches a simple root with no coordinate turning
     negative.  The steps are reflections, so a descent from a non-root
-    never does.  O(n + h * deg).
+    never does.  O(n + h * (deg + log n)).
     """
     if any(b < 0 for b in beta):
         beta = tuple(-b for b in beta)
@@ -273,7 +264,8 @@ def _is_root(cd: CartanData, beta: RootCoords) -> bool:
     if height == 1:
         return True
     coords = list(beta)
-    for i, c in _greedy_reflections(cd, coords, _pairings(cd, coords), -1):
+    for i, c in _greedy_reflections(cd, _pairings(cd, coords), -1):
+        coords[i - 1] -= c
         if coords[i - 1] < 0:
             return False
         height -= c

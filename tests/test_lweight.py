@@ -11,6 +11,7 @@ from loopchar import (
     ParseError,
     cartan_data,
     dual_lweight,
+    expand_lroots,
     fundamental_lweight,
     minuscule_char,
     parse_lweight,
@@ -164,6 +165,13 @@ def test_products_of_huge_powers_keep_their_slots():
     assert (x * y).multiplicity(parse_lweight(f"w[1;a,0]^{2 * big}*w[2;a,0]^-{2 * big}")) == 3
 
 
+@pytest.mark.parametrize("m", [1.5, 0.0, True, "1", None, -1])
+def test_from_dict_refuses_a_multiplicity_that_is_not_a_positive_int(m):
+    pi = parse_lweight("w[1;a,0]")
+    with pytest.raises(DomainError, match="positive integers"):
+        LCharacter.from_dict({pi: m, pi.shift(1): 2})
+
+
 def test_negative_multiplicities_are_refused():
     x = LCharacter(((parse_lweight("w[1;a,0]"), 2),))
     y = LCharacter(((parse_lweight("w[2;b,1]^-1"), -1),))
@@ -229,6 +237,15 @@ def test_power_matches_repeated_product(pi, n):
     for _ in range(abs(n)):
         expected = expected * step
     assert pi**n == expected
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True, False, "2", None])
+def test_power_refuses_an_exponent_that_is_not_a_plain_int(n):
+    with pytest.raises(DomainError, match="exponent must be an integer"):
+        parse_lweight("w[1;a,0]") ** n
+    # expand_lroots raises each simple loop root to its coefficient.
+    with pytest.raises(DomainError, match="exponent must be an integer"):
+        expand_lroots(cartan_data("A2"), {(1, "a", 0): n})
 
 
 @given(lweight_strategy(), st.integers(min_value=-5, max_value=5))

@@ -246,6 +246,14 @@ def test_weyl_module_dim_is_multiplicative():
         weyl_module_dim(cd, om, {1: 7})
 
 
+@pytest.mark.parametrize("dim", [2.5, 0, -3, True, "7", None])
+def test_weyl_module_dim_refuses_a_dimension_that_is_not_a_positive_int(dim):
+    cd = cartan_data("B3")
+    om = parse_lweight("w[1;a,0]*w[3;a,2]^2")
+    with pytest.raises(DomainError, match="node 1 must be a positive int"):
+        weyl_module_dim(cd, om, {1: dim, 3: 8})
+
+
 # sha256 over the str() of the characters of ``_pinned_chars``, one per line,
 # recorded before braid words and orbit walks read per-type tables.
 _PINNED_SHA256 = "82bc9b3059c80f57b6f7d464a72f9af41335b42360d7619a3bfada09570d3bb8"

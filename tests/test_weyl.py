@@ -475,6 +475,74 @@ def test_elements_are_equal_exactly_when_their_matrices_are(draws):
         assert y.apply(lam) == _mat_apply(mv, lam)
 
 
+def _rescanning_descent(cd, lam):
+    """The descent that rescans lam from node 1 for its first negative
+    coordinate at every step, on the dense reflection."""
+    word = []
+    while True:
+        i = next((k for k, c in enumerate(lam, start=1) if c < 0), None)
+        if i is None:
+            return tuple(word)
+        lam = _dense_reflect(cd, i, lam)
+        word.append(i)
+
+
+def _lengthens_at_every_letter(cd, word):
+    """Whether each letter, read right to left, lengthens the element so
+    far: prepending s_i to u does exactly when u(rho) has a positive i-th
+    coordinate, so rho is walked through the word."""
+    lam = rho(cd)
+    for i in reversed(word):
+        if lam[i - 1] <= 0:
+            return False
+        lam = _dense_reflect(cd, i, lam)
+    return True
+
+
+@st.composite
+def _word_and_weight(draw, cd):
+    """A word, reduced half the time, and a weight with zero coordinates.
+
+    A reduced word is built right to left, each letter drawn among the
+    positive coordinates of rho walked so far.
+    """
+    nodes = list(cd.nodes)
+    if draw(st.booleans()):
+        word = draw(st.lists(st.sampled_from(nodes), max_size=4 * cd.rank).map(tuple))
+    else:
+        lam, steps = rho(cd), []
+        for _ in range(draw(st.integers(min_value=0, max_value=4 * cd.rank))):
+            up = [k for k in nodes if lam[k - 1] > 0]
+            if not up:  # rho has reached -rho: the word is one of w0
+                break
+            i = draw(st.sampled_from(up))
+            lam = _dense_reflect(cd, i, lam)
+            steps.append(i)
+        word = tuple(reversed(steps))
+    lam = draw(st.tuples(*(st.integers(min_value=-2, max_value=2) for _ in nodes)))
+    return word, lam
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.tuples(*(_word_and_weight(cartan_data(label)) for label in _CLASS_TYPES)))
+def test_greedy_descent_and_reduced_test_match_the_rescanning_walks(draws):
+    # One draw per class type in every example, so all 21 types are covered.
+    for label, (word, lam) in zip(_CLASS_TYPES, draws):
+        cd = cartan_data(label)
+        image = weyl._act(cd, word, rho(cd))
+        assert _descent(cd, image) == _rescanning_descent(cd, image)
+        assert _descent(cd, lam) == _rescanning_descent(cd, lam)
+        assert is_reduced_word(cd, word) == _lengthens_at_every_letter(cd, word)
+
+
+@pytest.mark.parametrize("series,lowest", [("A", 1), ("B", 2), ("D", 4)])
+def test_longest_element_matches_the_rescanning_descent(series, lowest):
+    for n in range(lowest, 46):
+        cd = cartan_data(f"{series}{n}")
+        minus_rho = tuple(-c for c in rho(cd))
+        assert longest_element(cd).word == _rescanning_descent(cd, minus_rho)
+
+
 @pytest.mark.parametrize("lam", [(1,), (1, 0, 5), (1.5, True)])
 def test_apply_refuses_a_weight_that_is_not_a_rank_tuple_of_ints(lam):
     w = element_from_word(cartan_data("A2"), (1, 2))
