@@ -5,9 +5,9 @@ spectral parameter, split into two families ``x+``/``x-`` for D of even
 rank.  Each type carries finitely many defining relations, all with
 coefficient 1 and even exponent offsets; shifting a relation by any
 integer gives another relation.  Normal forms fold exponents modulo the
-shift period, confine them to a window below the first relation's span
-and then reduce against the closure of the remaining relations under
-exponent shift.
+shift period, peel them down into a window below the first relation's
+span and then reduce against the lattice spanned by the shifts of the
+remaining relations, which is closed under the window shift.
 """
 
 from __future__ import annotations
@@ -78,8 +78,13 @@ def seed_family(cd: CartanData, i: int) -> str:
 
 
 class _BlockStructure:
-    """Per-type reduction data: windows, division relations, shift closure
-    and the shift period."""
+    """Per-type reduction data: windows, division relations, the
+    shift-closed lattice L and the shift period.
+
+    L is spanned by the window shifts S^t r of the extra relations r,
+    taken for t = 0, 1, ... until a whole round lies in L already; every
+    S^s r with s < t then maps to S^{s+1} r in L, so L is closed under S.
+    """
 
     __slots__ = ("families", "span", "division", "lattice", "period")
 
@@ -102,66 +107,47 @@ class _BlockStructure:
         if set(self.division) != set(self.families) or any(map(min, self.division.values())):
             raise ValueError("each family needs a division relation starting at exponent 0")
         self.lattice = SparseIntSolver()
-        for n, rel in enumerate(extras):
-            self.lattice.add_column(n, self.reduce({fe: 1 for fe in rel}))
-        # Close L under the exponent shift.  The shift map is unimodular,
-        # so one-sided closure suffices.
-        n, grew = len(extras), True
+        t, grew = 0, True
         while grew:
             grew = False
-            for row in self.lattice.basis():
-                shifted = self.reduce({(fam, e + 1): c for (fam, e), c in row.items()})
+            for k, rel in enumerate(extras):
+                shifted = self.reduce({(fam, e + t): 1 for fam, e in rel})
                 if shifted not in self.lattice:
-                    self.lattice.add_column(n, shifted)
-                    n, grew = n + 1, True
+                    self.lattice.add_column((t, k), shifted)
+                    grew = True
+            t += 1
         self.period = _shift_period(cd)
-        if not self.is_period(self.period):
-            raise ArithmeticError(
-                f"the window shift of {cd.type} does not have period {self.period}"
-            )
-
-    def is_period(self, p: int) -> bool:
-        """Whether the window shift S satisfies S^p = 1 modulo the lattice.
-
-        The lattice is closed under S, so S^p fixes every window vector
-        S^e (f, 0) once it fixes each family's (f, 0).
-        """
-        return all(
-            self.reduce({(fam, p): 1, (fam, 0): -1}) in self.lattice
-            for fam in self.families
-        )
+        # L is closed under S, so S^P fixes every window vector S^e (f, 0)
+        # once it fixes each family's (f, 0).
+        for fam in self.families:
+            if self.reduce({(fam, self.period): 1, (fam, 0): -1}) not in self.lattice:
+                raise ArithmeticError(
+                    f"the window shift of {cd.type} does not have period {self.period}"
+                )
 
     def reduce(self, vec: Dict[FamilyExp, int]) -> Dict[FamilyExp, int]:
-        """Confine every exponent to [0, span) using the division relations."""
+        """Confine every exponent to [0, span) by peeling the highest one
+        with its family's division relation.  Exponents must be >= 0;
+        ``normal_form`` folds them into [0, period) first."""
         work = {fe: c for fe, c in vec.items() if c}
-        for (fam, _e) in vec:
+        for (fam, e) in vec:
             if fam not in self.span:
                 raise DomainError(f"unknown family {fam!r}")
+            if e < 0:
+                raise ArithmeticError(f"reduce needs exponents >= 0, got {e}")
         while True:
-            over = [
-                (f, e) for (f, e) in work if e >= self.span[f] or e < 0
-            ]
+            over = [(f, e) for (f, e) in work if e >= self.span[f]]
             if not over:
                 return work
-            fam, e = max(over, key=lambda fe: (fe[1] >= self.span[fe[0]], abs(fe[1])))
+            fam, e = max(over, key=lambda fe: fe[1])
             c = work.pop((fam, e))
-            span = self.span[fam]
-            if e >= span:
-                for s in self.division[fam][:-1]:
-                    key = (fam, e - span + s)
-                    t = work.get(key, 0) - c
-                    if t:
-                        work[key] = t
-                    else:
-                        work.pop(key, None)
-            else:
-                for s in self.division[fam][1:]:
-                    key = (fam, e + s)
-                    t = work.get(key, 0) - c
-                    if t:
-                        work[key] = t
-                    else:
-                        work.pop(key, None)
+            for s in self.division[fam][:-1]:
+                key = (fam, e - self.span[fam] + s)
+                t = work.get(key, 0) - c
+                if t:
+                    work[key] = t
+                else:
+                    work.pop(key, None)
 
     def normal_form(self, vec: Dict[FamilyExp, int]) -> Tuple[Tuple[FamilyExp, int], ...]:
         """The canonical terms of vec's class.  Exponents are folded
@@ -303,23 +289,33 @@ def _generator_class(lt: LieType) -> Dict[int, Tuple[Tuple[FamilyExp, int], ...]
     each node ``j`` the pattern of ``alpha_j``, read as a sum of
     ``v S^off c_l``, is required to lie in ``L``.  One integer solve over
     all nodes at once finds the remaining ``c_l``; the seed generators
-    span the block group, so the answer is unique modulo ``L``.
+    span the block group, so the answer is unique modulo ``L``.  Rows are
+    ordered by their node's distance from the nearest seed, so elimination
+    runs outward from the known classes.
     """
     cd, st = cartan_data(lt), _structure(lt)
     seeds = {i: (seed_family(cd, i), 0) for i in cd.seed_nodes}
+    order = list(seeds)
+    dist = dict.fromkeys(order, 0)
+    for i in order:
+        for l, _, _ in cd.links[i - 1]:
+            if l not in dist:
+                dist[l] = dist[i] + 1
+                order.append(l)
     window = [(fam, e) for fam in st.families for e in range(st.span[fam])]
     solver = SparseIntSolver()
-    columns: Dict[Tuple[int, FamilyExp], Dict[Tuple[int, FamilyExp], int]] = {}
-    target: Dict[Tuple[int, FamilyExp], int] = {}
+    columns: Dict[Tuple[int, FamilyExp], Dict[Tuple[int, int, FamilyExp], int]] = {}
+    target: Dict[Tuple[int, int, FamilyExp], int] = {}
     for j in cd.nodes:
         for (l, off), v in _alpha_pattern(cd, j):
             # A seed's class is known, so its part goes to the right-hand side.
             for fam, e in [seeds[l]] if l in seeds else window:
                 vec = target if l in seeds else columns.setdefault((l, (fam, e)), {})
                 for fe, x in st.reduce({(fam, e + off): 1}).items():
-                    vec[(j, fe)] = vec.get((j, fe), 0) + v * x
+                    r = (dist[j], j, fe)
+                    vec[r] = vec.get(r, 0) + v * x
         for b, row in enumerate(st.lattice.basis()):
-            solver.add_column(("L", j, b), {(j, fe): x for fe, x in row.items()})
+            solver.add_column(("L", j, b), {(dist[j], j, fe): x for fe, x in row.items()})
     for key, vec in columns.items():
         solver.add_column(key, vec)
     combo = solver.solve({key: -x for key, x in target.items()})

@@ -413,6 +413,8 @@ def weyl_module_dim(
     cd: CartanData, omega: LWeight, fund_dims: Dict[int, int]
 ) -> int:
     """Dimension of the universal module: product of fundamental dims."""
+    if not omega.is_dominant:
+        raise DomainError("the Weyl module dimension is defined for dominant loop weights")
     lam = weight_of(cd, omega)
     total = 1
     for node, coord in enumerate(lam, start=1):

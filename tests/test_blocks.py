@@ -26,6 +26,7 @@ from loopchar import (
 )
 from loopchar import blocks
 from loopchar.blocks import _generator_class, _structure, relation_set
+from loopchar.intlattice import SparseIntSolver
 from loopchar.verify import _CLASS_TYPES
 
 
@@ -179,10 +180,50 @@ def test_tensor_class_is_additive():
 PERIOD_TYPES = _CLASS_TYPES + ("A9", "B8", "C8", "D7", "D8")
 
 
+def _two_sided_reduce(structure, vec):
+    # The peel before the period fold: an exponent at or above the span
+    # moves down by the division relation and a negative one moves up, one
+    # step each, so its cost grows with |e|.
+    work = {fe: c for fe, c in vec.items() if c}
+    while True:
+        over = [(f, e) for (f, e) in work if e >= structure.span[f] or e < 0]
+        if not over:
+            return work
+        fam, e = max(over, key=lambda fe: (fe[1] >= structure.span[fe[0]], abs(fe[1])))
+        c = work.pop((fam, e))
+        span, division = structure.span[fam], structure.division[fam]
+        steps = division[:-1] if e >= span else division[1:]
+        for s in steps:
+            key = (fam, e - span + s if e >= span else e + s)
+            work[key] = work.get(key, 0) - c
+            if not work[key]:
+                del work[key]
+
+
 def _peel_form(structure, vec):
-    # The normal form without the period fold: one division step per
-    # exponent, so its cost grows with |e|.
-    return tuple(sorted(structure.lattice.residue(structure.reduce(vec)).items()))
+    # The normal form without the period fold.
+    return tuple(sorted(structure.lattice.residue(_two_sided_reduce(structure, vec)).items()))
+
+
+def _closure_lattice(label):
+    # The lattice L as a fixpoint: the reduced extra relations, then the
+    # shift of every echelon row until no shift adds anything.
+    cd = cartan_data(label)
+    structure = _structure(cd.type)
+    divisions = {tuple((fam, e) for e in exps) for fam, exps in structure.division.items()}
+    extras = [rel for rel in relation_set(cd) if rel not in divisions]
+    lattice = SparseIntSolver()
+    for n, rel in enumerate(extras):
+        lattice.add_column(n, _two_sided_reduce(structure, {fe: 1 for fe in rel}))
+    n, grew = len(extras), True
+    while grew:
+        grew = False
+        for row in lattice.basis():
+            shifted = _two_sided_reduce(structure, {(fam, e + 1): c for (fam, e), c in row.items()})
+            if shifted not in lattice:
+                lattice.add_column(n, shifted)
+                n, grew = n + 1, True
+    return lattice
 
 
 @pytest.mark.parametrize("label", PERIOD_TYPES)
@@ -198,6 +239,21 @@ def test_period_fold_matches_the_peel(label):
             fe = (rng.choice(structure.families), e)
             vec[fe] = vec.get(fe, 0) + rng.choice((-2, -1, 1, 3))
         assert structure.normal_form(vec) == _peel_form(structure, vec), vec
+
+
+@pytest.mark.parametrize("label", PERIOD_TYPES + ("D10", "D20", "D40"))
+def test_shifted_relations_span_the_shift_closure(label):
+    lattice = _structure(cartan_data(label).type).lattice
+    closure = _closure_lattice(label)
+    assert all(row in closure for row in lattice.basis())
+    assert all(row in lattice for row in closure.basis())
+
+
+def test_reduce_refuses_a_negative_exponent():
+    structure = _structure(cartan_data("D4").type)
+    assert structure.reduce({("+", 9): 1}) == {("+", 3): -1}
+    with pytest.raises(ArithmeticError, match="exponents >= 0"):
+        structure.reduce({("+", 9): 1, ("-", -1): 2})
 
 
 @pytest.mark.parametrize("label", PERIOD_TYPES)
@@ -225,7 +281,10 @@ def test_shift_period_is_exact(label):
             assert moved in structure.lattice, (fam, e)
     for d in range(1, period):
         if period % d == 0:
-            assert not structure.is_period(d), d
+            assert any(
+                structure.reduce({(fam, d): 1, (fam, 0): -1}) not in structure.lattice
+                for fam in structure.families
+            ), d
 
 
 @pytest.mark.parametrize("label", PERIOD_TYPES)

@@ -254,6 +254,13 @@ def test_weyl_module_dim_refuses_a_dimension_that_is_not_a_positive_int(dim):
         weyl_module_dim(cd, om, {1: dim, 3: 8})
 
 
+@pytest.mark.parametrize("text", ["w[1;a,0]^-1", "w[1;a,0]^-1*w[1;a,2]"])
+def test_weyl_module_dim_refuses_a_loop_weight_that_is_not_dominant(text):
+    # The first once returned 1/7 and the second, of weight zero, returned 1.
+    with pytest.raises(DomainError, match="dominant"):
+        weyl_module_dim(cartan_data("B3"), parse_lweight(text), {1: 7})
+
+
 # sha256 over the str() of the characters of ``_pinned_chars``, one per line,
 # recorded before braid words and orbit walks read per-type tables.
 _PINNED_SHA256 = "82bc9b3059c80f57b6f7d464a72f9af41335b42360d7619a3bfada09570d3bb8"
