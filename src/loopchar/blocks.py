@@ -13,8 +13,10 @@ remaining relations, which is closed under the window shift.
 from __future__ import annotations
 
 import re
+from collections import deque
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .cartan import CartanData, Frozen, LieType, cartan_data
 from .errors import DomainError, ParseError
@@ -279,53 +281,128 @@ def parse_elliptic(lt: LieType, text: str) -> EllipticCharacter:
     return EllipticCharacter.make(lt, raw)
 
 
+# A class under construction: window terms in normal form, plus the
+# coefficients {(parameter, m): c} of the free parameters' shifts S^m X.
+_Partial = Tuple[Dict[FamilyExp, int], Dict[Tuple[int, int], int]]
+
+
+def _combine(
+    st: _BlockStructure,
+    known: Dict[int, _Partial],
+    entries: Sequence[Tuple[Tuple[int, int], int]],
+    scale: int = 1,
+    shift: int = 0,
+) -> _Partial:
+    """scale * sum of v S^(off + shift) c_l over the entries ((l, off), v)."""
+    raw: Dict[FamilyExp, int] = {}
+    poly: Dict[Tuple[int, int], int] = {}
+    for (l, off), v in entries:
+        const, params = known[l]
+        for (fam, e), x in const.items():
+            key = (fam, e + off + shift)
+            raw[key] = raw.get(key, 0) + scale * v * x
+        for (p, m), x in params.items():
+            key = (p, (m + off + shift) % st.period)
+            poly[key] = poly.get(key, 0) + scale * v * x
+    return dict(st.normal_form(raw)), {key: c for key, c in poly.items() if c}
+
+
+def _propagate(cd: CartanData, st: _BlockStructure, known: Dict[int, _Partial]) -> List[int]:
+    """Fill in every class that one relation settles, and return those relations.
+
+    A relation settles node u when u is its only unknown node and has a
+    single entry ((u, off), v) with v = +-1: then c_u = -v S^(-off) times
+    the known part.  Knowing more never blocks a relation, so the nodes
+    reached depend only on the classes given, not on the queue order.
+    """
+    used: List[int] = []
+    queue = deque(cd.nodes)
+    while queue:
+        j = queue.popleft()
+        pattern = _alpha_pattern(cd, j)
+        unknown = [(l, off, v) for (l, off), v in pattern if l not in known]
+        if len(unknown) != 1 or abs(unknown[0][2]) != 1:
+            continue
+        u, off, v = unknown[0]
+        rest = [entry for entry in pattern if entry[0][0] != u]
+        known[u] = _combine(st, known, rest, -v, -off)
+        used.append(j)
+        queue.extend((u,) + cd.neighbors(u))
+    return used
+
+
 @lru_cache(maxsize=None)
-def _generator_class(lt: LieType) -> Dict[int, Tuple[Tuple[FamilyExp, int], ...]]:
+def _generator_class(lt: LieType) -> Mapping[int, Tuple[Tuple[FamilyExp, int], ...]]:
     """Classes of the non-seed generators at exponent 0, as window terms.
 
     The class map sends ``w[l;a,k]`` to ``S^k c_l``, where ``S`` is the
     window shift and each seed's ``c`` is its unit vector.  It must send
-    every simple loop root into the shift-closed lattice ``L``, so for
-    each node ``j`` the pattern of ``alpha_j``, read as a sum of
-    ``v S^off c_l``, is required to lie in ``L``.  One integer solve over
-    all nodes at once finds the remaining ``c_l``; the seed generators
-    span the block group, so the answer is unique modulo ``L``.  Rows are
-    ordered by their node's distance from the nearest seed, so elimination
-    runs outward from the known classes.
+    every simple loop root into the shift-closed lattice ``L``: for each
+    node ``j``, the pattern of ``alpha_j`` read as a sum of ``v S^off c_l``
+    lies in ``L``.  The seed generators span the block group, so the map
+    is unique modulo ``L``, and since ``S^P = 1`` modulo ``L`` every shift
+    is taken modulo the period ``P``.
+
+    The classes are found along the Dynkin diagram, outward from the
+    seeds: a relation whose only unknown node has one entry ``v = +-1``
+    gives that node's class directly.  Where no relation does, one unknown
+    node next to a known one becomes a free window vector ``X``, and later
+    classes are carried as a window vector plus a polynomial in ``S``
+    applied to ``X``.  A, B, C, D of even rank, F4 and G2 need no free
+    parameter; D of odd rank and E6-E8 need one.  One integer solve then
+    finds ``X`` from the relations not used yet, with ``|window|``
+    unknowns per parameter, and the propagation runs again from the
+    solved ``X``.  Last, every ``alpha_j`` is checked to map into ``L``;
+    if one does not, ``ArithmeticError`` names the type and the node.
+
+    The result is read-only, since every later class of the type uses it.
     """
     cd, st = cartan_data(lt), _structure(lt)
-    seeds = {i: (seed_family(cd, i), 0) for i in cd.seed_nodes}
-    order = list(seeds)
-    dist = dict.fromkeys(order, 0)
-    for i in order:
-        for l, _, _ in cd.links[i - 1]:
-            if l not in dist:
-                dist[l] = dist[i] + 1
-                order.append(l)
-    window = [(fam, e) for fam in st.families for e in range(st.span[fam])]
-    solver = SparseIntSolver()
-    columns: Dict[Tuple[int, FamilyExp], Dict[Tuple[int, int, FamilyExp], int]] = {}
-    target: Dict[Tuple[int, int, FamilyExp], int] = {}
+    seeds: Dict[int, _Partial] = {i: ({(seed_family(cd, i), 0): 1}, {}) for i in cd.seed_nodes}
+    known = dict(seeds)
+    used = _propagate(cd, st, known)
+    free: List[int] = []
+    while len(known) < cd.rank:
+        u = min(l for i in known for l in cd.neighbors(i) if l not in known)
+        known[u] = ({}, {(len(free), 0): 1})
+        free.append(u)
+        used += _propagate(cd, st, known)
+    if free:
+        window = [(fam, e) for fam in st.families for e in range(st.span[fam])]
+        basis = st.lattice.basis()
+        solver = SparseIntSolver()
+        # Unknown (p, w) is coordinate w of parameter p; its column holds
+        # p's polynomial applied to w, in the rows (j, fe) of each relation j.
+        # One reduce of the polynomial per family, then one shift per w.
+        columns: Dict[Tuple[int, FamilyExp], Dict[Tuple[int, FamilyExp], int]] = {}
+        target: Dict[Tuple[int, FamilyExp], int] = {}
+        for j in sorted(set(cd.nodes) - set(used)):
+            const, poly = _combine(st, known, _alpha_pattern(cd, j))
+            for fe, x in const.items():
+                target[(j, fe)] = -x
+            for p in range(len(free)):
+                for fam in st.families:
+                    image = st.reduce({(fam, m): c for (q, m), c in poly.items() if q == p})
+                    for e in range(st.span[fam]):
+                        column = columns.setdefault((p, (fam, e)), {})
+                        for fe, x in image.items():
+                            column[(j, fe)] = x
+                        image = st.reduce({(f, x + 1): c for (f, x), c in image.items()})
+            for b, row in enumerate(basis):
+                solver.add_column(("L", j, b), {(j, fe): x for fe, x in row.items()})
+        for key, column in columns.items():
+            solver.add_column(key, column)
+        combo = solver.solve(target)
+        if combo is None:
+            raise ArithmeticError(f"no class map for {lt}: the loop-root system is unsolvable")
+        known = dict(seeds)
+        for p, u in enumerate(free):
+            known[u] = (dict(st.normal_form({w: combo.get((p, w), 0) for w in window})), {})
+        _propagate(cd, st, known)
     for j in cd.nodes:
-        for (l, off), v in _alpha_pattern(cd, j):
-            # A seed's class is known, so its part goes to the right-hand side.
-            for fam, e in [seeds[l]] if l in seeds else window:
-                vec = target if l in seeds else columns.setdefault((l, (fam, e)), {})
-                for fe, x in st.reduce({(fam, e + off): 1}).items():
-                    r = (dist[j], j, fe)
-                    vec[r] = vec.get(r, 0) + v * x
-        for b, row in enumerate(st.lattice.basis()):
-            solver.add_column(("L", j, b), {(dist[j], j, fe): x for fe, x in row.items()})
-    for key, vec in columns.items():
-        solver.add_column(key, vec)
-    combo = solver.solve({key: -x for key, x in target.items()})
-    if combo is None:
-        raise ArithmeticError(f"no class map for {lt}: the loop-root system is unsolvable")
-    return {
-        l: st.normal_form({fe: combo.get((l, fe), 0) for fe in window})
-        for l in cd.nodes
-        if l not in seeds
-    }
+        if _combine(st, known, _alpha_pattern(cd, j))[0]:
+            raise ArithmeticError(f"the class map of {lt} sends alpha_{j} outside L")
+    return MappingProxyType({l: tuple(known[l][0].items()) for l in cd.nodes if l not in seeds})
 
 
 def elliptic_class(cd: CartanData, pi: LWeight) -> EllipticCharacter:

@@ -6,10 +6,13 @@ self-check suites.  Output is deterministic for a fixed argument list;
 Exit codes: 0 on success (predicates report their answer and still exit
 0), 1 when verification finds a failing check, 2 on bad input syntax,
 3 when the request is well formed but outside an operation's domain,
-4 on an internal error, reported as one line on stderr.
+4 on an internal error, reported as one line on stderr, and 141 when the
+reader of stdout closed it before the output was written (as in
+``| head -1``), with nothing on stderr.
 """
 
 import argparse
+import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -362,7 +365,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # Output still buffered would otherwise meet a closed pipe at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The recipe of the signal module's docs: point stdout at devnull,
+        # so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

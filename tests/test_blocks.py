@@ -122,6 +122,83 @@ def test_generator_classes_agree_with_the_loop_root_lattice(label):
         assert lroot_decompose(cd, pi * seeds.inverse()) is not None, (label, i)
 
 
+def _global_class_solve(lt):
+    """The class map by one integer solve over all nodes at once, with rows
+    ordered by distance from a seed: the construction that propagation
+    along the Dynkin diagram replaced, kept as its oracle."""
+    cd, st = cartan_data(lt), _structure(lt)
+    seeds = {i: (blocks.seed_family(cd, i), 0) for i in cd.seed_nodes}
+    order = list(seeds)
+    dist = dict.fromkeys(order, 0)
+    for i in order:
+        for l, _, _ in cd.links[i - 1]:
+            if l not in dist:
+                dist[l] = dist[i] + 1
+                order.append(l)
+    window = [(fam, e) for fam in st.families for e in range(st.span[fam])]
+    solver = SparseIntSolver()
+    columns, target = {}, {}
+    for j in cd.nodes:
+        for (l, off), v in blocks._alpha_pattern(cd, j):
+            for fam, e in [seeds[l]] if l in seeds else window:
+                vec = target if l in seeds else columns.setdefault((l, (fam, e)), {})
+                for fe, x in st.reduce({(fam, e + off): 1}).items():
+                    r = (dist[j], j, fe)
+                    vec[r] = vec.get(r, 0) + v * x
+        for b, row in enumerate(st.lattice.basis()):
+            solver.add_column(("L", j, b), {(dist[j], j, fe): x for fe, x in row.items()})
+    for key, vec in columns.items():
+        solver.add_column(key, vec)
+    combo = solver.solve({key: -x for key, x in target.items()})
+    return {
+        l: st.normal_form({fe: combo.get((l, fe), 0) for fe in window})
+        for l in cd.nodes
+        if l not in seeds
+    }
+
+
+@pytest.mark.parametrize(
+    "label",
+    _CLASS_TYPES
+    + tuple(f"{s}{n}" for s in "ABC" for n in range(6, 13))
+    + tuple(f"D{n}" for n in range(7, 17))
+    + ("D30", "D31"),
+)
+def test_propagated_classes_match_the_global_solve(label):
+    lt = cartan_data(label).type
+    assert dict(_generator_class(lt)) == _global_class_solve(lt)
+
+
+def test_closing_check_names_a_broken_relation(monkeypatch):
+    # alpha_3 of A3 with its second node-3 entry moved from S^2 to S^4:
+    # node 3 keeps two entries, so no relation settles it but alpha_2,
+    # and the closing check meets alpha_3.
+    real = blocks._alpha_pattern
+
+    def broken(cd, i):
+        pattern = real(cd, i)
+        if str(cd.type) == "A3" and i == 3:
+            return tuple(((l, 4 if (l, off) == (3, 2) else off), v) for (l, off), v in pattern)
+        return pattern
+
+    lt = cartan_data("A3").type
+    _generator_class.cache_clear()
+    monkeypatch.setattr(blocks, "_alpha_pattern", broken)
+    with pytest.raises(ArithmeticError, match=r"A3 sends alpha_3 outside L"):
+        _generator_class(lt)
+    monkeypatch.undo()
+    assert _generator_class(lt) == _global_class_solve(lt)
+
+
+def test_cached_class_map_is_read_only():
+    classes = _generator_class(cartan_data("E6").type)
+    with pytest.raises(TypeError):
+        classes[2] = ()
+    with pytest.raises(TypeError):
+        del classes[2]
+    assert isinstance(classes[2], tuple)
+
+
 def test_class_solve_runs_once_per_type_and_never_for_seeds():
     cd = cartan_data("E7")
     _generator_class.cache_clear()

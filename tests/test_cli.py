@@ -141,6 +141,46 @@ def test_internal_errors_exit_4(monkeypatch, capsys):
     assert err == "internal error: ArithmeticError('no class map')\n"
 
 
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write fails."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def fileno(self):
+        return self._fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_exits_141_quietly(monkeypatch, tmp_path):
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", err)
+    with open(tmp_path / "out", "wb") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        assert cli.main(["alpha", "--type", "A2", "--node", "1"]) == 141
+        # The descriptor now points at devnull, so the flush at exit cannot fail.
+        os.write(sink.fileno(), b"lost")
+    assert (tmp_path / "out").read_bytes() == b""
+    assert err.getvalue() == ""
+
+
+def test_a_reader_that_closes_the_pipe_gets_exit_141():
+    # About 550 kB of output, several times what a pipe buffers.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loopchar", "qchar-fund", "--type", "A14", "--node", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert first.startswith(b"1 * w[1;a,")
+    assert err == b""
+
+
 def test_suite_choices_match_the_verify_module():
     assert cli.SUITES == SUITE_NAMES
 
