@@ -4,9 +4,11 @@ Classes are written additively in generators ``x[a,k]`` indexed by a
 spectral parameter, split into two families ``x+``/``x-`` for D of even
 rank.  Each type carries finitely many defining relations, all with
 coefficient 1 and even exponent offsets; shifting a relation by any
-integer gives another relation.  Normal forms fold exponents modulo the
-shift period, peel them down into a window below the first relation's
-span and then reduce against the lattice spanned by the shifts of the
+integer gives another relation.  A single generator shift ``(f, t)``
+with ``t`` below the shift period has a window image: the peel of its
+exponent into the window below the first relation's span.  A normal form
+folds each exponent modulo the period, adds up the cached images and
+reduces the sum against the lattice spanned by the shifts of the
 remaining relations, which is closed under the window shift.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -86,9 +89,13 @@ class _BlockStructure:
     L is spanned by the window shifts S^t r of the extra relations r,
     taken for t = 0, 1, ... until a whole round lies in L already; every
     S^s r with s < t then maps to S^{s+1} r in L, so L is closed under S.
+
+    ``images`` caches the window image of each generator shift (f, t),
+    t in [0, period), filled on first use: at most families x period
+    entries, dropped with the structure.
     """
 
-    __slots__ = ("families", "span", "division", "lattice", "period")
+    __slots__ = ("families", "span", "division", "lattice", "period", "images")
 
     def __init__(self, cd: CartanData):
         relations = relation_set(cd)
@@ -108,6 +115,7 @@ class _BlockStructure:
                 extras.append(rel)
         if set(self.division) != set(self.families) or any(map(min, self.division.values())):
             raise ValueError("each family needs a division relation starting at exponent 0")
+        self.images: Dict[FamilyExp, Tuple[Tuple[FamilyExp, int], ...]] = {}
         self.lattice = SparseIntSolver()
         t, grew = 0, True
         while grew:
@@ -128,37 +136,66 @@ class _BlockStructure:
                 )
 
     def reduce(self, vec: Dict[FamilyExp, int]) -> Dict[FamilyExp, int]:
-        """Confine every exponent to [0, span) by peeling the highest one
-        with its family's division relation.  Exponents must be >= 0;
-        ``normal_form`` folds them into [0, period) first."""
+        """Confine every exponent to [0, span) by peeling exponents from
+        the top down, each with its family's division relation, in one pass
+        over a heap of the exponents above the window.  A peel only adds
+        lower exponents, so each one is peeled once.  Exponents must be
+        >= 0; ``add_image`` folds them into [0, period) first."""
         work = {fe: c for fe, c in vec.items() if c}
         for (fam, e) in vec:
             if fam not in self.span:
                 raise DomainError(f"unknown family {fam!r}")
             if e < 0:
                 raise ArithmeticError(f"reduce needs exponents >= 0, got {e}")
-        while True:
-            over = [(f, e) for (f, e) in work if e >= self.span[f]]
-            if not over:
-                return work
-            fam, e = max(over, key=lambda fe: fe[1])
-            c = work.pop((fam, e))
+        heap = [(-e, fam) for (fam, e) in work if e >= self.span[fam]]
+        heapify(heap)
+        while heap:
+            neg, fam = heappop(heap)
+            c = work.pop((fam, -neg), 0)
+            if not c:
+                continue
+            span = self.span[fam]
             for s in self.division[fam][:-1]:
-                key = (fam, e - self.span[fam] + s)
+                key = (fam, s - span - neg)
                 t = work.get(key, 0) - c
-                if t:
-                    work[key] = t
-                else:
-                    work.pop(key, None)
+                if not t:
+                    del work[key]
+                    continue
+                if key not in work and key[1] >= span:
+                    heappush(heap, (-key[1], fam))
+                work[key] = t
+        return work
+
+    def add_image(self, acc: Dict[FamilyExp, int], fam: str, e: int, c: int) -> None:
+        """acc += c times the window image of (fam, e), with e folded
+        modulo the period; each image is peeled once per structure."""
+        fe = (fam, e % self.period)
+        image = self.images.get(fe)
+        if image is None:
+            image = self.images[fe] = tuple(self.reduce({fe: 1}).items())
+        for key, x in image:
+            t = acc.get(key, 0) + c * x
+            if t:
+                acc[key] = t
+            else:
+                del acc[key]
+
+    def form(self, acc: Dict[FamilyExp, int]) -> Tuple[Tuple[FamilyExp, int], ...]:
+        """The canonical terms of a window vector's class."""
+        return tuple(sorted(self.lattice.residue(acc).items()))
+
+    def window(self, vec: Dict[FamilyExp, int], shift: int = 0) -> Dict[FamilyExp, int]:
+        """The window vector of S^shift vec: the sum of its terms' images."""
+        acc: Dict[FamilyExp, int] = {}
+        for (fam, e), c in vec.items():
+            if c:
+                self.add_image(acc, fam, e + shift, c)
+        return acc
 
     def normal_form(self, vec: Dict[FamilyExp, int]) -> Tuple[Tuple[FamilyExp, int], ...]:
         """The canonical terms of vec's class.  Exponents are folded
         modulo the period first, so the cost does not depend on their size."""
-        period, folded = self.period, {}
-        for (fam, e), c in vec.items():
-            fe = (fam, e % period)
-            folded[fe] = folded.get(fe, 0) + c
-        return tuple(sorted(self.lattice.residue(self.reduce(folded)).items()))
+        return self.form(self.window(vec))
 
 
 def _shift_period(cd: CartanData) -> int:
@@ -183,18 +220,12 @@ class EllipticCharacter(Frozen):
 
     @staticmethod
     def make(lt: LieType, raw: Dict[Tuple[str, str, int], int]) -> "EllipticCharacter":
+        st = _structure(lt)
         per_orbit: Dict[str, Dict[FamilyExp, int]] = {}
         for (orbit, fam, e), c in raw.items():
             if c:
-                fe = (fam, e)
-                sub = per_orbit.setdefault(orbit, {})
-                sub[fe] = sub.get(fe, 0) + c
-        st = _structure(lt)
-        terms: List[Tuple[Tuple[str, str, int], int]] = []
-        for orbit in sorted(per_orbit):
-            for (fam, e), c in st.normal_form(per_orbit[orbit]):
-                terms.append(((orbit, fam, e), c))
-        return EllipticCharacter(lt, tuple(sorted(terms)))
+                st.add_image(per_orbit.setdefault(orbit, {}), fam, e, c)
+        return _from_windows(lt, st, per_orbit)
 
     @property
     def is_zero(self) -> bool:
@@ -253,6 +284,15 @@ class EllipticCharacter(Frozen):
         return EllipticCharacter.make(lt, raw)
 
 
+def _from_windows(
+    lt: LieType, st: _BlockStructure, per_orbit: Dict[str, Dict[FamilyExp, int]]
+) -> EllipticCharacter:
+    """The class whose window vector in each orbit is given: one residue per orbit."""
+    return EllipticCharacter(lt, tuple(
+        ((orbit, fam, e), c) for orbit in sorted(per_orbit) for (fam, e), c in st.form(per_orbit[orbit])
+    ))
+
+
 _TERM_RE = re.compile(
     r"^(?:(\d+)\s+)?x([+-]?)\[([A-Za-z][A-Za-z0-9_]*),(-?\d+)\]$"
 )
@@ -294,17 +334,16 @@ def _combine(
     shift: int = 0,
 ) -> _Partial:
     """scale * sum of v S^(off + shift) c_l over the entries ((l, off), v)."""
-    raw: Dict[FamilyExp, int] = {}
+    acc: Dict[FamilyExp, int] = {}
     poly: Dict[Tuple[int, int], int] = {}
     for (l, off), v in entries:
         const, params = known[l]
         for (fam, e), x in const.items():
-            key = (fam, e + off + shift)
-            raw[key] = raw.get(key, 0) + scale * v * x
+            st.add_image(acc, fam, e + off + shift, scale * v * x)
         for (p, m), x in params.items():
             key = (p, (m + off + shift) % st.period)
             poly[key] = poly.get(key, 0) + scale * v * x
-    return dict(st.normal_form(raw)), {key: c for key, c in poly.items() if c}
+    return dict(st.form(acc)), {key: c for key, c in poly.items() if c}
 
 
 def _propagate(cd: CartanData, st: _BlockStructure, known: Dict[int, _Partial]) -> List[int]:
@@ -373,7 +412,7 @@ def _generator_class(lt: LieType) -> Mapping[int, Tuple[Tuple[FamilyExp, int], .
         solver = SparseIntSolver()
         # Unknown (p, w) is coordinate w of parameter p; its column holds
         # p's polynomial applied to w, in the rows (j, fe) of each relation j.
-        # One reduce of the polynomial per family, then one shift per w.
+        # One window vector of the polynomial per family, then one shift per w.
         columns: Dict[Tuple[int, FamilyExp], Dict[Tuple[int, FamilyExp], int]] = {}
         target: Dict[Tuple[int, FamilyExp], int] = {}
         for j in sorted(set(cd.nodes) - set(used)):
@@ -382,12 +421,12 @@ def _generator_class(lt: LieType) -> Mapping[int, Tuple[Tuple[FamilyExp, int], .
                 target[(j, fe)] = -x
             for p in range(len(free)):
                 for fam in st.families:
-                    image = st.reduce({(fam, m): c for (q, m), c in poly.items() if q == p})
+                    image = st.window({(fam, m): c for (q, m), c in poly.items() if q == p})
                     for e in range(st.span[fam]):
                         column = columns.setdefault((p, (fam, e)), {})
                         for fe, x in image.items():
                             column[(j, fe)] = x
-                        image = st.reduce({(f, x + 1): c for (f, x), c in image.items()})
+                        image = st.window(image, 1)
             for b, row in enumerate(basis):
                 solver.add_column(("L", j, b), {(j, fe): x for fe, x in row.items()})
         for key, column in columns.items():
@@ -405,19 +444,28 @@ def _generator_class(lt: LieType) -> Mapping[int, Tuple[Tuple[FamilyExp, int], .
     return MappingProxyType({l: tuple(known[l][0].items()) for l in cd.nodes if l not in seeds})
 
 
-def elliptic_class(cd: CartanData, pi: LWeight) -> EllipticCharacter:
-    """The class of a loop weight in the block group."""
-    check_lweight(cd, pi)
-    raw: Dict[Tuple[str, str, int], int] = {}
+def _add_class(
+    cd: CartanData, st: _BlockStructure, per_orbit: Dict[str, Dict[FamilyExp, int]],
+    pi: LWeight, sign: int,
+) -> None:
+    """Add sign times pi's class to the window vectors, one per orbit: the
+    image of each factor's generator shift, with no normal form between."""
     for (i, a, k), p in pi.factors:
         if i in cd.seed_nodes:
             gen = (((seed_family(cd, i), 0), 1),)
         else:
             gen = _generator_class(cd.type)[i]
+        acc = per_orbit.setdefault(a, {})
         for (fam, e), m in gen:
-            key = (a, fam, e + k)
-            raw[key] = raw.get(key, 0) + p * m
-    return EllipticCharacter.make(cd.type, raw)
+            st.add_image(acc, fam, e + k, sign * p * m)
+
+
+def elliptic_class(cd: CartanData, pi: LWeight) -> EllipticCharacter:
+    """The class of a loop weight in the block group."""
+    check_lweight(cd, pi)
+    st, per_orbit = _structure(cd.type), {}
+    _add_class(cd, st, per_orbit, pi, 1)
+    return _from_windows(cd.type, st, per_orbit)
 
 
 def classes_equal(chi1: EllipticCharacter, chi2: EllipticCharacter) -> bool:
@@ -427,10 +475,16 @@ def classes_equal(chi1: EllipticCharacter, chi2: EllipticCharacter) -> bool:
 
 
 def blocks_linked(cd: CartanData, w1: LWeight, w2: LWeight) -> bool:
-    """Whether two dominant loop weights label the same block."""
+    """Whether two dominant loop weights label the same block: whether
+    the window vector of w1's class minus w2's lies in L in every orbit."""
     if not (w1.is_dominant and w2.is_dominant):
         raise DomainError("linkage is a question about dominant loop weights")
-    return classes_equal(elliptic_class(cd, w1), elliptic_class(cd, w2))
+    check_lweight(cd, w1)
+    check_lweight(cd, w2)
+    st, per_orbit = _structure(cd.type), {}
+    _add_class(cd, st, per_orbit, w1, 1)
+    _add_class(cd, st, per_orbit, w2, -1)
+    return all(acc in st.lattice for acc in per_orbit.values())
 
 
 def tensor_class(chi1: EllipticCharacter, chi2: EllipticCharacter) -> EllipticCharacter:

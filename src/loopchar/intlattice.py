@@ -9,6 +9,7 @@ membership in the span and gives canonical coset residues.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Dict, Hashable, List, Optional, Tuple
 
 
@@ -118,12 +119,27 @@ class SparseIntSolver:
 
         Pivot keys are processed in ascending order with floor division,
         leaving each pivot coordinate in [0, pivot).  The result depends
-        only on the span, not on the order the columns came in.
+        only on the span, not on the order the columns came in.  A pivot
+        absent from the vector divides nothing, so only the vector's own
+        pivot keys are visited, from a heap that takes in the keys each
+        subtraction adds; a pivot's vector has no key below its own.
         """
         v = {k: c for k, c in vec.items() if c}
-        for j in sorted(self._pivots):
-            pv = self._pivots[j][0]
+        pivots = self._pivots
+        heap = [k for k in v if k in pivots]
+        heapify(heap)
+        while heap:
+            j = heappop(heap)
+            pv = pivots[j][0]
             q = v.get(j, 0) // pv[j]
-            if q:
-                v = _comb(1, v, -q, pv)
+            if not q:
+                continue
+            for k, c in pv.items():
+                t = v.get(k, 0) - q * c
+                if not t:
+                    del v[k]
+                    continue
+                if k not in v and k in pivots:
+                    heappush(heap, k)
+                v[k] = t
         return v

@@ -499,3 +499,135 @@ def test_class_from_json_rejects_a_non_object_entry():
 def test_class_from_json_rejects_a_malformed_record(data):
     with pytest.raises(ParseError):
         EllipticCharacter.from_json(data)
+
+
+# The 21 class types and seven larger ranks, for the checks of the class
+# path against the parent's: 300 seeded draws each, 8400 in all.
+ORACLE_TYPES = _CLASS_TYPES + ("A12", "B9", "C7", "D9", "D10", "D13", "D16")
+
+
+def _peel_loop(structure, vec):
+    # The peel that rebuilt the list of exponents above the window after
+    # every step: the loop the one-pass heap replaced, kept as its oracle.
+    work = {fe: c for fe, c in vec.items() if c}
+    while True:
+        over = [(f, e) for (f, e) in work if e >= structure.span[f]]
+        if not over:
+            return work
+        fam, e = max(over, key=lambda fe: fe[1])
+        c = work.pop((fam, e))
+        for s in structure.division[fam][:-1]:
+            key = (fam, e - structure.span[fam] + s)
+            work[key] = work.get(key, 0) - c
+            if not work[key]:
+                del work[key]
+
+
+def _parent_normal_form(structure, vec):
+    # residue(reduce(fold(vec))): one peel of the whole folded vector.
+    folded = {}
+    for (fam, e), c in vec.items():
+        fe = (fam, e % structure.period)
+        folded[fe] = folded.get(fe, 0) + c
+    return tuple(sorted(structure.lattice.residue(_peel_loop(structure, folded)).items()))
+
+
+def _parent_class(cd, pi):
+    # The raw generator sum of every factor, then one normal form per orbit.
+    structure = _structure(cd.type)
+    per_orbit = {}
+    for (i, a, k), p in pi.factors:
+        if i in cd.seed_nodes:
+            gen = (((blocks.seed_family(cd, i), 0), 1),)
+        else:
+            gen = _generator_class(cd.type)[i]
+        sub = per_orbit.setdefault(a, {})
+        for (fam, e), m in gen:
+            sub[(fam, e + k)] = sub.get((fam, e + k), 0) + p * m
+    return tuple(
+        ((a, fam, e), c)
+        for a in sorted(per_orbit)
+        for (fam, e), c in _parent_normal_form(structure, per_orbit[a])
+    )
+
+
+def _draws(cd, n):
+    # Loop weights on two orbits with 0-6 factors, powers in -3..3 and
+    # exponents up to +-10^12.
+    rng = random.Random(f"class draws {cd.type}")
+    out = []
+    for _ in range(n):
+        powers = {}
+        for _ in range(rng.randint(0, 6)):
+            key = (rng.randint(1, cd.rank), rng.choice("ab"), rng.randint(-(10**12), 10**12))
+            powers[key] = powers.get(key, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+        out.append(LWeight.from_dict(powers))
+    return out
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_one_pass_reduce_matches_the_peel_loop(label):
+    structure = _structure(cartan_data(label).type)
+    rng = random.Random(f"reduce {label}")
+    for _ in range(200):
+        vec = {}
+        for _ in range(rng.randint(1, 8)):
+            fe = (rng.choice(structure.families), rng.randrange(3 * structure.period))
+            vec[fe] = vec.get(fe, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+        assert structure.reduce(vec) == _peel_loop(structure, vec), vec
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_classes_from_window_images_match_the_parent_path(label):
+    cd = cartan_data(label)
+    structure = _structure(cd.type)
+    rng = random.Random(f"normal forms {label}")
+    for pi in _draws(cd, 300):
+        assert elliptic_class(cd, pi).terms == _parent_class(cd, pi), pi
+        vec = {}
+        for _ in range(rng.randint(0, 6)):
+            fe = (rng.choice(structure.families), rng.randint(-(10**12), 10**12))
+            vec[fe] = vec.get(fe, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+        assert structure.normal_form(vec) == _parent_normal_form(structure, vec), vec
+    # One image per generator shift (f, t) with t in [0, P), at most.
+    assert len(structure.images) <= len(structure.families) * structure.period
+    assert all(0 <= t < structure.period for _, t in structure.images)
+
+
+def _dominant_parts(pi):
+    # pi = w1 / w2 with w1 and w2 dominant.
+    w1 = LWeight.from_dict({key: p for key, p in pi.factors if p > 0})
+    w2 = LWeight.from_dict({key: -p for key, p in pi.factors if p < 0})
+    return w1, w2
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_linkage_without_classes_matches_comparing_classes(label):
+    cd = cartan_data(label)
+    rng = random.Random(f"linkage {label}")
+    for pi in _draws(cd, 300):
+        w1, w2 = _dominant_parts(pi)
+        expected = classes_equal(elliptic_class(cd, w1), elliptic_class(cd, w2))
+        assert blocks_linked(cd, w1, w2) == expected, pi
+        # w1 * roots = top / bottom, so w1 * bottom and top differ by loop roots.
+        roots = LWeight.identity()
+        for _ in range(rng.randint(1, 3)):
+            node, orbit = rng.randint(1, cd.rank), rng.choice("ab")
+            exp = rng.randint(-(10**12), 10**12)
+            roots = roots * simple_lroot(cd, node, orbit, exp) ** rng.choice((-2, -1, 1, 2))
+        top, bottom = _dominant_parts(w1 * roots)
+        assert blocks_linked(cd, w1 * bottom, top), pi
+        assert classes_equal(elliptic_class(cd, w1 * bottom), elliptic_class(cd, top))
+
+
+def test_linkage_checks_dominance_before_nodes():
+    cd = cartan_data("B3")
+    bad_node = parse_lweight("w[9;a,0]")
+    non_dominant = parse_lweight("w[1;a,0]^-1")
+    for w1, w2 in ((bad_node, non_dominant), (non_dominant, bad_node)):
+        with pytest.raises(DomainError, match="dominant"):
+            blocks_linked(cd, w1, w2)
+    with pytest.raises(DomainError, match="node 9 out of range"):
+        blocks_linked(cd, bad_node, parse_lweight("w[7;a,0]"))
+    with pytest.raises(DomainError, match="node 7 out of range"):
+        blocks_linked(cd, LWeight.identity(), parse_lweight("w[7;a,0]"))

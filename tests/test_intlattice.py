@@ -1,7 +1,7 @@
 """Integer lattice and sparse solver behavior."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopchar.intlattice import SparseIntSolver, xgcd
@@ -124,3 +124,36 @@ def test_solver_reproduces_combinations(columns, weights):
         for row, v in columns[key].items():
             rebuilt[row] = rebuilt.get(row, 0) + c * v
     assert {r: v for r, v in rebuilt.items() if v} == target
+
+
+def _every_pivot_residue(lat, vec):
+    # The residue as a walk over every pivot of the span in ascending key
+    # order, present in the vector or not: the walk that visiting only the
+    # vector's own pivot keys replaced, kept as its oracle.
+    v = {k: c for k, c in vec.items() if c}
+    for row in lat.basis():
+        j = min(row)
+        q = v.get(j, 0) // row[j]
+        for k, c in row.items():
+            v[k] = v.get(k, 0) - q * c
+            if not v[k]:
+                del v[k]
+    return v
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 9), st.integers(-6, 6), max_size=4),
+        min_size=1,
+        max_size=7,
+    ),
+    st.dictionaries(st.integers(0, 9), st.integers(-40, 40), max_size=10),
+)
+# Reducing key 0 adds key 1, a pivot the vector did not hold.
+@example([{1: 1}, {0: 2, 1: 1}], {0: 2})
+def test_residue_matches_the_walk_over_every_pivot(columns, vec):
+    lat = SparseIntSolver()
+    for n, col in enumerate(columns):
+        lat.add_column(n, col)
+    assert lat.residue(vec) == _every_pivot_residue(lat, vec)
