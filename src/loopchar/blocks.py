@@ -19,7 +19,7 @@ from collections import deque
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .cartan import CartanData, Frozen, LieType, cartan_data
 from .errors import DomainError, ParseError
@@ -90,9 +90,11 @@ class _BlockStructure:
     taken for t = 0, 1, ... until a whole round lies in L already; every
     S^s r with s < t then maps to S^{s+1} r in L, so L is closed under S.
 
-    ``images`` caches the window image of each generator shift (f, t),
-    t in [0, period), filled on first use: at most families x period
-    entries, dropped with the structure.
+    ``images`` caches window images, each filled on first use and dropped
+    with the structure: under a family key (f, t), t in [0, period), the
+    peel of the single generator shift x_f[t], at most families x period
+    entries; under a node key (i, t), the image of the loop generator
+    w[i;.,t], at most rank x period entries.
     """
 
     __slots__ = ("families", "span", "division", "lattice", "period", "images")
@@ -115,7 +117,7 @@ class _BlockStructure:
                 extras.append(rel)
         if set(self.division) != set(self.families) or any(map(min, self.division.values())):
             raise ValueError("each family needs a division relation starting at exponent 0")
-        self.images: Dict[FamilyExp, Tuple[Tuple[FamilyExp, int], ...]] = {}
+        self.images: Dict[Tuple[Union[str, int], int], Tuple[Tuple[FamilyExp, int], ...]] = {}
         self.lattice = SparseIntSolver()
         t, grew = 0, True
         while grew:
@@ -179,6 +181,20 @@ class _BlockStructure:
                 acc[key] = t
             else:
                 del acc[key]
+
+    def node_image(self, cd: CartanData, i: int, t: int) -> Tuple[Tuple[FamilyExp, int], ...]:
+        """Fill and return the image of w[i;.,t], 0 <= t < period: the sum
+        of the family images of node i's class terms shifted by t, or for a
+        seed node the image of its family's unit vector."""
+        if i in cd.seed_nodes:
+            terms = (((seed_family(cd, i), 0), 1),)
+        else:
+            terms = _generator_class(cd.type)[i]
+        acc: Dict[FamilyExp, int] = {}
+        for (fam, e), m in terms:
+            self.add_image(acc, fam, e + t, m)
+        image = self.images[(i, t)] = tuple(acc.items())
+        return image
 
     def form(self, acc: Dict[FamilyExp, int]) -> Tuple[Tuple[FamilyExp, int], ...]:
         """The canonical terms of a window vector's class."""
@@ -448,16 +464,23 @@ def _add_class(
     cd: CartanData, st: _BlockStructure, per_orbit: Dict[str, Dict[FamilyExp, int]],
     pi: LWeight, sign: int,
 ) -> None:
-    """Add sign times pi's class to the window vectors, one per orbit: the
-    image of each factor's generator shift, with no normal form between."""
+    """Add sign times pi's class to the window vectors, one per orbit: per
+    factor w[i;a,k]^p, one lookup of the cached image of w[i;.,k mod P]
+    and one merge of p times it, with no normal form between."""
+    images, period = st.images, st.period
     for (i, a, k), p in pi.factors:
-        if i in cd.seed_nodes:
-            gen = (((seed_family(cd, i), 0), 1),)
-        else:
-            gen = _generator_class(cd.type)[i]
+        t = k % period
+        image = images.get((i, t))
+        if image is None:
+            image = st.node_image(cd, i, t)
         acc = per_orbit.setdefault(a, {})
-        for (fam, e), m in gen:
-            st.add_image(acc, fam, e + k, sign * p * m)
+        c = sign * p
+        for key, x in image:
+            v = acc.get(key, 0) + c * x
+            if v:
+                acc[key] = v
+            else:
+                del acc[key]
 
 
 def elliptic_class(cd: CartanData, pi: LWeight) -> EllipticCharacter:

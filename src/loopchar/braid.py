@@ -7,6 +7,7 @@ A word of operator indices is read as a composition, so in
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanData
@@ -152,6 +153,16 @@ def _letter_table(cd: CartanData) -> Tuple[Tuple[int, Tuple[Tuple[int, int, int]
     )
 
 
+@lru_cache(maxsize=None)
+def _peel_table(cd: CartanData) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
+    """Per node j (index 0 unused): alpha_j's entries other than its base
+    (j, 0), as (node, offset, value); every offset is >= 1."""
+    return ((),) + tuple(
+        tuple((l, off, v) for (l, off), v in _alpha_pattern(cd, j) if (l, off) != (j, 0))
+        for j in cd.nodes
+    )
+
+
 def simple_lroot(cd: CartanData, i: int, orbit: str = "a", exp: int = 0) -> LWeight:
     """The simple loop root: the ratio of omega_{i,a} by its braid image."""
     cd.check_node(i)
@@ -172,7 +183,11 @@ def lroot_decompose(
     orbit the lowest remaining exponent can only be matched by the loop
     root based there, so peeling upward is forced; any genuine solution
     is supported at base exponents at most two below the largest input
-    exponent, which bounds the scan.
+    exponent.  The peel visits only the exponent levels that hold a
+    factor, lowest first: a member costs O(certificate x |alpha pattern|
+    x log levels), whatever the spread of its exponents, while a
+    non-member's peel reaches every level up to its top, so it costs
+    O(spread x rank).
     """
     if sign not in ("any", "+", "-"):
         raise DomainError(f"unknown sign constraint {sign!r}")
@@ -181,31 +196,44 @@ def lroot_decompose(
 
 
 def _decompose(cd: CartanData, pi: LWeight, sign: str) -> Optional[LRootCoeffs]:
-    """``lroot_decompose`` on a loop weight and sign already checked."""
+    """``lroot_decompose`` on a loop weight and sign already checked.
+
+    Each orbit's factors are bucketed by exponent level, {level: {node:
+    power}}, and the occupied levels are taken from a heap.  Every entry
+    of alpha_j but its base sits at an offset >= 1, so peeling a level
+    writes only above it: a level is final when it is popped, and its
+    nodes are peeled in ascending order.  Levels above the top input
+    exponent minus two are never peeled; whatever is left there means
+    pi is not a member.
+    """
     coeffs: LRootCoeffs = {}
-    by_orbit: Dict[str, Dict[Tuple[int, int], int]] = {}
+    by_orbit: Dict[str, Dict[int, Dict[int, int]]] = {}
     for (j, a, k), p in pi.factors:
-        by_orbit.setdefault(a, {})[(j, k)] = p
-    # Looked up once per call: each cache lookup hashes the Cartan data.
-    patterns = [_alpha_pattern(cd, j) for j in cd.nodes]
-    for orbit, work in by_orbit.items():
-        top = max(k for _, k in work)
-        level = min(k for _, k in work)
-        while level <= top - 2:
-            for j in cd.nodes:
-                c = work.get((j, level), 0)
-                if not c:
-                    continue
+        by_orbit.setdefault(a, {}).setdefault(k, {})[j] = p
+    rests = _peel_table(cd)
+    for orbit, levels in by_orbit.items():
+        last = max(levels) - 2
+        heap = list(levels)
+        heapify(heap)
+        while heap and heap[0] <= last:
+            level = heappop(heap)
+            bucket = levels.pop(level)
+            for j in sorted(bucket):
+                c = bucket[j]
                 coeffs[(j, orbit, level)] = c
-                for (node, off), v in patterns[j - 1]:
-                    key = (node, level + off)
-                    nv = work.get(key, 0) - c * v
+                for node, off, v in rests[j]:
+                    key = level + off
+                    row = levels.get(key)
+                    if row is None:
+                        row = levels[key] = {}
+                        if key <= last:
+                            heappush(heap, key)
+                    nv = row.get(node, 0) - c * v
                     if nv:
-                        work[key] = nv
+                        row[node] = nv
                     else:
-                        work.pop(key, None)
-            level += 1
-        if work:
+                        del row[node]
+        if any(levels.values()):
             return None
     if sign == "+" and any(c < 0 for c in coeffs.values()):
         return None
@@ -222,7 +250,12 @@ def expand_lroots(cd: CartanData, coeffs: LRootCoeffs) -> LWeight:
 
 
 def cone_check(cd: CartanData, omega: LWeight, pi: LWeight) -> bool:
-    """Whether pi lies below omega: their ratio is a negative loop-root product."""
+    """Whether pi lies below omega: their ratio is a negative loop-root product.
+
+    The cost is that of ``lroot_decompose`` on the ratio: O(certificate x
+    |alpha pattern| x log levels) when the ratio lies in the loop-root
+    lattice, whatever its sign, and O(spread x rank) when it does not.
+    """
     if not omega.is_dominant:
         raise DomainError("cone check needs a dominant reference weight")
     # The quotient merges a bad node with its int twin; check both sides

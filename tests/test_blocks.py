@@ -201,6 +201,8 @@ def test_cached_class_map_is_read_only():
 
 def test_class_solve_runs_once_per_type_and_never_for_seeds():
     cd = cartan_data("E7")
+    # Node images live on the structure, so a warm one would skip the solve.
+    _structure.cache_clear()
     _generator_class.cache_clear()
     for _, pi in trivial_sets(cd):
         elliptic_class(cd, pi)
@@ -532,18 +534,27 @@ def _parent_normal_form(structure, vec):
     return tuple(sorted(structure.lattice.residue(_peel_loop(structure, folded)).items()))
 
 
-def _parent_class(cd, pi):
-    # The raw generator sum of every factor, then one normal form per orbit.
-    structure = _structure(cd.type)
-    per_orbit = {}
+def _generator_terms(cd, pi, sign=1):
+    # sign times pi as raw class terms: w[i;a,k]^p gives p times node i's
+    # class terms moved up by k (a seed node's family at k), summed.
+    raw = {}
     for (i, a, k), p in pi.factors:
         if i in cd.seed_nodes:
             gen = (((blocks.seed_family(cd, i), 0), 1),)
         else:
             gen = _generator_class(cd.type)[i]
-        sub = per_orbit.setdefault(a, {})
         for (fam, e), m in gen:
-            sub[(fam, e + k)] = sub.get((fam, e + k), 0) + p * m
+            key = (a, fam, e + k)
+            raw[key] = raw.get(key, 0) + sign * p * m
+    return raw
+
+
+def _parent_class(cd, pi):
+    # The raw generator sum of every factor, then one normal form per orbit.
+    structure = _structure(cd.type)
+    per_orbit = {}
+    for (a, fam, e), c in _generator_terms(cd, pi).items():
+        per_orbit.setdefault(a, {})[(fam, e)] = c
     return tuple(
         ((a, fam, e), c)
         for a in sorted(per_orbit)
@@ -589,8 +600,11 @@ def test_classes_from_window_images_match_the_parent_path(label):
             fe = (rng.choice(structure.families), rng.randint(-(10**12), 10**12))
             vec[fe] = vec.get(fe, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
         assert structure.normal_form(vec) == _parent_normal_form(structure, vec), vec
-    # One image per generator shift (f, t) with t in [0, P), at most.
-    assert len(structure.images) <= len(structure.families) * structure.period
+    # One image per generator shift (f, t) and per loop generator (i, t),
+    # with t in [0, P), at most.
+    fam_keys = [key for key in structure.images if isinstance(key[0], str)]
+    assert len(fam_keys) <= len(structure.families) * structure.period
+    assert len(structure.images) - len(fam_keys) <= cd.rank * structure.period
     assert all(0 <= t < structure.period for _, t in structure.images)
 
 
@@ -618,6 +632,31 @@ def test_linkage_without_classes_matches_comparing_classes(label):
         top, bottom = _dominant_parts(w1 * roots)
         assert blocks_linked(cd, w1 * bottom, top), pi
         assert classes_equal(elliptic_class(cd, w1 * bottom), elliptic_class(cd, top))
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_node_images_match_the_family_image_path(label):
+    # elliptic_class and blocks_linked read node images; make reads only
+    # family images.  The structure starts cold, so images are both filled
+    # and reused here.
+    cd = cartan_data(label)
+    _structure.cache_clear()
+    rng = random.Random(f"node images {label}")
+    trues = 0
+    for pi in _draws(cd, 200):
+        assert elliptic_class(cd, pi) == EllipticCharacter.make(cd.type, _generator_terms(cd, pi)), pi
+        w1, w2 = _dominant_parts(pi)
+        # w1 * root = top / bottom, so w1 * bottom and top are linked.
+        root = simple_lroot(cd, rng.randint(1, cd.rank), rng.choice("ab"), rng.randint(-(10**12), 10**12))
+        top, bottom = _dominant_parts(w1 * root ** rng.choice((-1, 1)))
+        for left, right in ((w1, w2), (w1 * bottom, top)):
+            raw = _generator_terms(cd, left)
+            for key, c in _generator_terms(cd, right, -1).items():
+                raw[key] = raw.get(key, 0) + c
+            linked = EllipticCharacter.make(cd.type, raw).is_zero
+            assert blocks_linked(cd, left, right) == linked, (left, right)
+            trues += linked
+    assert trues >= 200
 
 
 def test_linkage_checks_dominance_before_nodes():

@@ -24,7 +24,7 @@ from loopchar import (
     twist_by_w0,
     weight_of,
 )
-from loopchar.braid import _generator_image, braid_orbit
+from loopchar.braid import _alpha_pattern, _generator_image, braid_orbit
 from loopchar.verify import _CLASS_TYPES
 from loopchar.weyl import _min_coset_reps
 
@@ -357,6 +357,88 @@ def test_sign_constraints_filter_mixed_solutions(label, data):
     minus = lroot_decompose(cd, pi, sign="-")
     assert (plus is not None) == all(c >= 0 for c in coeffs.values())
     assert (minus is not None) == all(c <= 0 for c in coeffs.values())
+
+
+def _dense_decompose(cd, pi, sign):
+    # The walk over every exponent level x every node, from the lowest
+    # exponent to two below the highest, that the heap of occupied levels
+    # replaced: kept as its oracle.
+    coeffs = {}
+    by_orbit = {}
+    for (j, a, k), p in pi.factors:
+        by_orbit.setdefault(a, {})[(j, k)] = p
+    for orbit, work in by_orbit.items():
+        top = max(k for _, k in work)
+        level = min(k for _, k in work)
+        while level <= top - 2:
+            for j in cd.nodes:
+                c = work.get((j, level), 0)
+                if not c:
+                    continue
+                coeffs[(j, orbit, level)] = c
+                for (node, off), v in _alpha_pattern(cd, j):
+                    key = (node, level + off)
+                    nv = work.get(key, 0) - c * v
+                    if nv:
+                        work[key] = nv
+                    else:
+                        work.pop(key, None)
+            level += 1
+        if work:
+            return None
+    if sign == "+" and any(c < 0 for c in coeffs.values()):
+        return None
+    if sign == "-" and any(c > 0 for c in coeffs.values()):
+        return None
+    return coeffs
+
+
+def _peel_cases(cd, spread, rng):
+    # A loop-root product on orbits a and b with exponents in a window of
+    # the given spread, its coefficients all positive, all negative or
+    # mixed, and the same product times one or two stray factors.
+    base = rng.randint(-8, 8)
+    kind = rng.choice(((1,), (-1,), (-1, 1)))
+    coeffs = {}
+    for _ in range(rng.randint(1, 6)):
+        key = (rng.randint(1, cd.rank), rng.choice("ab"), rng.randint(base, base + spread - 1))
+        coeffs[key] = rng.choice(kind) * rng.randint(1, 3)
+    member = expand_lroots(cd, coeffs)
+    stray = {}
+    for _ in range(rng.randint(1, 2)):
+        key = (rng.randint(1, cd.rank), rng.choice("ab"), rng.randint(base, base + spread + 1))
+        stray[key] = rng.choice((-2, -1, 1, 2))
+    return member, member * LWeight.from_dict(stray)
+
+
+@pytest.mark.parametrize("label", _CLASS_TYPES)
+def test_level_heap_peel_matches_the_dense_walk(label):
+    # Same coefficient maps in the same insertion order, or None on both
+    # sides, for every sign; spreads 1, 2, 4, ..., 2048.
+    cd = cartan_data(label)
+    rng = random.Random(f"peel {label}")
+    members = 0
+    for spread in (2**e for e in range(12)):
+        for _ in range(3):
+            for pi in _peel_cases(cd, spread, rng):
+                for sign in ("any", "+", "-"):
+                    want = _dense_decompose(cd, pi, sign)
+                    got = lroot_decompose(cd, pi, sign)
+                    assert (got is None) == (want is None), (pi, sign)
+                    if got is not None:
+                        assert list(got.items()) == list(want.items()), (pi, sign)
+                        members += 1
+    assert members >= 36
+
+
+def test_level_heap_peel_takes_late_nodes_in_order():
+    # Level 1 holds w[4;a,1] from pi before the peel of alpha_2 at level 0
+    # writes node 1 there; the coefficients still come node by node.
+    cd = cartan_data("A5")
+    pi = expand_lroots(cd, {(2, "a", 0): 1, (1, "a", 1): 1, (4, "a", 1): 1})
+    want = [((2, "a", 0), 1), ((1, "a", 1), 1), ((4, "a", 1), 1)]
+    assert list(_dense_decompose(cd, pi, "any").items()) == want
+    assert list(lroot_decompose(cd, pi).items()) == want
 
 
 def test_decompose_rejects_non_lattice_points():
