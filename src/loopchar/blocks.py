@@ -4,12 +4,13 @@ Classes are written additively in generators ``x[a,k]`` indexed by a
 spectral parameter, split into two families ``x+``/``x-`` for D of even
 rank.  Each type carries finitely many defining relations, all with
 coefficient 1 and even exponent offsets; shifting a relation by any
-integer gives another relation.  A single generator shift ``(f, t)``
-with ``t`` below the shift period has a window image: the peel of its
-exponent into the window below the first relation's span.  A normal form
-folds each exponent modulo the period, adds up the cached images and
-reduces the sum against the lattice spanned by the shifts of the
-remaining relations, which is closed under the window shift.
+integer gives another relation.  Each family's first relation, its
+division relation, confines exponents to a window below its span.  A
+ladder of window images, one rung per generator shift ``(f, t)`` over one
+shift period, is built from that relation's recurrence with the type's
+structure.  A normal form folds each exponent modulo the period, adds up
+the rungs and reduces the sum against the lattice spanned by the shifts
+of the remaining relations, which is closed under the window shift.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .cartan import CartanData, Frozen, LieType, cartan_data
 from .errors import DomainError, ParseError
@@ -84,20 +84,24 @@ def seed_family(cd: CartanData, i: int) -> str:
 
 class _BlockStructure:
     """Per-type reduction data: windows, division relations, the
-    shift-closed lattice L and the shift period.
+    shift-closed lattice L, the shift period P and the ladder.
+
+    ``ladder[f][t]``, for t in [0, P), is the window image of the single
+    generator shift x_f[t]: the unit (f, t) below the span, and above it
+    minus the sum of the earlier rungs t - span + s over the division
+    relation's other exponents s.  That is families x P rungs, built with
+    the structure.
 
     L is spanned by the window shifts S^t r of the extra relations r,
     taken for t = 0, 1, ... until a whole round lies in L already; every
     S^s r with s < t then maps to S^{s+1} r in L, so L is closed under S.
 
-    ``images`` caches window images, each filled on first use and dropped
-    with the structure: under a family key (f, t), t in [0, period), the
-    peel of the single generator shift x_f[t], at most families x period
-    entries; under a node key (i, t), the image of the loop generator
-    w[i;.,t], at most rank x period entries.
+    ``images`` caches, under a node key (i, t) with t in [0, P), the
+    image of the loop generator w[i;.,t], filled on first use and dropped
+    with the structure: at most rank x P entries.
     """
 
-    __slots__ = ("families", "span", "division", "lattice", "period", "images")
+    __slots__ = ("families", "span", "division", "lattice", "period", "ladder", "images")
 
     def __init__(self, cd: CartanData):
         relations = relation_set(cd)
@@ -117,65 +121,49 @@ class _BlockStructure:
                 extras.append(rel)
         if set(self.division) != set(self.families) or any(map(min, self.division.values())):
             raise ValueError("each family needs a division relation starting at exponent 0")
-        self.images: Dict[Tuple[Union[str, int], int], Tuple[Tuple[FamilyExp, int], ...]] = {}
+        self.period = _shift_period(cd)
+        # The rungs and the first round of shifts read exponents up to the
+        # relations' own, unfolded.
+        if any(e >= self.period for rel in relations for _, e in rel):
+            raise ValueError(f"the relations of {cd.type} reach past the shift period")
+        self.ladder: Dict[str, List[Tuple[Tuple[FamilyExp, int], ...]]] = {}
+        for fam in self.families:
+            span = self.span[fam]
+            rungs = self.ladder[fam] = [(((fam, t), 1),) for t in range(span)]
+            for t in range(span, self.period):
+                acc: Dict[FamilyExp, int] = {}
+                for s in self.division[fam][:-1]:
+                    self.add_image(acc, fam, t - span + s, -1)
+                rungs.append(tuple(acc.items()))
+        self.images: Dict[Tuple[int, int], Tuple[Tuple[FamilyExp, int], ...]] = {}
         self.lattice = SparseIntSolver()
+        shifted = [self.window(dict.fromkeys(rel, 1)) for rel in extras]
         t, grew = 0, True
         while grew:
             grew = False
-            for k, rel in enumerate(extras):
-                shifted = self.reduce({(fam, e + t): 1 for fam, e in rel})
-                if shifted not in self.lattice:
-                    self.lattice.add_column((t, k), shifted)
+            for k, vec in enumerate(shifted):
+                if vec not in self.lattice:
+                    self.lattice.add_column((t, k), vec)
                     grew = True
+            shifted = [self.window(vec, 1) for vec in shifted]
             t += 1
-        self.period = _shift_period(cd)
         # L is closed under S, so S^P fixes every window vector S^e (f, 0)
         # once it fixes each family's (f, 0).
         for fam in self.families:
-            if self.reduce({(fam, self.period): 1, (fam, 0): -1}) not in self.lattice:
+            moved = self.window(dict(self.ladder[fam][-1]), 1)
+            self.add_image(moved, fam, 0, -1)
+            if moved not in self.lattice:
                 raise ArithmeticError(
                     f"the window shift of {cd.type} does not have period {self.period}"
                 )
 
-    def reduce(self, vec: Dict[FamilyExp, int]) -> Dict[FamilyExp, int]:
-        """Confine every exponent to [0, span) by peeling exponents from
-        the top down, each with its family's division relation, in one pass
-        over a heap of the exponents above the window.  A peel only adds
-        lower exponents, so each one is peeled once.  Exponents must be
-        >= 0; ``add_image`` folds them into [0, period) first."""
-        work = {fe: c for fe, c in vec.items() if c}
-        for (fam, e) in vec:
-            if fam not in self.span:
-                raise DomainError(f"unknown family {fam!r}")
-            if e < 0:
-                raise ArithmeticError(f"reduce needs exponents >= 0, got {e}")
-        heap = [(-e, fam) for (fam, e) in work if e >= self.span[fam]]
-        heapify(heap)
-        while heap:
-            neg, fam = heappop(heap)
-            c = work.pop((fam, -neg), 0)
-            if not c:
-                continue
-            span = self.span[fam]
-            for s in self.division[fam][:-1]:
-                key = (fam, s - span - neg)
-                t = work.get(key, 0) - c
-                if not t:
-                    del work[key]
-                    continue
-                if key not in work and key[1] >= span:
-                    heappush(heap, (-key[1], fam))
-                work[key] = t
-        return work
-
     def add_image(self, acc: Dict[FamilyExp, int], fam: str, e: int, c: int) -> None:
         """acc += c times the window image of (fam, e), with e folded
-        modulo the period; each image is peeled once per structure."""
-        fe = (fam, e % self.period)
-        image = self.images.get(fe)
-        if image is None:
-            image = self.images[fe] = tuple(self.reduce({fe: 1}).items())
-        for key, x in image:
+        modulo the period: one rung of the ladder."""
+        rungs = self.ladder.get(fam)
+        if rungs is None:
+            raise DomainError(f"unknown family {fam!r}")
+        for key, x in rungs[e % self.period]:
             t = acc.get(key, 0) + c * x
             if t:
                 acc[key] = t
@@ -525,17 +513,9 @@ def trivial_sets(
     verification suite certifies.
     """
     check_param((orbit, exp))
-    series, n = cd.type.series, cd.rank
+    n = cd.rank
     sets: List[Tuple[str, Tuple[Tuple[int, int], ...]]]
-    if series == "A":
-        sets = [("1", tuple((1, 2 * r) for r in range(n + 1)))]
-    elif series == "B":
-        sets = [("1", ((n, 0), (n, 4 * n - 2)))]
-    elif series == "C":
-        sets = [("1", ((1, 0), (1, 2 * n + 2)))]
-    elif series == "D" and n % 2:
-        sets = [("1", ((n, 0), (n, 2), (n, 2 * n - 2), (n, 2 * n)))]
-    elif series == "D":
+    if cd.type.series == "D" and n % 2 == 0:
         sets = [
             ("+", ((n, 0), (n, 2 * n - 2))),
             ("-", ((n - 1, 0), (n - 1, 2 * n - 2))),
@@ -543,7 +523,7 @@ def trivial_sets(
         ]
     else:
         sets = [
-            (str(k + 1), tuple((1, e) for _, e in rel))
+            (str(k + 1), tuple((cd.seed_nodes[0], e) for _, e in rel))
             for k, rel in enumerate(relation_set(cd))
         ]
     out = []

@@ -232,16 +232,20 @@ def parse_lweight(text: str) -> LWeight:
 
 
 def check_lweight(cd: CartanData, pi: LWeight) -> LWeight:
-    """Raise DomainError naming the first bad node of pi, if any.
+    """Raise DomainError naming the first bad factor of pi, if any: a
+    node out of range, or an exponent or power that is not a plain int.
 
     The test of ``CartanData.check_nodes``, run on the factors in place:
     building their node list first made the check two to three times
     slower on the one- to three-factor weights of the hot paths.
+    ``LWeight.from_dict`` takes keys as given, so a float or bool exponent
+    would otherwise reach the class and braid maps as a silent non-integer.
     """
     rank = cd.rank
-    for (i, _, _), _ in pi.factors:
-        if type(i) is not int or not 1 <= i <= rank:
+    for (i, a, k), p in pi.factors:
+        if type(i) is not int or not 1 <= i <= rank or type(k) is not int or type(p) is not int:
             cd.check_node(i)
+            raise DomainError(f"factor w[{i};{a},{k!r}]^{p!r} needs an integer exponent and power")
     return pi
 
 

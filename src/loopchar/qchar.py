@@ -133,10 +133,14 @@ def cyclicity_order(
 
     Within each orbit, positions are refilled in decreasing exponent
     order (ties by node), so no later factor is a positive q-power of an
-    earlier one.  Factors of distinct orbits keep their slots.
+    earlier one.  Factors of distinct orbits keep their slots.  Each node
+    must be a plain int >= 1 and each parameter pass ``check_param``.
     """
     by_orbit: Dict[str, List[int]] = {}
-    for t, (node, (orbit, _e)) in enumerate(factors):
+    for t, (node, param) in enumerate(factors):
+        if type(node) is not int or node < 1:
+            raise DomainError(f"tensor factor node must be an integer >= 1, got {node!r}")
+        orbit, _ = check_param(param)
         by_orbit.setdefault(orbit, []).append(t)
     perm = [0] * len(factors)
     for slots in by_orbit.values():

@@ -122,6 +122,24 @@ def test_generator_classes_agree_with_the_loop_root_lattice(label):
         assert lroot_decompose(cd, pi * seeds.inverse()) is not None, (label, i)
 
 
+def _peel_loop(structure, vec):
+    # Exponents above the window peeled one at a time, top first, each by
+    # its family's division relation, rebuilding the list of exponents
+    # above the window after every step: the oracle of the ladder.
+    work = {fe: c for fe, c in vec.items() if c}
+    while True:
+        over = [(f, e) for (f, e) in work if e >= structure.span[f]]
+        if not over:
+            return work
+        fam, e = max(over, key=lambda fe: fe[1])
+        c = work.pop((fam, e))
+        for s in structure.division[fam][:-1]:
+            key = (fam, e - structure.span[fam] + s)
+            work[key] = work.get(key, 0) - c
+            if not work[key]:
+                del work[key]
+
+
 def _global_class_solve(lt):
     """The class map by one integer solve over all nodes at once, with rows
     ordered by distance from a seed: the construction that propagation
@@ -142,7 +160,7 @@ def _global_class_solve(lt):
         for (l, off), v in blocks._alpha_pattern(cd, j):
             for fam, e in [seeds[l]] if l in seeds else window:
                 vec = target if l in seeds else columns.setdefault((l, (fam, e)), {})
-                for fe, x in st.reduce({(fam, e + off): 1}).items():
+                for fe, x in _peel_loop(st, {(fam, e + off): 1}).items():
                     r = (dist[j], j, fe)
                     vec[r] = vec.get(r, 0) + v * x
         for b, row in enumerate(st.lattice.basis()):
@@ -328,11 +346,11 @@ def test_shifted_relations_span_the_shift_closure(label):
     assert all(row in lattice for row in closure.basis())
 
 
-def test_reduce_refuses_a_negative_exponent():
-    structure = _structure(cartan_data("D4").type)
-    assert structure.reduce({("+", 9): 1}) == {("+", 3): -1}
-    with pytest.raises(ArithmeticError, match="exponents >= 0"):
-        structure.reduce({("+", 9): 1, ("-", -1): 2})
+def test_rungs_above_the_span_follow_the_division_relation():
+    # D4's "+" division relation is x+[0] + x+[6] = 0, so x+[9] = -x+[3].
+    rungs = _structure(cartan_data("D4").type).ladder["+"]
+    assert rungs[9] == ((("+", 3), -1),)
+    assert rungs[5] == ((("+", 5), 1),)
 
 
 @pytest.mark.parametrize("label", PERIOD_TYPES)
@@ -356,12 +374,12 @@ def test_shift_period_is_exact(label):
     # holds on every window exponent, without the shift-closure argument.
     for fam in structure.families:
         for e in range(structure.span[fam]):
-            moved = structure.reduce({(fam, e + period): 1, (fam, e): -1})
+            moved = _peel_loop(structure, {(fam, e + period): 1, (fam, e): -1})
             assert moved in structure.lattice, (fam, e)
     for d in range(1, period):
         if period % d == 0:
             assert any(
-                structure.reduce({(fam, d): 1, (fam, 0): -1}) not in structure.lattice
+                _peel_loop(structure, {(fam, d): 1, (fam, 0): -1}) not in structure.lattice
                 for fam in structure.families
             ), d
 
@@ -375,6 +393,14 @@ def test_wrong_period_is_refused(label, monkeypatch):
     with pytest.raises(ArithmeticError, match="period"):
         # Unwrapped, so the cache of the correct structures is untouched.
         _structure.__wrapped__(lt)
+
+
+def test_a_period_within_the_relations_is_refused(monkeypatch):
+    # A3's relation reaches exponent 6; the ladder needs every relation
+    # exponent below the period, so a period of 6 is refused before any rung.
+    monkeypatch.setattr(blocks, "_shift_period", lambda cd: 6)
+    with pytest.raises(ValueError, match="reach past the shift period"):
+        _structure.__wrapped__(cartan_data("A3").type)
 
 
 def test_huge_exponent_classes_are_immediate():
@@ -503,30 +529,24 @@ def test_class_from_json_rejects_a_malformed_record(data):
         EllipticCharacter.from_json(data)
 
 
+@pytest.mark.parametrize("label, family", [("A3", "+"), ("D4", ""), ("E8", "q")])
+def test_a_family_the_type_lacks_is_refused(label, family):
+    lt = cartan_data(label).type
+    term = {"orbit": "a", "family": family, "exp": 0, "coeff": 1}
+    with pytest.raises(DomainError, match="unknown family"):
+        EllipticCharacter.from_json({"type": label, "terms": [term]})
+    if family != "q":  # the printed form has no such family tag
+        with pytest.raises(DomainError, match="unknown family"):
+            parse_elliptic(lt, f"x{family}[a,0]")
+
+
 # The 21 class types and seven larger ranks, for the checks of the class
 # path against the parent's: 300 seeded draws each, 8400 in all.
 ORACLE_TYPES = _CLASS_TYPES + ("A12", "B9", "C7", "D9", "D10", "D13", "D16")
 
 
-def _peel_loop(structure, vec):
-    # The peel that rebuilt the list of exponents above the window after
-    # every step: the loop the one-pass heap replaced, kept as its oracle.
-    work = {fe: c for fe, c in vec.items() if c}
-    while True:
-        over = [(f, e) for (f, e) in work if e >= structure.span[f]]
-        if not over:
-            return work
-        fam, e = max(over, key=lambda fe: fe[1])
-        c = work.pop((fam, e))
-        for s in structure.division[fam][:-1]:
-            key = (fam, e - structure.span[fam] + s)
-            work[key] = work.get(key, 0) - c
-            if not work[key]:
-                del work[key]
-
-
 def _parent_normal_form(structure, vec):
-    # residue(reduce(fold(vec))): one peel of the whole folded vector.
+    # residue(peel(fold(vec))): one peel of the whole folded vector.
     folded = {}
     for (fam, e), c in vec.items():
         fe = (fam, e % structure.period)
@@ -576,16 +596,32 @@ def _draws(cd, n):
     return out
 
 
+@pytest.mark.parametrize("label", ORACLE_TYPES + ("A40", "B20", "C20", "D40", "D41"))
+def test_every_rung_is_the_peel_of_its_unit(label):
+    structure = _structure(cartan_data(label).type)
+    for fam, rungs in structure.ladder.items():
+        assert len(rungs) == structure.period
+        for t, rung in enumerate(rungs):
+            assert dict(rung) == _peel_loop(structure, {(fam, t): 1}), (fam, t)
+
+
 @pytest.mark.parametrize("label", ORACLE_TYPES)
 def test_one_pass_reduce_matches_the_peel_loop(label):
+    # window() reduces a vector in one pass, one rung per term: the peel
+    # itself below the period, and the peel's class above it.
     structure = _structure(cartan_data(label).type)
+    period = structure.period
     rng = random.Random(f"reduce {label}")
     for _ in range(200):
         vec = {}
+        top = rng.choice((1, 3)) * period
         for _ in range(rng.randint(1, 8)):
-            fe = (rng.choice(structure.families), rng.randrange(3 * structure.period))
+            fe = (rng.choice(structure.families), rng.randrange(top))
             vec[fe] = vec.get(fe, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
-        assert structure.reduce(vec) == _peel_loop(structure, vec), vec
+        peeled = _peel_loop(structure, vec)
+        if top == period:
+            assert structure.window(vec) == peeled, vec
+        assert structure.normal_form(vec) == tuple(sorted(structure.lattice.residue(peeled).items())), vec
 
 
 @pytest.mark.parametrize("label", ORACLE_TYPES)
@@ -600,12 +636,12 @@ def test_classes_from_window_images_match_the_parent_path(label):
             fe = (rng.choice(structure.families), rng.randint(-(10**12), 10**12))
             vec[fe] = vec.get(fe, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
         assert structure.normal_form(vec) == _parent_normal_form(structure, vec), vec
-    # One image per generator shift (f, t) and per loop generator (i, t),
-    # with t in [0, P), at most.
-    fam_keys = [key for key in structure.images if isinstance(key[0], str)]
-    assert len(fam_keys) <= len(structure.families) * structure.period
-    assert len(structure.images) - len(fam_keys) <= cd.rank * structure.period
-    assert all(0 <= t < structure.period for _, t in structure.images)
+    # One rung per generator shift (f, t) and at most one image per loop
+    # generator (i, t), with t in [0, P).
+    rungs = sum(map(len, structure.ladder.values()))
+    assert rungs == len(structure.families) * structure.period
+    assert len(structure.images) <= cd.rank * structure.period
+    assert all(1 <= i <= cd.rank and 0 <= t < structure.period for i, t in structure.images)
 
 
 def _dominant_parts(pi):

@@ -9,10 +9,13 @@ from loopchar import (
     LCharacter,
     LWeight,
     ParseError,
+    braid_act,
     cartan_data,
     dual_lweight,
+    elliptic_class,
     expand_lroots,
     fundamental_lweight,
+    lroot_decompose,
     minuscule_char,
     parse_lweight,
     sl2_eval_char,
@@ -526,3 +529,15 @@ def test_lweight_from_json_rejects_a_malformed_record(data):
 def test_character_from_json_rejects_a_malformed_record(data):
     with pytest.raises(ParseError):
         LCharacter.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "powers",
+    [{(2, "a", 0.5): 1}, {(2, "a", 0): 1.5}, {(2, "a", True): 1}, {(2, "a", 0): True}, {(2, "a", "1"): 1}],
+)
+def test_non_integer_exponents_and_powers_are_refused(powers):
+    cd = cartan_data("A3")
+    pi = LWeight.from_dict(powers)
+    for call in (elliptic_class, lroot_decompose, lambda cd, pi: braid_act(cd, 2, pi)):
+        with pytest.raises(DomainError, match="integer exponent and power"):
+            call(cd, pi)

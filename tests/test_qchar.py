@@ -102,6 +102,23 @@ def test_sl2_tensor_irreducibility_fixtures():
     assert not sl2_tensor_irreducible(strings((3, ("a", 0)), (1, ("a", 4))))
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [(1, ("a", "x")), (1, ("a", 0))],
+        [(1, ("a", 1.5))],
+        [(1, ("a b", 0))],
+        [(1, ("a", True))],
+        [(0, ("a", 0))],
+        [(1.0, ("a", 0))],
+        [(True, ("a", 0))],
+    ],
+)
+def test_cyclicity_order_refuses_malformed_factors(factors):
+    with pytest.raises(DomainError):
+        cyclicity_order(factors)
+
+
 def test_cyclicity_order_fixture():
     order = cyclicity_order([(1, ("a", 0)), (1, ("a", 4)), (1, ("a", 2))])
     assert order == (1, 2, 0)
