@@ -21,7 +21,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .cartan import CartanData, Frozen, LieType, cartan_data
+from .cartan import CartanData, Frozen, LieType, _alpha_pattern, cartan_data
 from .errors import DomainError, ParseError
 from .intlattice import SparseIntSolver
 from .lweight import (
@@ -33,7 +33,6 @@ from .lweight import (
     json_int,
     json_str,
 )
-from .braid import _alpha_pattern
 
 FamilyExp = Tuple[str, int]
 Relation = Tuple[FamilyExp, ...]

@@ -10,7 +10,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cartan import CartanData
+from .cartan import CartanData, Weight, _alpha_pattern
 from .errors import DomainError
 from .lweight import (
     Factors,
@@ -22,8 +22,9 @@ from .lweight import (
     dual_lweight,
     weight_of,
 )
-from .weyl import Weight, longest_element, orbit_edges
 
+# weyl is imported inside the two functions that run it, braid_orbit and
+# twist_by_w0, so importing braid does not load it.
 LRootCoeffs = Dict[GenKey, int]
 
 
@@ -127,21 +128,13 @@ def braid_orbit(cd: CartanData, pi: LWeight) -> Dict[Weight, LWeight]:
     one braid operator is applied per edge of the orbit walk.  pi is
     checked once, by ``weight_of``.
     """
+    from .weyl import orbit_edges
+
     lam = weight_of(cd, pi)
     images = {lam: pi}
     for mu, j, nu in orbit_edges(cd, lam):
         images[nu] = _act_letter(cd, j, images[mu])
     return images
-
-
-@lru_cache(maxsize=None)
-def _alpha_pattern(cd: CartanData, i: int) -> Tuple[Tuple[Tuple[int, int], int], ...]:
-    """Entries of the i-th simple loop root as ((node, exp offset), value)."""
-    entries = [((i, 0), 1), ((i, 2 * cd.d(i)), 1)]
-    for l, _, a_li in cd.links[i - 1]:
-        # A neighbour l carries a q-string of |a_li| inverse factors centred at d_i.
-        entries += [((l, t), -1) for t in range(cd.d(i) + 1 + a_li, cd.d(i) - a_li, 2)]
-    return tuple(sorted(entries))
 
 
 @lru_cache(maxsize=None)
@@ -271,6 +264,8 @@ def twist_by_w0(cd: CartanData, pi: LWeight) -> LWeight:
     Equals the inverse of the dual loop weight; the identity is checked
     here because it pins both the node pairing and the exponent shift.
     """
+    from .weyl import longest_element
+
     if not pi.is_dominant:
         raise DomainError("the twist formula applies to dominant loop weights")
     out = braid_act_word(cd, longest_element(cd).word, pi)

@@ -17,6 +17,9 @@ from typing import Sequence, Tuple, Union
 
 from .errors import DomainError, ParseError
 
+# A weight, or any vector indexed by the nodes 1..n, as a tuple.
+Weight = Tuple[int, ...]
+
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
 
 _RANK_BOUNDS = {
@@ -253,3 +256,17 @@ def cartan_data(t: Union[str, LieType]) -> CartanData:
     if isinstance(t, str):
         t = LieType.parse(t)
     return _build(t)
+
+
+@lru_cache(maxsize=None)
+def _alpha_pattern(cd: CartanData, i: int) -> Tuple[Tuple[Tuple[int, int], int], ...]:
+    """Entries of the i-th simple loop root as ((node, exp offset), value).
+
+    They depend on the Cartan data alone, so braid and blocks both read
+    them from here and blocks need not load braid.
+    """
+    entries = [((i, 0), 1), ((i, 2 * cd.d(i)), 1)]
+    for l, _, a_li in cd.links[i - 1]:
+        # A neighbour l carries a q-string of |a_li| inverse factors centred at d_i.
+        entries += [((l, t), -1) for t in range(cd.d(i) + 1 + a_li, cd.d(i) - a_li, 2)]
+    return tuple(sorted(entries))

@@ -9,16 +9,24 @@ Exit codes: 0 on success (predicates report their answer and still exit
 4 on an internal error, reported as one line on stderr, and 141 when the
 reader of stdout closed it before the output was written (as in
 ``| head -1``), with nothing on stderr.
+
+The verbs, their options and their positionals are one table,
+``_VERBS``.  ``main`` reads a well-formed argv against it directly and
+builds the argparse parser from the same table only when that read
+declines: for ``--help``, for a usage error, and for spellings such as
+``--flag=value`` or an abbreviated flag.  So a call that runs a verb
+never imports argparse, and help and usage errors keep argparse's bytes.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 # Every verb loads cartan and lweight.  Each handler imports the rest of
-# the library itself, and json is imported where JSON is read or written,
-# so a cold process compiles and runs only what its verb needs.
+# the library itself, argparse is imported only to print help or a usage
+# error, and json only where JSON is read or written, so a cold process
+# compiles and runs only what its verb needs.
 from .cartan import CartanData, cartan_data
 from .errors import DomainError, ParseError
 from .lweight import LCharacter, LWeight, check_lweight, parse_lweight
@@ -93,7 +101,7 @@ def _print_bool(value: bool, fmt: str) -> None:
     print(_dump({"result": value}) if fmt == "json" else ("true" if value else "false"))
 
 
-def _cmd_alpha(args: argparse.Namespace) -> int:
+def _cmd_alpha(args: SimpleNamespace) -> int:
     from .braid import simple_lroot
 
     cd = cartan_data(args.type)
@@ -101,7 +109,7 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_act(args: argparse.Namespace) -> int:
+def _cmd_act(args: SimpleNamespace) -> int:
     from .braid import braid_act_word
     from .weyl import is_reduced_word
 
@@ -115,7 +123,7 @@ def _cmd_act(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_twist(args: argparse.Namespace) -> int:
+def _cmd_twist(args: SimpleNamespace) -> int:
     from .braid import twist_by_w0
 
     cd = cartan_data(args.type)
@@ -134,7 +142,7 @@ def _coeff_sign(values: List[int]) -> str:
     return "mixed"
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: SimpleNamespace) -> int:
     from .braid import lroot_decompose
 
     cd = cartan_data(args.type)
@@ -166,7 +174,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cone(args: argparse.Namespace) -> int:
+def _cmd_cone(args: SimpleNamespace) -> int:
     from .braid import cone_check
 
     cd = cartan_data(args.type)
@@ -175,7 +183,7 @@ def _cmd_cone(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_block(args: argparse.Namespace) -> int:
+def _cmd_block(args: SimpleNamespace) -> int:
     from .blocks import elliptic_class
 
     cd = cartan_data(args.type)
@@ -185,7 +193,7 @@ def _cmd_block(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_linked(args: argparse.Namespace) -> int:
+def _cmd_linked(args: SimpleNamespace) -> int:
     from .blocks import blocks_linked
 
     cd = cartan_data(args.type)
@@ -194,7 +202,7 @@ def _cmd_linked(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trivial(args: argparse.Namespace) -> int:
+def _cmd_trivial(args: SimpleNamespace) -> int:
     from .blocks import trivial_sets
 
     cd = cartan_data(args.type)
@@ -207,7 +215,7 @@ def _cmd_trivial(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_qchar_fund(args: argparse.Namespace) -> int:
+def _cmd_qchar_fund(args: SimpleNamespace) -> int:
     from .qchar import dn_node2_char, fundamental_char, is_minuscule, minuscule_char
 
     cd = cartan_data(args.type)
@@ -227,7 +235,7 @@ def _cmd_qchar_fund(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_qchar_sl2(args: argparse.Namespace) -> int:
+def _cmd_qchar_sl2(args: SimpleNamespace) -> int:
     from .qchar import sl2_eval_char
 
     if args.type is not None and args.type.strip() != "A1":
@@ -236,7 +244,7 @@ def _cmd_qchar_sl2(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_qchar_tensor(args: argparse.Namespace) -> int:
+def _cmd_qchar_tensor(args: SimpleNamespace) -> int:
     from .qchar import Sl2String, sl2_eval_char, sl2_tensor_irreducible, tensor_char
 
     s1 = Sl2String((args.orbit, args.exp), args.length)
@@ -254,7 +262,7 @@ def _cmd_qchar_tensor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from .verify import SUITE_NAMES, run_suite
 
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
@@ -283,87 +291,177 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failing else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _opt(flag: str, kind=None, default=None, required=False, choices=None, help=None) -> tuple:
+    return (flag, kind, default, required, choices, help)
+
+
+# The verb table: verb -> (handler, help, options, positionals), in the
+# order of ``--help``.  An option is (flag, type, default, required,
+# choices, help).  Handlers are named, not bound, and looked up when argv
+# is parsed, so a handler replaced on the module is the one that runs.
+_TYPE = _opt("--type", required=True, help="Lie type, e.g. D5")
+_FORMAT = _opt("--format", default="text", choices=("text", "json"), help="output encoding")
+_NODE = _opt("--node", int, required=True)
+_ORBIT = _opt("--orbit", default="a")
+_EXP = _opt("--exp", int, default=0)
+_LENGTH = _opt("--length", int, required=True)
+_TABLE_HELP = 'classical multiplicities as JSON, e.g. {"0,1,0,0":1,"0,0,0,0":5}'
+
+_VERBS = {
+    "alpha": ("_cmd_alpha", "print one simple loop root", (_TYPE, _FORMAT, _NODE, _ORBIT, _EXP), ()),
+    "act": (
+        "_cmd_act",
+        "apply a braid word to a loop weight",
+        (_TYPE, _FORMAT, _opt("--word", required=True, help="comma-separated nodes; last acts first")),
+        ("weight",),
+    ),
+    "twist-w0": ("_cmd_twist", "twist by the longest braid element", (_TYPE, _FORMAT), ("weight",)),
+    "decompose": (
+        "_cmd_decompose",
+        "write a loop weight over simple loop roots",
+        (_TYPE, _FORMAT, _opt("--sign", default="any", choices=("any", "+", "-"))),
+        ("weight",),
+    ),
+    "cone": (
+        "_cmd_cone",
+        "test membership in a highest weight's cone",
+        (_TYPE, _FORMAT),
+        ("highest", "weight"),
+    ),
+    "block": ("_cmd_block", "elliptic class of a loop weight", (_TYPE, _FORMAT), ("weight",)),
+    "linked": (
+        "_cmd_linked",
+        "test whether two dominant weights share a block",
+        (_TYPE, _FORMAT),
+        ("first", "second"),
+    ),
+    "trivial-sets": (
+        "_cmd_trivial",
+        "generator products in the trivial block",
+        (_TYPE, _FORMAT, _ORBIT, _EXP),
+        (),
+    ),
+    "qchar-fund": (
+        "_cmd_qchar_fund",
+        "q-character of a fundamental module",
+        (_TYPE, _FORMAT, _NODE, _ORBIT, _EXP, _opt("--table", help=_TABLE_HELP)),
+        (),
+    ),
+    "qchar-sl2": (
+        "_cmd_qchar_sl2",
+        "q-character of one evaluation string",
+        (_FORMAT, _opt("--type", help="optional; must be A1 when given"), _ORBIT, _EXP, _LENGTH),
+        (),
+    ),
+    "qchar-tensor": (
+        "_cmd_qchar_tensor",
+        "tensor two strings",
+        (
+            _FORMAT,
+            _ORBIT,
+            _EXP,
+            _LENGTH,
+            _opt("--orbit2", default="a"),
+            _opt("--exp2", int, default=0),
+            _opt("--length2", int, required=True),
+        ),
+        (),
+    ),
+    "verify": (
+        "_cmd_verify",
+        "run the self-check suites",
+        (
+            _FORMAT,
+            _opt("--suite", default="all", choices=SUITES + ("all",)),
+            _opt("--seed", int, default=0),
+        ),
+        (),
+    ),
+}
+
+
+def _is_flag(token: str) -> bool:
+    """Whether argparse may read token as a flag: it starts with "-" and is
+    neither "-" alone nor a negative integer in ASCII digits, which
+    argparse reads as values."""
+    rest = token[1:]
+    return token[:1] == "-" and rest != "" and not (rest.isdigit() and rest.isascii())
+
+
+def _parse(argv: List[str]) -> Optional[SimpleNamespace]:
+    """argv read against the verb table, or None where argparse must decide.
+
+    Accepts only what argparse reads the same way: the verb first, each of
+    its flags at most once, spelt in full and followed by a value of the
+    flag's type and choices, every required flag, and exactly the verb's
+    positionals, in any order.  Anything else (-h, --, an unknown,
+    abbreviated or --flag=value flag, a value that reads as a flag) is
+    left to argparse, for its help text or its usage error.
+    """
+    if not argv or argv[0] not in _VERBS:
+        return None
+    handler, _, options, positionals = _VERBS[argv[0]]
+    spec = {opt[0]: opt for opt in options}
+    given: Dict[str, object] = {}
+    free: List[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not _is_flag(token):
+            free.append(token)
+            continue
+        opt = spec.get(token)
+        value = next(tokens, None)
+        if opt is None or token in given or value is None or _is_flag(value):
+            return None
+        _, kind, _, _, choices, _ = opt
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        given[token] = value
+    if len(free) != len(positionals):
+        return None
+    args = SimpleNamespace(verb=argv[0], handler=globals()[handler])
+    for flag, _, default, required, _, _ in options:
+        if required and flag not in given:
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    for name, value in zip(positionals, free):
+        setattr(args, name, value)
+    return args
+
+
+def _build_parser() -> "argparse.ArgumentParser":
+    """The argparse parser of the verb table, for help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="loopchar",
         description="Symbolic loop weights, braid twists, blocks, and q-characters.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name: str, handler, help_text: str, typed: bool = True):
-        p = sub.add_parser(name, help=help_text)
-        if typed:
-            p.add_argument("--type", required=True, help="Lie type, e.g. D5")
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output encoding"
-        )
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("alpha", _cmd_alpha, "print one simple loop root")
-    p.add_argument("--node", type=int, required=True)
-    p.add_argument("--orbit", default="a")
-    p.add_argument("--exp", type=int, default=0)
-
-    p = add("act", _cmd_act, "apply a braid word to a loop weight")
-    p.add_argument("--word", required=True, help="comma-separated nodes; last acts first")
-    p.add_argument("weight")
-
-    p = add("twist-w0", _cmd_twist, "twist by the longest braid element")
-    p.add_argument("weight")
-
-    p = add("decompose", _cmd_decompose, "write a loop weight over simple loop roots")
-    p.add_argument("--sign", choices=("any", "+", "-"), default="any")
-    p.add_argument("weight")
-
-    p = add("cone", _cmd_cone, "test membership in a highest weight's cone")
-    p.add_argument("highest")
-    p.add_argument("weight")
-
-    p = add("block", _cmd_block, "elliptic class of a loop weight")
-    p.add_argument("weight")
-
-    p = add("linked", _cmd_linked, "test whether two dominant weights share a block")
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = add("trivial-sets", _cmd_trivial, "generator products in the trivial block")
-    p.add_argument("--orbit", default="a")
-    p.add_argument("--exp", type=int, default=0)
-
-    p = add("qchar-fund", _cmd_qchar_fund, "q-character of a fundamental module")
-    p.add_argument("--node", type=int, required=True)
-    p.add_argument("--orbit", default="a")
-    p.add_argument("--exp", type=int, default=0)
-    p.add_argument(
-        "--table",
-        help='classical multiplicities as JSON, e.g. {"0,1,0,0":1,"0,0,0,0":5}',
-    )
-
-    p = add("qchar-sl2", _cmd_qchar_sl2, "q-character of one evaluation string", typed=False)
-    p.add_argument("--type", help="optional; must be A1 when given")
-    p.add_argument("--orbit", default="a")
-    p.add_argument("--exp", type=int, default=0)
-    p.add_argument("--length", type=int, required=True)
-
-    p = add("qchar-tensor", _cmd_qchar_tensor, "tensor two strings", typed=False)
-    p.add_argument("--orbit", default="a")
-    p.add_argument("--exp", type=int, default=0)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--orbit2", default="a")
-    p.add_argument("--exp2", type=int, default=0)
-    p.add_argument("--length2", type=int, required=True)
-
-    p = add("verify", _cmd_verify, "run the self-check suites", typed=False)
-    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    p.add_argument("--seed", type=int, default=0)
-
+    for verb, (handler, help_text, options, positionals) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for flag, kind, default, required, choices, text in options:
+            p.add_argument(
+                flag, type=kind, default=default, required=required, choices=choices, help=text
+            )
+        for name in positionals:
+            p.add_argument(name)
+        p.set_defaults(handler=globals()[handler])
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv)
+    if args is None:
+        # argparse prints the help (exit 0) or a usage error (exit 2), or
+        # reads what _parse declined, such as --flag=value or an abbreviation.
+        args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     try:
         code = args.handler(args)
         # Output still buffered would otherwise meet a closed pipe at exit.

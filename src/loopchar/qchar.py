@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lweight
-from .cartan import CartanData, Frozen, cartan_data
+from .cartan import CartanData, Frozen, Weight, cartan_data
 from .errors import DomainError
 from .lweight import (
     LCharacter,
@@ -31,16 +31,9 @@ from .lweight import (
     fundamental_lweight,
     weight_of,
 )
-from .braid import braid_orbit, simple_lroot
-from .weyl import (
-    Weight,
-    _fundamental_is_minuscule,
-    dominance_diff,
-    fundamental_weight,
-    is_dominant,
-    simple_root_weight,
-)
 
+# braid and weyl are imported only inside the cached builders below, so
+# the string verbs never load them and a warm call runs no import.
 MultTable = Dict[Weight, int]
 
 
@@ -133,11 +126,15 @@ def cyclicity_order(
 
     Within each orbit, positions are refilled in decreasing exponent
     order (ties by node), so no later factor is a positive q-power of an
-    earlier one.  Factors of distinct orbits keep their slots.  Each node
-    must be a plain int >= 1 and each parameter pass ``check_param``.
+    earlier one.  Factors of distinct orbits keep their slots.  Each factor
+    must be a (node, parameter) pair, each node a plain int >= 1 and each
+    parameter pass ``check_param``.
     """
     by_orbit: Dict[str, List[int]] = {}
-    for t, (node, param) in enumerate(factors):
+    for t, factor in enumerate(factors):
+        if type(factor) not in (tuple, list) or len(factor) != 2:
+            raise DomainError(f"tensor factor must be a (node, parameter) pair, got {factor!r}")
+        node, param = factor
         if type(node) is not int or node < 1:
             raise DomainError(f"tensor factor node must be an integer >= 1, got {node!r}")
         orbit, _ = check_param(param)
@@ -168,6 +165,8 @@ def is_minuscule(cd: CartanData, i: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _is_minuscule(cd: CartanData, i: int) -> bool:
+    from .weyl import _fundamental_is_minuscule
+
     return _fundamental_is_minuscule(cd, i)
 
 
@@ -207,6 +206,8 @@ def minuscule_char(cd: CartanData, i: int, p: SpectralParam) -> LCharacter:
 
 @lru_cache(maxsize=None)
 def _minuscule_template(cd: CartanData, i: int) -> _Template:
+    from .braid import braid_orbit
+
     top = fundamental_lweight(cd, i)
     images = braid_orbit(cd, top)
     if len(set(images.values())) != len(images):
@@ -228,6 +229,8 @@ def dn_node2_char(n: int, p: SpectralParam) -> LCharacter:
 
 @lru_cache(maxsize=None)
 def _dn_node2_template(cd: CartanData) -> _Template:
+    from .braid import braid_orbit
+
     n = cd.rank
     terms: Dict[LWeight, int] = {}
     for pi in braid_orbit(cd, fundamental_lweight(cd, 2)).values():
@@ -294,6 +297,9 @@ def fundamental_char(
 def _fundamental_template(
     cd: CartanData, i: int, items: Tuple[Tuple[Weight, int], ...]
 ) -> _Template:
+    from .braid import braid_orbit
+    from .weyl import dominance_diff, fundamental_weight, is_dominant
+
     table = dict(items)
     top = fundamental_lweight(cd, i)
     top_wt = fundamental_weight(cd, i)
@@ -375,6 +381,9 @@ def _discover(
     bounds: Dict[Weight, Dict[LWeight, int]],
 ) -> None:
     """Record dominant children reachable from one orbit term."""
+    from .braid import simple_lroot
+    from .weyl import is_dominant, simple_root_weight
+
     # Only a node whose powers are positive and sum to 2 descends; other powers add 3 entries.
     exps: Dict[int, List[Tuple[str, int]]] = {}
     for (j, orbit, k), power in term.factors:

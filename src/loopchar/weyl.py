@@ -12,10 +12,9 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cartan import CartanData, Frozen, LieType, cartan_data
+from .cartan import CartanData, Frozen, LieType, Weight, cartan_data
 from .errors import DomainError
 
-Weight = Tuple[int, ...]
 RootCoords = Tuple[int, ...]
 
 

@@ -11,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopchar import cli
 from loopchar import (
@@ -189,6 +191,105 @@ def test_usage_errors_exit_2():
     assert run_cli("verify", "--suite", "nope").returncode == 2
     assert run_cli("alpha", "--type", "A2").returncode == 2
     assert run_cli().returncode == 2
+
+
+# Values a flag or positional may take: good and bad ints, negative
+# numbers, and strings that start with "-".
+INT_VALUES = ["0", "1", "3", "-2", "-0", " 4", "+5", "1_0"]
+STR_VALUES = ["A2", "a", "w[1;a,0]", "", "-7", "a=b"]
+NOISE_VALUES = ["x", "1.5", "-1.5", "-1e3", "-x", "-", "- a", "--", "json", "nope", "alpha"]
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed argv for a verb of the table, then up to three edits."""
+    verb = draw(st.sampled_from(sorted(cli._VERBS)))
+    _, _, options, positionals = cli._VERBS[verb]
+    chunks = []
+    for flag, kind, _, required, choices, _ in options:
+        if required or draw(st.booleans()):
+            values = choices or (INT_VALUES if kind is int else STR_VALUES)
+            chunks.append([flag, draw(st.sampled_from(values))])
+    chunks += [[draw(st.sampled_from(STR_VALUES))] for _ in positionals]
+    argv = [verb] + [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+    flags = [opt[0] for opt in options]
+    noise = st.one_of(
+        st.sampled_from(flags),
+        st.sampled_from(flags).flatmap(lambda f: st.sampled_from([f[:k] for k in range(3, len(f))])),
+        st.tuples(st.sampled_from(flags), st.sampled_from(INT_VALUES + STR_VALUES)).map("=".join),
+        st.sampled_from(["-h", "--help", "--he", "--bogus", "-t", "--"]),
+        st.sampled_from(INT_VALUES + STR_VALUES + NOISE_VALUES),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert":
+            argv.insert(draw(st.integers(0, len(argv))), draw(noise))
+        elif argv:
+            i = draw(st.integers(0, len(argv) - 1))
+            if edit == "replace":
+                argv[i] = draw(noise)
+            else:
+                del argv[i]
+    return argv
+
+
+@settings(deadline=None, max_examples=400)
+@given(argvs())
+def test_the_exact_parse_agrees_with_argparse(argv):
+    args = cli._parse(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._build_parser().parse_args(argv))
+
+
+# One argv per reason the exact parse leaves argv to argparse.
+DECLINED = {
+    "help": ["alpha", "--type", "A2", "--node", "1", "-h"],
+    "top-level help": ["--help"],
+    "no verb": [],
+    "unknown verb": ["alph", "--type", "A2", "--node", "1"],
+    "unknown flag": ["alpha", "--type", "A2", "--node", "1", "--bogus", "x"],
+    "abbreviated flag": ["alpha", "--typ", "A2", "--node", "1"],
+    "flag=value": ["alpha", "--type=A2", "--node", "1"],
+    "double dash": ["block", "--type", "A2", "--", "w[1;a,0]"],
+    "repeated flag": ["alpha", "--type", "A2", "--node", "1", "--node", "2"],
+    "value that reads as a flag": ["alpha", "--type", "A2", "--node", "1", "--orbit", "-b"],
+    "missing value": ["alpha", "--type", "A2", "--node"],
+    "bad int": ["alpha", "--type", "A2", "--node", "one"],
+    "value outside its choices": ["verify", "--suite", "nope"],
+    "missing required flag": ["alpha", "--type", "A2"],
+    "too few positionals": ["cone", "--type", "A2", "w[1;a,0]"],
+    "too many positionals": ["block", "--type", "A2", "w[1;a,0]", "w[2;a,0]"],
+}
+
+
+@pytest.mark.parametrize("reason", sorted(DECLINED))
+def test_the_exact_parse_declines(reason):
+    assert cli._parse(DECLINED[reason]) is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["alpha", "--node", "1", "--exp", "-3", "--type", "A2"],
+        ["block", "--type", "A2", "-5"],
+        ["cone", "w[1;a,0]", "--type", "A2", "w[1;a,2]"],
+        ["alpha", "--type", "A2", "--node", " 1"],
+        ["qchar-sl2", "--length", "2", "--orbit", ""],
+        ["decompose", "--type", "A2", "--sign", "-", "w[1;a,0]"],
+    ],
+    ids=" ".join,
+)
+def test_the_exact_parse_accepts_what_argparse_reads_alike(argv):
+    args = cli._parse(argv)
+    assert args is not None
+    assert vars(args) == vars(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [["--type", "A2", "--node=1"], ["--typ", "A2", "--nod", "1"]])
+def test_spellings_left_to_argparse_print_the_same(argv, capsys):
+    assert cli._parse(["alpha", *argv]) is None
+    assert cli.main(["alpha", *argv]) == 0
+    assert capsys.readouterr().out == "w[1;a,0]*w[1;a,2]*w[2;a,1]^-1\n"
 
 
 def test_verify_json_rows_carry_suite_names():

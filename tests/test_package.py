@@ -6,6 +6,7 @@ before and after, so modules its own start-up loaded never count.
 """
 
 import ast
+import functools
 import pathlib
 import subprocess
 import sys
@@ -75,6 +76,55 @@ def test_block_loads_no_qchar_or_verify():
     assert stdout == "x[a,1] - x[a,5]\n"
     assert "loopchar.blocks" in loaded
     assert not loaded & {"loopchar.qchar", "loopchar.verify"}
+
+
+# A well-formed call of each verb, and the loopchar modules it must not load.
+WELL_FORMED = {
+    "alpha": (["--type", "A2", "--node", "1"], {"weyl"}),
+    "act": (["--type", "A2", "--word", "1,2", "w[1;a,0]"], set()),
+    "twist-w0": (["--type", "A2", "w[1;a,0]"], set()),
+    "decompose": (["--type", "A2", "w[1;a,0]*w[1;a,2]*w[2;a,1]^-1"], {"weyl"}),
+    "cone": (["--type", "A2", "w[1;a,0]", "w[1;a,0]"], {"weyl"}),
+    "block": (["--type", "B2", "w[1;a,0]"], {"weyl", "braid"}),
+    "linked": (["--type", "A2", "w[1;a,0]", "w[1;a,6]"], {"weyl", "braid"}),
+    "trivial-sets": (["--type", "A2"], {"weyl", "braid"}),
+    "qchar-fund": (["--type", "A2", "--node", "1"], set()),
+    "qchar-sl2": (["--length", "2", "--exp", "-1"], {"weyl", "braid"}),
+    "qchar-tensor": (["--length", "1", "--length2", "1"], {"weyl", "braid"}),
+    "verify": (["--suite", "sl2"], set()),
+}
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+def test_every_verb_has_a_well_formed_call():
+    from loopchar import cli
+
+    assert sorted(WELL_FORMED) == sorted(cli._VERBS)
+
+
+@functools.lru_cache(maxsize=None)
+def well_formed_run(verb):
+    argv, _ = WELL_FORMED[verb]
+    stdout, loaded = loaded_by(verb, *argv)
+    assert stdout
+    return loaded
+
+
+@pytest.mark.parametrize("verb", sorted(WELL_FORMED))
+def test_a_well_formed_call_loads_no_argparse(verb):
+    assert not well_formed_run(verb) & ARGPARSE
+
+
+@pytest.mark.parametrize("verb", sorted(v for v, (_, skipped) in WELL_FORMED.items() if skipped))
+def test_a_well_formed_call_loads_no_braid_or_weyl_it_skips(verb):
+    _, skipped = WELL_FORMED[verb]
+    assert not well_formed_run(verb) & {f"loopchar.{name}" for name in skipped}
+
+
+def test_help_still_loads_argparse():
+    stdout, loaded = loaded_by("--help")
+    assert stdout.startswith("usage: loopchar")
+    assert "argparse" in loaded
 
 
 def test_every_public_name_resolves():

@@ -119,6 +119,13 @@ def test_cyclicity_order_refuses_malformed_factors(factors):
         cyclicity_order(factors)
 
 
+@pytest.mark.parametrize("factor", [1, (1,), None, (1, ("a", 0), 0)], ids=repr)
+def test_cyclicity_order_refuses_a_factor_that_is_not_a_pair(factor):
+    with pytest.raises(DomainError, match=r"\(node, parameter\) pair") as err:
+        cyclicity_order([(1, ("a", 0)), factor])
+    assert repr(factor) in str(err.value)
+
+
 def test_cyclicity_order_fixture():
     order = cyclicity_order([(1, ("a", 0)), (1, ("a", 4)), (1, ("a", 2))])
     assert order == (1, 2, 0)
