@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .cartan import CartanData, Frozen, LieType, _alpha_pattern, cartan_data
 from .errors import DomainError, ParseError
-from .intlattice import SparseIntSolver
+from .intlattice import SparseIntSolver, solve
 from .lweight import (
     LWeight,
     _json_field,
@@ -137,15 +137,14 @@ class _BlockStructure:
         self.images: Dict[Tuple[int, int], Tuple[Tuple[FamilyExp, int], ...]] = {}
         self.lattice = SparseIntSolver()
         shifted = [self.window(dict.fromkeys(rel, 1)) for rel in extras]
-        t, grew = 0, True
+        grew = True
         while grew:
             grew = False
-            for k, vec in enumerate(shifted):
+            for vec in shifted:
                 if vec not in self.lattice:
-                    self.lattice.add_column((t, k), vec)
+                    self.lattice.add_column(vec)
                     grew = True
             shifted = [self.window(vec, 1) for vec in shifted]
-            t += 1
         # L is closed under S, so S^P fixes every window vector S^e (f, 0)
         # once it fixes each family's (f, 0).
         for fam in self.families:
@@ -391,11 +390,12 @@ def _generator_class(lt: LieType) -> Mapping[int, Tuple[Tuple[FamilyExp, int], .
     node next to a known one becomes a free window vector ``X``, and later
     classes are carried as a window vector plus a polynomial in ``S``
     applied to ``X``.  A, B, C, D of even rank, F4 and G2 need no free
-    parameter; D of odd rank and E6-E8 need one.  One integer solve then
-    finds ``X`` from the relations not used yet, with ``|window|``
-    unknowns per parameter, and the propagation runs again from the
-    solved ``X``.  Last, every ``alpha_j`` is checked to map into ``L``;
-    if one does not, ``ArithmeticError`` names the type and the node.
+    parameter; D of odd rank and E6-E8 need one.  One integer solve
+    modulo ``L`` then finds ``X`` from the relations not used yet, with
+    ``|window|`` unknowns per parameter, and the propagation runs again
+    from the solved ``X``.  Last, every ``alpha_j`` is checked to map
+    into ``L``; if one does not, ``ArithmeticError`` names the type and
+    the node.
 
     The result is read-only, since every later class of the type uses it.
     """
@@ -412,12 +412,13 @@ def _generator_class(lt: LieType) -> Mapping[int, Tuple[Tuple[FamilyExp, int], .
     if free:
         window = [(fam, e) for fam in st.families for e in range(st.span[fam])]
         basis = st.lattice.basis()
-        solver = SparseIntSolver()
         # Unknown (p, w) is coordinate w of parameter p; its column holds
-        # p's polynomial applied to w, in the rows (j, fe) of each relation j.
+        # p's polynomial applied to w, in the rows (j, fe) of each relation j,
+        # which holds modulo one copy of L's basis in the same rows.
         # One window vector of the polynomial per family, then one shift per w.
         columns: Dict[Tuple[int, FamilyExp], Dict[Tuple[int, FamilyExp], int]] = {}
         target: Dict[Tuple[int, FamilyExp], int] = {}
+        modulo: List[Dict[Tuple[int, FamilyExp], int]] = []
         for j in sorted(set(cd.nodes) - set(used)):
             const, poly = _combine(st, known, _alpha_pattern(cd, j))
             for fe, x in const.items():
@@ -430,16 +431,14 @@ def _generator_class(lt: LieType) -> Mapping[int, Tuple[Tuple[FamilyExp, int], .
                         for fe, x in image.items():
                             column[(j, fe)] = x
                         image = st.window(image, 1)
-            for b, row in enumerate(basis):
-                solver.add_column(("L", j, b), {(j, fe): x for fe, x in row.items()})
-        for key, column in columns.items():
-            solver.add_column(key, column)
-        combo = solver.solve(target)
-        if combo is None:
+            modulo += ({(j, fe): x for fe, x in row.items()} for row in basis)
+        solution = solve(list(columns.values()), target, modulo)
+        if solution is None:
             raise ArithmeticError(f"no class map for {lt}: the loop-root system is unsolvable")
+        solved = dict(zip(columns, solution))
         known = dict(seeds)
         for p, u in enumerate(free):
-            known[u] = (dict(st.normal_form({w: combo.get((p, w), 0) for w in window})), {})
+            known[u] = (dict(st.normal_form({w: solved[(p, w)] for w in window})), {})
         _propagate(cd, st, known)
     for j in cd.nodes:
         if _combine(st, known, _alpha_pattern(cd, j))[0]:

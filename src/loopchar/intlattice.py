@@ -2,15 +2,14 @@
 
 Everything here works over the integers with no fractions and no
 tolerances.  ``SparseIntSolver`` keeps the span of sparse integer
-columns in echelon form, tracking the combination of original columns
-behind each pivot.  It reads back exact solutions of A x = b, tests
-membership in the span and gives canonical coset residues.
+columns in echelon form, tests membership and gives canonical coset
+residues; ``solve`` reads x with A x = b modulo a lattice off one residue.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -31,80 +30,55 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
 SparseVec = Dict[Hashable, int]
 
 
-def _comb(x: int, u: SparseVec, y: int, v: SparseVec) -> SparseVec:
-    """Return x*u + y*v with zero entries dropped."""
-    out = dict(u) if x == 1 else {k: x * c for k, c in u.items() if x}
-    if y:
-        for k, c in v.items():
-            t = out.get(k, 0) + y * c
-            if t:
-                out[k] = t
-            else:
-                del out[k]
-    return out
+def _sub(v: SparseVec, q: int, u: SparseVec) -> SparseVec:
+    """v -= q*u in place, dropping zero entries; returns v."""
+    for k, c in u.items():
+        t = v.get(k, 0) - q * c
+        if t:
+            v[k] = t
+        else:
+            del v[k]
+    return v
 
 
 class SparseIntSolver:
-    """Column space over Z with combination tracking.
+    """Column span over Z in echelon form.
 
     Columns are sparse mappings from sortable row keys to integers.
     Pivots have pairwise distinct leading keys with positive leading
-    entries.  Each stored pivot remembers the integer combination of
-    original columns that produced it, so ``solve`` can return
-    coefficients x with sum(x[k] * column[k]) == target exactly, or None
-    when the target is outside the column span.
+    entries, and each pivot is one vector of the span.
     """
 
     __slots__ = ("_pivots",)
 
     def __init__(self):
-        self._pivots: Dict[Hashable, Tuple[SparseVec, SparseVec]] = {}
+        self._pivots: Dict[Hashable, SparseVec] = {}
 
-    def add_column(self, key: Hashable, vec: SparseVec) -> None:
-        v = {k: c for k, c in vec.items() if c}
-        self._insert(v, {key: 1})
+    def add_column(self, vec: SparseVec) -> None:
+        self._insert({k: c for k, c in vec.items() if c})
 
-    def _insert(self, v: SparseVec, combo: SparseVec) -> None:
+    def _insert(self, v: SparseVec) -> None:
+        # v is never shared with a caller or a pivot, so it is reduced in place.
+        pivots = self._pivots
         while v:
             j = min(v)
-            entry = self._pivots.get(j)
-            if entry is None:
-                if v[j] < 0:
-                    v, combo = _comb(-1, v, 0, {}), _comb(-1, combo, 0, {})
-                self._pivots[j] = (v, combo)
+            pv = pivots.get(j)
+            if pv is None:
+                pivots[j] = v if v[j] > 0 else {k: -c for k, c in v.items()}
                 return
-            pv, pc = entry
             a, b = pv[j], v[j]
             if b % a == 0:
-                q = b // a
-                v, combo = _comb(1, v, -q, pv), _comb(1, combo, -q, pc)
+                _sub(v, b // a, pv)
             elif a % b == 0:
-                # The incoming vector has the finer pivot; swap them.
-                if v[j] < 0:
-                    v, combo = _comb(-1, v, 0, {}), _comb(-1, combo, 0, {})
-                self._pivots[j] = (v, combo)
-                v, combo = pv, pc
+                # The incoming vector has the finer pivot and takes pv's place.
+                pivots[j] = v if b > 0 else {k: -c for k, c in v.items()}
+                v = _sub(pv, a // b, v)
             else:
-                # pivot' = x*pv + y*v has leading entry g; the remainder
-                # (a/g)*v - (b/g)*pv has leading entry 0.
+                # pivot' = x*pv + y*v has leading entry g, the remainder (a/g)*v - (b/g)*pv 0;
+                # neither of a, b divides the other, so none of x, y, a/g, b/g is 0.
                 g, x, y = xgcd(a, b)
-                self._pivots[j] = (_comb(x, pv, y, v), _comb(x, pc, y, combo))
-                v, combo = _comb(a // g, v, -(b // g), pv), _comb(a // g, combo, -(b // g), pc)
-
-    def solve(self, target: SparseVec) -> Optional[SparseVec]:
-        v = {k: c for k, c in target.items() if c}
-        combo: SparseVec = {}
-        while v:
-            j = min(v)
-            entry = self._pivots.get(j)
-            if entry is None:
-                return None
-            pv, pc = entry
-            if v[j] % pv[j]:
-                return None
-            q = v[j] // pv[j]
-            v, combo = _comb(1, v, -q, pv), _comb(1, combo, q, pc)
-        return combo
+                pivots[j] = _sub({k: x * c for k, c in pv.items()}, -y, v)
+                v = _sub({k: a // g * c for k, c in v.items()}, b // g, pv)
 
     def __contains__(self, vec: SparseVec) -> bool:
         # The span's own coset reduces to zero, and no other coset does.
@@ -112,7 +86,7 @@ class SparseIntSolver:
 
     def basis(self) -> List[SparseVec]:
         """The pivot vectors, in ascending order of their leading keys."""
-        return [dict(self._pivots[j][0]) for j in sorted(self._pivots)]
+        return [dict(self._pivots[j]) for j in sorted(self._pivots)]
 
     def residue(self, vec: SparseVec) -> SparseVec:
         """Canonical representative of vec modulo the column span.
@@ -130,7 +104,7 @@ class SparseIntSolver:
         heapify(heap)
         while heap:
             j = heappop(heap)
-            pv = pivots[j][0]
+            pv = pivots[j]
             q = v.get(j, 0) // pv[j]
             if not q:
                 continue
@@ -143,3 +117,28 @@ class SparseIntSolver:
                     heappush(heap, k)
                 v[k] = t
         return v
+
+
+def solve(
+    columns: Sequence[SparseVec], target: SparseVec, modulo: Sequence[SparseVec] = ()
+) -> Optional[List[int]]:
+    """Integers x with sum(x[n] * columns[n]) - target in the span of
+    ``modulo``, or None if there are none.
+
+    Row keys need only sort among themselves; they are renumbered 0..R-1.
+    Column n gains a unit entry in tail row R + n, after every equation
+    row, and ``modulo`` gains none.  The pivots past R span the vectors
+    with no equation row, so the target's residue keeps no equation row
+    exactly when x exists, and its tail is then -x.
+    """
+    rows = sorted(set(target).union(*columns, *modulo))
+    index, tail = {k: r for r, k in enumerate(rows)}, len(rows)
+    lattice = SparseIntSolver()
+    for vec in modulo:
+        lattice.add_column({index[k]: c for k, c in vec.items()})
+    for n, vec in enumerate(columns):
+        column = {index[k]: c for k, c in vec.items()}
+        column[tail + n] = 1
+        lattice.add_column(column)
+    r = lattice.residue({index[k]: c for k, c in target.items()})
+    return None if r and min(r) < tail else [-r.get(tail + n, 0) for n in range(len(columns))]

@@ -5,40 +5,15 @@ forms transcribed independently of the implementation, then compares
 the two sides exactly.  Results come back as report rows (check id,
 status, expected, actual) so callers can render text or JSON.  Suites
 that sample use a caller-supplied seed and are otherwise deterministic.
+Each suite imports the modules it checks, and no other suite's.
 """
 
 import random
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .blocks import (
-    EllipticCharacter,
-    classes_equal,
-    elliptic_class,
-    tensor_class,
-    trivial_sets,
-)
-from .braid import braid_act, braid_act_word, expand_lroots, lroot_decompose, simple_lroot
 from .cartan import CartanData, cartan_data
 from .errors import DomainError
 from .lweight import GenKey, LWeight, fundamental_lweight, weight_of
-from .qchar import (
-    Sl2String,
-    cyclicity_order,
-    dn_node2_char,
-    fundamental_char,
-    sl2_eval_char,
-    sl2_tensor_irreducible,
-    tensor_char,
-    weight_projection,
-)
-from .weyl import (
-    fundamental_weight,
-    longest_element,
-    positive_roots,
-    reflect,
-    simple_root_weight,
-    zero_weight,
-)
 
 Row = Dict[str, str]
 
@@ -98,6 +73,8 @@ def _product(
     alphas: Sequence[Tuple[int, int]],
 ) -> LWeight:
     """Product of fundamental powers and simple loop roots, all orbit "a"."""
+    from .braid import simple_lroot
+
     acc = _mono(omegas)
     for node, exp in alphas:
         acc = acc * simple_lroot(cd, node, "a", exp)
@@ -137,6 +114,8 @@ def _alpha_fixture(cd: CartanData, i: int) -> LWeight:
 
 
 def _suite_alpha(rng: random.Random) -> List[Row]:
+    from .braid import simple_lroot
+
     rows: List[Row] = []
     for series, lo in _ALPHA_RANKS:
         for n in range(lo, 9):
@@ -152,6 +131,9 @@ def _suite_alpha(rng: random.Random) -> List[Row]:
 
 
 def _suite_braid(rng: random.Random) -> List[Row]:
+    from .braid import braid_act, braid_act_word
+    from .weyl import reflect
+
     rows: List[Row] = []
     for name in _BRAID_TYPES:
         cd = cartan_data(name)
@@ -185,6 +167,9 @@ def _suite_braid(rng: random.Random) -> List[Row]:
 
 
 def _suite_twist(rng: random.Random) -> List[Row]:
+    from .braid import braid_act_word
+    from .weyl import longest_element
+
     rows: List[Row] = []
     for name in _TWIST_TYPES:
         cd = cartan_data(name)
@@ -349,18 +334,16 @@ def _suite_ellfund(rng: random.Random) -> List[Row]:
     return rows
 
 
-def _an_image(cd: CartanData, i: int) -> EllipticCharacter:
-    raw = {("a", "", 2 * r - i + 1): 1 for r in range(i)}
-    return EllipticCharacter.make(cd.type, raw)
+# The class of w[i;a,0] in closed form, as window terms (orbit, family, exponent).
+
+def _an_image(i: int) -> Dict[Tuple[str, str, int], int]:
+    return {("a", "", 2 * r - i + 1): 1 for r in range(i)}
 
 
-def _bn_image(cd: CartanData, i: int) -> EllipticCharacter:
-    n = cd.rank
+def _bn_image(n: int, i: int) -> Dict[Tuple[str, str, int], int]:
     if i == n:
-        raw = {("a", "", 0): 1}
-    else:
-        raw = {("a", "", 2 * n - 2 * i - 1): 1, ("a", "", -(2 * n - 2 * i - 1)): 1}
-    return EllipticCharacter.make(cd.type, raw)
+        return {("a", "", 0): 1}
+    return {("a", "", 2 * n - 2 * i - 1): 1, ("a", "", -(2 * n - 2 * i - 1)): 1}
 
 
 def _random_dominant(rng: random.Random, cd: CartanData) -> LWeight:
@@ -373,6 +356,8 @@ def _random_dominant(rng: random.Random, cd: CartanData) -> LWeight:
 
 
 def _random_lattice_element(rng: random.Random, cd: CartanData) -> LWeight:
+    from .braid import simple_lroot
+
     acc = LWeight.identity()
     for _ in range(rng.randint(1, 3)):
         node = rng.randint(1, cd.rank)
@@ -382,6 +367,9 @@ def _random_lattice_element(rng: random.Random, cd: CartanData) -> LWeight:
 
 
 def _suite_xi(rng: random.Random) -> List[Row]:
+    from .blocks import EllipticCharacter, classes_equal, elliptic_class
+    from .braid import lroot_decompose, simple_lroot
+
     rows: List[Row] = []
     for name in _CLASS_TYPES:
         cd = cartan_data(name)
@@ -398,12 +386,12 @@ def _suite_xi(rng: random.Random) -> List[Row]:
         cd = cartan_data(f"A{n}")
         for i in cd.nodes:
             got = elliptic_class(cd, fundamental_lweight(cd, i, "a", 0))
-            _emit(rows, f"xi/image/A{n}/{i}", _an_image(cd, i), got)
+            _emit(rows, f"xi/image/A{n}/{i}", EllipticCharacter.make(cd.type, _an_image(i)), got)
     for n in range(2, 9):
         cd = cartan_data(f"B{n}")
         for i in cd.nodes:
             got = elliptic_class(cd, fundamental_lweight(cd, i, "a", 0))
-            _emit(rows, f"xi/image/B{n}/{i}", _bn_image(cd, i), got)
+            _emit(rows, f"xi/image/B{n}/{i}", EllipticCharacter.make(cd.type, _bn_image(n, i)), got)
     for name in _PAIR_TYPES:
         cd = cartan_data(name)
         agree = 0
@@ -430,6 +418,9 @@ def _suite_xi(rng: random.Random) -> List[Row]:
 
 
 def _suite_trivial(rng: random.Random) -> List[Row]:
+    from .blocks import elliptic_class, trivial_sets
+    from .braid import expand_lroots, lroot_decompose
+
     rows: List[Row] = []
     for name in _CLASS_TYPES:
         cd = cartan_data(name)
@@ -493,6 +484,11 @@ def _dn_word(n: int, j: int) -> Tuple[int, ...]:
 
 
 def _suite_dn(rng: random.Random) -> List[Row]:
+    from .blocks import elliptic_class
+    from .braid import braid_act_word
+    from .qchar import dn_node2_char, fundamental_char, weight_projection
+    from .weyl import fundamental_weight, positive_roots, simple_root_weight, zero_weight
+
     rows: List[Row] = []
     for n in (4, 5, 6):
         cd = cartan_data(f"D{n}")
@@ -546,6 +542,10 @@ _SL2_IRRED = (
 
 
 def _suite_sl2(rng: random.Random) -> List[Row]:
+    from .blocks import classes_equal, elliptic_class, tensor_class
+    from .qchar import Sl2String, cyclicity_order, sl2_eval_char, sl2_tensor_irreducible
+    from .qchar import tensor_char, weight_projection
+
     rows: List[Row] = []
     cd = cartan_data("A1")
     for m in range(11):

@@ -380,21 +380,20 @@ def weight_orbit(cd: CartanData, lam: Weight) -> List[Tuple[Weight, WeylElement]
 def dominance_diff(cd: CartanData, lam: Weight, mu: Weight) -> Optional[RootCoords]:
     """Root coordinates of lam - mu, or None if not in the root lattice.
 
-    Solved over the integers against the simple roots, whose weight
-    coordinates are the Cartan columns: 2 at j and a_kj at each neighbour k.
+    One integer solve, ``intlattice.solve``, whose columns are the simple
+    roots in weight coordinates, the Cartan columns: 2 at j and a_kj at
+    each neighbour k.
     """
     _check_coords(cd, lam, "weight")
     _check_coords(cd, mu, "weight")
-    # Imported here: most cold CLI calls never reach a solve.
-    from .intlattice import SparseIntSolver
+    # Imported here: most cold CLI calls never reach the integer solve.
+    from .intlattice import solve
 
-    solver = SparseIntSolver()
+    columns = []
     for j, links in zip(cd.nodes, cd.links):
         column = {j: 2}
         for k, _, a_kj in links:
             column[k] = a_kj
-        solver.add_column(j, column)
-    x = solver.solve({i: l - m for i, l, m in zip(cd.nodes, lam, mu)})
-    if x is None:
-        return None
-    return tuple(x.get(j, 0) for j in cd.nodes)
+        columns.append(column)
+    x = solve(columns, {i: l - m for i, l, m in zip(cd.nodes, lam, mu)})
+    return None if x is None else tuple(x)

@@ -26,7 +26,7 @@ from loopchar import (
 )
 from loopchar import blocks
 from loopchar.blocks import _generator_class, _structure, relation_set
-from loopchar.intlattice import SparseIntSolver
+from loopchar.intlattice import SparseIntSolver, solve
 from loopchar.verify import _CLASS_TYPES
 
 
@@ -154,8 +154,7 @@ def _global_class_solve(lt):
                 dist[l] = dist[i] + 1
                 order.append(l)
     window = [(fam, e) for fam in st.families for e in range(st.span[fam])]
-    solver = SparseIntSolver()
-    columns, target = {}, {}
+    columns, target, modulo = {}, {}, []
     for j in cd.nodes:
         for (l, off), v in blocks._alpha_pattern(cd, j):
             for fam, e in [seeds[l]] if l in seeds else window:
@@ -163,13 +162,11 @@ def _global_class_solve(lt):
                 for fe, x in _peel_loop(st, {(fam, e + off): 1}).items():
                     r = (dist[j], j, fe)
                     vec[r] = vec.get(r, 0) + v * x
-        for b, row in enumerate(st.lattice.basis()):
-            solver.add_column(("L", j, b), {(dist[j], j, fe): x for fe, x in row.items()})
-    for key, vec in columns.items():
-        solver.add_column(key, vec)
-    combo = solver.solve({key: -x for key, x in target.items()})
+        modulo += ({(dist[j], j, fe): x for fe, x in row.items()} for row in st.lattice.basis())
+    solution = solve(list(columns.values()), {key: -x for key, x in target.items()}, modulo)
+    coords = dict(zip(columns, solution))
     return {
-        l: st.normal_form({fe: combo.get((l, fe), 0) for fe in window})
+        l: st.normal_form({fe: coords[(l, fe)] for fe in window})
         for l in cd.nodes
         if l not in seeds
     }
@@ -205,6 +202,31 @@ def test_closing_check_names_a_broken_relation(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"A3 sends alpha_3 outside L"):
         _generator_class(lt)
     monkeypatch.undo()
+    assert _generator_class(lt) == _global_class_solve(lt)
+
+
+def test_unsolvable_free_parameter_is_an_arithmetic_error(monkeypatch):
+    # alpha_1 of D5 with its second node-1 entry moved from S^2 to S^4:
+    # alpha_2 still settles node 1 from the free parameter at node 2, so
+    # the broken alpha_1 goes into the solve, and no window vector sends
+    # it into L.
+    real = blocks._alpha_pattern
+
+    def broken(cd, i):
+        pattern = real(cd, i)
+        if str(cd.type) == "D5" and i == 1:
+            return tuple(((l, 4 if (l, off) == (1, 2) else off), v) for (l, off), v in pattern)
+        return pattern
+
+    lt = cartan_data("D5").type
+    _generator_class.cache_clear()
+    _structure.cache_clear()
+    monkeypatch.setattr(blocks, "_alpha_pattern", broken)
+    with pytest.raises(ArithmeticError, match=r"no class map for D5: the loop-root system is unsolvable"):
+        _generator_class(lt)
+    monkeypatch.undo()
+    _generator_class.cache_clear()
+    _structure.cache_clear()
     assert _generator_class(lt) == _global_class_solve(lt)
 
 
@@ -310,16 +332,16 @@ def _closure_lattice(label):
     divisions = {tuple((fam, e) for e in exps) for fam, exps in structure.division.items()}
     extras = [rel for rel in relation_set(cd) if rel not in divisions]
     lattice = SparseIntSolver()
-    for n, rel in enumerate(extras):
-        lattice.add_column(n, _two_sided_reduce(structure, {fe: 1 for fe in rel}))
-    n, grew = len(extras), True
+    for rel in extras:
+        lattice.add_column(_two_sided_reduce(structure, {fe: 1 for fe in rel}))
+    grew = True
     while grew:
         grew = False
         for row in lattice.basis():
             shifted = _two_sided_reduce(structure, {(fam, e + 1): c for (fam, e), c in row.items()})
             if shifted not in lattice:
-                lattice.add_column(n, shifted)
-                n, grew = n + 1, True
+                lattice.add_column(shifted)
+                grew = True
     return lattice
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopchar.intlattice import SparseIntSolver, xgcd
+from loopchar.intlattice import SparseIntSolver, solve, xgcd
 
 
 def test_xgcd_identity():
@@ -15,10 +15,10 @@ def test_xgcd_identity():
 
 
 def lattice(*rows):
-    """A solver holding the given dense rows as columns keyed by position."""
+    """A solver holding the given dense rows as columns."""
     lat = SparseIntSolver()
-    for n, row in enumerate(rows):
-        lat.add_column(n, dict(enumerate(row)))
+    for row in rows:
+        lat.add_column(dict(enumerate(row)))
     return lat
 
 
@@ -43,7 +43,7 @@ def test_row_lattice_residue_reduces():
 def test_dependent_row_changes_nothing():
     lat = lattice((1, 2, 0), (0, 0, 4))
     before = lat.basis()
-    lat.add_column(2, {0: 2, 1: 4, 2: 4})
+    lat.add_column({0: 2, 1: 4, 2: 4})
     assert lat.basis() == before
 
 
@@ -77,53 +77,117 @@ def test_residue_ignores_row_order(rows, vec, rng):
 
 def test_solver_single_column_sign():
     # A doubled generator must come back with coefficient +2, not -2.
-    solver = SparseIntSolver()
-    solver.add_column("c", {0: 2})
-    assert solver.solve({0: 4}) == {"c": 2}
-    assert solver.solve({0: -6}) == {"c": -3}
-    assert solver.solve({0: 3}) is None
+    assert solve([{0: 2}], {0: 4}) == [2]
+    assert solve([{0: 2}], {0: -6}) == [-3]
+    assert solve([{0: 2}], {0: 3}) is None
 
 
 def test_solver_two_columns():
-    solver = SparseIntSolver()
-    solver.add_column("x", {0: 1, 1: 1})
-    solver.add_column("y", {1: 1})
-    combo = solver.solve({0: 2, 1: 5})
-    assert combo == {"x": 2, "y": 3}
+    assert solve([{0: 1, 1: 1}, {1: 1}], {0: 2, 1: 5}) == [2, 3]
 
 
 def test_solver_empty_target():
-    solver = SparseIntSolver()
-    solver.add_column("x", {0: 3})
-    assert solver.solve({}) == {}
+    assert solve([{0: 3}], {}) == [0]
+
+
+def _combination(columns, x):
+    """sum(x[n] * columns[n]) with zero entries dropped."""
+    out = {}
+    for c, col in zip(x, columns):
+        for row, v in col.items():
+            out[row] = out.get(row, 0) + c * v
+    return {row: v for row, v in out.items() if v}
 
 
 @settings(max_examples=60)
 @given(
-    st.dictionaries(
-        st.integers(0, 3),
+    st.lists(
         st.dictionaries(st.integers(0, 4), st.integers(-4, 4), max_size=3),
         min_size=1,
         max_size=4,
     ),
-    st.dictionaries(st.integers(0, 3), st.integers(-3, 3), max_size=4),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
 )
 def test_solver_reproduces_combinations(columns, weights):
-    solver = SparseIntSolver()
-    for key, col in columns.items():
-        solver.add_column(key, col)
-    target = {}
-    for key, c in weights.items():
-        for row, v in columns.get(key, {}).items():
-            target[row] = target.get(row, 0) + c * v
-    target = {row: v for row, v in target.items() if v}
-    combo = solver.solve(target)
-    assert combo is not None
-    rebuilt = {}
-    for key, c in combo.items():
-        for row, v in columns[key].items():
-            rebuilt[row] = rebuilt.get(row, 0) + c * v
-    assert {r: v for r, v in rebuilt.items() if v} == target
+    target = _combination(columns, weights)
+    x = solve(columns, target)
+    assert x is not None
+    assert _combination(columns, x) == target
+
+
+def _scaled(x, u, y, v):
+    """x*u + y*v with zero entries dropped."""
+    out = {k: x * c for k, c in u.items()}
+    for k, c in v.items():
+        out[k] = out.get(k, 0) + y * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _tracked_solve(columns, target):
+    """The combination-tracking solve that ``intlattice.solve`` replaced,
+    kept as its oracle: each echelon pivot carries the combination of
+    columns behind it, and the target is reduced pivot by pivot."""
+    pivots = {}
+    for n, col in enumerate(columns):
+        v, combo = {k: c for k, c in col.items() if c}, {n: 1}
+        while v:
+            j = min(v)
+            if v[j] < 0:
+                v, combo = _scaled(-1, v, 0, {}), _scaled(-1, combo, 0, {})
+            if j not in pivots:
+                pivots[j] = (v, combo)
+                break
+            pv, pc = pivots[j]
+            a, b = pv[j], v[j]
+            g, x, y = xgcd(a, b)
+            pivots[j] = (_scaled(x, pv, y, v), _scaled(x, pc, y, combo))
+            v, combo = _scaled(a // g, v, -(b // g), pv), _scaled(a // g, combo, -(b // g), pc)
+    v, combo = {k: c for k, c in target.items() if c}, {}
+    while v:
+        j = min(v)
+        if j not in pivots or v[j] % pivots[j][0][j]:
+            return None
+        pv, pc = pivots[j]
+        q = v[j] // pv[j]
+        v, combo = _scaled(1, v, -q, pv), _scaled(1, combo, q, pc)
+    return combo
+
+
+sparse_vecs = st.dictionaries(st.integers(0, 5), st.integers(-6, 6), max_size=4)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(sparse_vecs, min_size=1, max_size=5),
+    st.lists(sparse_vecs, max_size=3),
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    sparse_vecs,
+    st.booleans(),
+)
+@example([{0: 2}], [{0: 3}], [1], [0], {}, False)
+def test_solve_modulo_matches_the_tracked_solve(columns, modulo, weights, shifts, noise, noisy):
+    # Targets built as a combination plus a modulo vector are solvable;
+    # adding noise makes some of them unsolvable.
+    target = _combination(columns + modulo, weights[: len(columns)] + shifts[: len(modulo)])
+    if noisy:
+        target = _scaled(1, target, 1, noise)
+    x = solve(columns, target, modulo)
+    oracle = _tracked_solve(columns + modulo, target)
+    assert (x is None) == (oracle is None)
+    if x is not None:
+        # x may differ from the oracle's by a kernel element: check the
+        # defining property, with the oracle deciding the span of modulo.
+        assert len(x) == len(columns)
+        rest = _scaled(1, _combination(columns, x), -1, target)
+        assert _tracked_solve(modulo, rest) is not None
+
+
+def test_solve_rekeys_rows_that_only_sort_among_themselves():
+    columns = [{("b", 1): 1, ("a", 0): 1}, {("b", 1): 1}]
+    assert solve(columns, {("a", 0): 2, ("b", 1): 5}) == [2, 3]
+    assert solve(columns, {("c", 0): 1}) is None
+    assert solve([{("a", 0): 1}], {("a", 0): 1, ("b", 0): 1}, [{("b", 0): 1}]) == [1]
 
 
 def _every_pivot_residue(lat, vec):
@@ -154,6 +218,6 @@ def _every_pivot_residue(lat, vec):
 @example([{1: 1}, {0: 2, 1: 1}], {0: 2})
 def test_residue_matches_the_walk_over_every_pivot(columns, vec):
     lat = SparseIntSolver()
-    for n, col in enumerate(columns):
-        lat.add_column(n, col)
+    for col in columns:
+        lat.add_column(col)
     assert lat.residue(vec) == _every_pivot_residue(lat, vec)

@@ -91,7 +91,9 @@ WELL_FORMED = {
     "qchar-fund": (["--type", "A2", "--node", "1"], set()),
     "qchar-sl2": (["--length", "2", "--exp", "-1"], {"weyl", "braid"}),
     "qchar-tensor": (["--length", "1", "--length2", "1"], {"weyl", "braid"}),
-    "verify": (["--suite", "sl2"], set()),
+    # sl2 checks that a string's terms share one block class, so it loads
+    # blocks and intlattice; the other suites' sets are checked below.
+    "verify": (["--suite", "sl2"], {"braid", "weyl"}),
 }
 ARGPARSE = {"argparse", "gettext", "locale"}
 
@@ -119,6 +121,24 @@ def test_a_well_formed_call_loads_no_argparse(verb):
 def test_a_well_formed_call_loads_no_braid_or_weyl_it_skips(verb):
     _, skipped = WELL_FORMED[verb]
     assert not well_formed_run(verb) & {f"loopchar.{name}" for name in skipped}
+
+
+# The loopchar modules each verify suite other than sl2 must not load.
+SUITE_SKIPS = {
+    "alpha-lists": {"blocks", "intlattice", "qchar", "weyl"},
+    "ellfund": {"blocks", "intlattice", "qchar", "weyl"},
+    "braid-relations": {"blocks", "intlattice", "qchar"},
+    "w0-twist": {"blocks", "intlattice", "qchar"},
+    "xi-oracle": {"qchar", "weyl"},
+    "trivial-sets": {"qchar", "weyl"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_SKIPS))
+def test_a_verify_suite_loads_only_what_it_checks(suite):
+    stdout, loaded = loaded_by("verify", "--suite", suite)
+    assert stdout
+    assert not loaded & {f"loopchar.{name}" for name in SUITE_SKIPS[suite]}
 
 
 def test_help_still_loads_argparse():
