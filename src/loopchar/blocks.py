@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .cartan import CartanData, Frozen, LieType, _alpha_pattern, cartan_data
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_int
 from .intlattice import SparseIntSolver, solve
 from .lweight import (
     LWeight,
@@ -317,8 +317,8 @@ def parse_elliptic(lt: LieType, text: str) -> EllipticCharacter:
         m = _TERM_RE.match(chunk.strip())
         if m is None:
             raise ParseError(f"cannot parse class term {chunk!r}")
-        coeff = sign * int(m.group(1) or 1)
-        key = (m.group(3), m.group(2), int(m.group(4)))
+        coeff = sign * read_int(m.group(1) or "1")
+        key = (m.group(3), m.group(2), read_int(m.group(4)))
         raw[key] = raw.get(key, 0) + coeff
     return EllipticCharacter.make(lt, raw)
 

@@ -92,25 +92,23 @@ def _generator_image(
     """T_word(w[j;a,0]) as sorted (node, exp, power) triples, or None when
     no letter of word is j.
 
-    Until a letter j is reached no letter fires.  Each node's factors
-    are one {exp: power} group: a letter i moves its own group up by
-    2*d_i with the powers negated and writes only its neighbours'
-    groups.  The groups are sorted once, at the end.
+    Until a letter j is reached no letter fires.  Each node's factors are
+    one {exp: power} group.  A letter i empties its own group and, per
+    factor, subtracts alpha_i's ``_peel_table`` entries: (i, 2*d_i, 1)
+    refills the group moved up and negated.  Groups are sorted at the end.
     """
     if j not in word:
         return None
     groups: List[Dict[int, int]] = [{} for _ in range(cd.rank + 1)]
     groups[j][0] = 1
-    table = _letter_table(cd)
+    rests = _peel_table(cd)
     for i in reversed(word):
         own = groups[i]
         if not own:
             continue
-        shift, entries = table[i]
-        groups[i] = moved = {}
+        groups[i] = {}
         for k, p in own.items():
-            moved[k + shift] = -p
-            for node, off, v in entries:
+            for node, off, v in rests[i]:
                 powers = groups[node]
                 key = k + off
                 c = powers.get(key, 0) - p * v
@@ -135,15 +133,6 @@ def braid_orbit(cd: CartanData, pi: LWeight) -> Dict[Weight, LWeight]:
     for mu, j, nu in orbit_edges(cd, lam):
         images[nu] = _act_letter(cd, j, images[mu])
     return images
-
-
-@lru_cache(maxsize=None)
-def _letter_table(cd: CartanData) -> Tuple[Tuple[int, Tuple[Tuple[int, int, int], ...]], ...]:
-    """Per node i (index 0 unused): 2*d_i and alpha_i's neighbour entries (node, offset, value)."""
-    return ((0, ()),) + tuple(
-        (2 * cd.d(i), tuple((l, off, v) for (l, off), v in _alpha_pattern(cd, i) if l != i))
-        for i in cd.nodes
-    )
 
 
 @lru_cache(maxsize=None)

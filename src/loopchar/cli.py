@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 # error, and json only where JSON is read or written, so a cold process
 # compiles and runs only what its verb needs.
 from .cartan import CartanData, cartan_data
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_int
 from .lweight import LCharacter, LWeight, check_lweight, parse_lweight
 
 # The choices of ``verify --suite``, kept equal to verify.SUITE_NAMES by a
@@ -65,7 +65,7 @@ def _parse_table(text: str, rank: int) -> Dict[Tuple[int, ...], int]:
     import json
 
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=read_int)
     except json.JSONDecodeError as err:
         raise ParseError(f"bad multiplicity table: {err}")
     if not isinstance(data, dict):

@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .cartan import CartanData, Frozen
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_int
 
 SpectralParam = Tuple[str, int]
 GenKey = Tuple[int, str, int]
@@ -217,12 +217,12 @@ def parse_lweight(text: str) -> LWeight:
         m = _FACTOR_RE.match(s, pos)
         if m is None:
             raise ParseError(f"expected w[node;orbit,exp] at position {pos} in {text!r}")
-        node = int(m.group(1))
+        node = read_int(m.group(1))
         if node < 1:
             raise ParseError(f"node index must be positive in {text!r}")
-        exp = 0 if m.group(3) is None else int(m.group(3))
+        exp = 0 if m.group(3) is None else read_int(m.group(3))
         key = (node, m.group(2), exp)
-        p = 1 if m.group(4) is None else int(m.group(4))
+        p = 1 if m.group(4) is None else read_int(m.group(4))
         powers[key] = powers.get(key, 0) + p
         pos = m.end()
         expect_factor = False

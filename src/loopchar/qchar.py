@@ -298,7 +298,7 @@ def _fundamental_template(
     cd: CartanData, i: int, items: Tuple[Tuple[Weight, int], ...]
 ) -> _Template:
     from .braid import braid_orbit
-    from .weyl import dominance_diff, fundamental_weight, is_dominant
+    from .weyl import dominance_diff, fundamental_weight
 
     table = dict(items)
     top = fundamental_lweight(cd, i)
@@ -308,7 +308,7 @@ def _fundamental_template(
             f"table must assign multiplicity 1 to the top weight {list(top_wt)}"
         )
 
-    heights: Dict[Weight, int] = {}
+    heights: Dict[Weight, int] = {top_wt: 0}
 
     def height_of(lam: Weight) -> int:
         if lam not in heights:
@@ -327,6 +327,7 @@ def _fundamental_template(
     settled: Dict[Weight, Dict[LWeight, int]] = {top_wt: {top: 1}}
     done: set = set()
     terms: Dict[LWeight, int] = {}
+    proj: Dict[Weight, int] = {}
 
     while open_levels := (set(settled) | set(bounds)) - done:
         lam = min(open_levels, key=lambda w: (height_of(w), w))
@@ -353,21 +354,22 @@ def _fundamental_template(
                     f"cannot split multiplicity {want} at weight {list(lam)} "
                     f"among {len(cand)} candidates with bounds {sorted(cand.values())}"
                 )
-        for pi, mult in sorted(settled[lam].items(), key=lambda kv: str(kv[0])):
-            for term in braid_orbit(cd, pi).values():
+        for pi, mult in settled[lam].items():
+            for mu, term in braid_orbit(cd, pi).items():
                 terms[term] = terms.get(term, 0) + mult
-                _discover(cd, term, mult, bounds)
+                proj[mu] = proj.get(mu, 0) + mult
+                _discover(cd, term, mu, mult, bounds)
 
     char = LCharacter.from_dict(terms)
-    proj = weight_projection(cd, char)
     for lam, mult in table.items():
         if proj.get(lam, 0) != mult:
             raise DomainError(
                 f"table mismatch at weight {list(lam)}: table {mult}, "
                 f"character {proj.get(lam, 0)}"
             )
-    for lam, mult in proj.items():
-        if is_dominant(lam) and lam not in table:
+    # A W-orbit holds one dominant weight, so the character's are the settled levels.
+    for lam in settled:
+        if lam not in table:
             raise DomainError(
                 f"character has dominant weight {list(lam)} absent from the table"
             )
@@ -377,10 +379,11 @@ def _fundamental_template(
 def _discover(
     cd: CartanData,
     term: LWeight,
+    mu: Weight,
     mult: int,
     bounds: Dict[Weight, Dict[LWeight, int]],
 ) -> None:
-    """Record dominant children reachable from one orbit term."""
+    """Record dominant children reachable from one orbit term of weight mu."""
     from .braid import simple_lroot
     from .weyl import is_dominant, simple_root_weight
 
@@ -388,7 +391,6 @@ def _discover(
     exps: Dict[int, List[Tuple[str, int]]] = {}
     for (j, orbit, k), power in term.factors:
         exps.setdefault(j, []).extend([(orbit, k)] * (power if 0 < power < 3 else 3))
-    mu = weight_of(cd, term)
     for j, pair in exps.items():
         if len(pair) != 2:
             continue

@@ -151,7 +151,7 @@ def test_word_kernel_matches_the_fold_of_braid_act(label):
             assert braid_act_word(cd, word, pi) is pi
 
 
-@pytest.mark.parametrize("label", ["B3", "G2", "F4"])
+@pytest.mark.parametrize("label", ["A8", "B3", "C5", "D7", "E6", "E8", "F4", "G2"])
 def test_word_kernel_on_the_longest_word(label):
     cd = cartan_data(label)
     word = longest_element(cd).word

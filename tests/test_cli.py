@@ -20,6 +20,8 @@ from loopchar import (
     EllipticCharacter,
     LCharacter,
     LWeight,
+    LieType,
+    ParseError,
     cartan_data,
     elliptic_class,
     parse_elliptic,
@@ -88,6 +90,47 @@ def test_parse_errors_exit_2():
         assert result.returncode == 2, table
         assert result.stdout == ""
         assert result.stderr.startswith("error:")
+
+
+# One digit more than Python converts; 0 where it sets no limit.
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LONG = "9" * (_LIMIT + 1)
+_needs_limit = pytest.mark.skipif(not _LIMIT, reason="no limit on integer literals")
+
+_LONG_LITERAL_READERS = {
+    "node": lambda: parse_lweight(f"w[{_LONG};a,0]"),
+    "exponent": lambda: parse_lweight(f"w[1;a,-{_LONG}]"),
+    "power": lambda: parse_lweight(f"w[1;a,0]^{_LONG}"),
+    "class coefficient": lambda: parse_elliptic(LieType.parse("A2"), f"{_LONG} x[a,1]"),
+    "class exponent": lambda: parse_elliptic(LieType.parse("A2"), f"x[a,{_LONG}]"),
+    "rank": lambda: LieType.parse(f"A{_LONG}"),
+    "table value": lambda: cli._parse_table(f'{{"1,0":{_LONG}}}', 2),
+}
+
+
+@_needs_limit
+@pytest.mark.parametrize("reader", sorted(_LONG_LITERAL_READERS))
+def test_over_long_integer_literals_are_parse_errors(reader):
+    with pytest.raises(ParseError, match="is too long to convert"):
+        _LONG_LITERAL_READERS[reader]()
+
+
+_LONG_LITERAL_CALLS = {
+    "exponent": ["block", "--type", "A2", "w[1;a,{}]"],
+    "power": ["decompose", "--type", "A2", "w[1;a,0]^{}"],
+    "rank": ["block", "--type", "A{}", "w[1;a,0]"],
+    "table value": ["qchar-fund", "--type", "B3", "--node", "1", "--table", '{{"1,0,0":{}}}'],
+}
+
+
+@_needs_limit
+@pytest.mark.parametrize("call", sorted(_LONG_LITERAL_CALLS))
+def test_over_long_integer_literals_exit_2(call, capsys):
+    argv = [arg.format(_LONG) for arg in _LONG_LITERAL_CALLS[call]]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: integer literal of")
 
 
 def test_domain_errors_exit_3():

@@ -377,7 +377,7 @@ def _ref_fundamental_char(cd, i, p, table):
         for pi, mult in settled[lam].items():
             for term in braid_orbit(cd, pi).values():
                 terms[term] = terms.get(term, 0) + mult
-                qchar._discover(cd, term, mult, bounds)
+                qchar._discover(cd, term, weight_of(cd, term), mult, bounds)
     return LCharacter.from_dict(terms)
 
 
@@ -458,6 +458,40 @@ def test_a_bad_table_raises_the_same_error_on_every_call():
             fundamental_char(b2, 1, p, {(1, 0): 1})
         messages.append(str(err.value))
     assert messages == ["descent reached dominant weight [0, 0] missing from the table"] * 3
+
+
+_B3_VECTOR = {(1, 0, 0): 1, (0, 0, 0): 1}
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        # Outside the top weight's coset of the root lattice.
+        ({(0, 0, 1): 1}, "table mismatch at weight [0, 0, 1]: table 1, character 0"),
+        # Non-dominant, and one more than the character gives it.
+        ({(-1, 0, 0): 2}, "table mismatch at weight [-1, 0, 0]: table 2, character 1"),
+        # Of the wrong length, which only the library lets through.
+        ({(1, 0): 1}, "table mismatch at weight [1, 0]: table 1, character 0"),
+    ],
+)
+def test_the_descent_refuses_a_table_its_character_contradicts(extra, message):
+    with pytest.raises(DomainError) as err:
+        fundamental_char(cartan_data("B3"), 1, ("a", 0), {**_B3_VECTOR, **extra})
+    assert str(err.value) == message
+
+
+def test_a_consistent_non_dominant_table_entry_changes_nothing():
+    b3 = cartan_data("B3")
+    with_entry = fundamental_char(b3, 1, ("a", 0), {**_B3_VECTOR, (-1, 0, 0): 1})
+    assert with_entry == fundamental_char(b3, 1, ("a", 0), _B3_VECTOR)
+
+
+def test_cli_reports_a_table_mismatch(capsys):
+    table = '{"1,0,0":1,"0,0,0":1,"0,0,1":1}'
+    assert cli.main(["qchar-fund", "--type", "B3", "--node", "1", "--table", table]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: table mismatch at weight [0, 0, 1]: table 1, character 0\n"
 
 
 _BAD_PARAMS = {
