@@ -8,9 +8,13 @@ integer gives another relation.  Each family's first relation, its
 division relation, confines exponents to a window below its span.  A
 ladder of window images, one rung per generator shift ``(f, t)`` over one
 shift period, is built from that relation's recurrence with the type's
-structure.  A normal form folds each exponent modulo the period, adds up
-the rungs and reduces the sum against the lattice spanned by the shifts
-of the remaining relations, which is closed under the window shift.
+structure.  The shifts of the remaining relations span a lattice L,
+closed under the window shift.  Every pivot of L is 1, which each
+structure checks, so a vector's residue modulo L is the one vector of its
+coset that is zero at every pivot key, and that residue is Z-linear.  So
+each rung is reduced modulo L once, on first use, and a normal form folds
+each exponent modulo the period and adds up reduced rungs: the sum is
+already canonical, and no query reads L.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ import re
 from collections import deque
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cartan import CartanData, Frozen, LieType, _alpha_pattern, cartan_data
-from .errors import DomainError, ParseError, read_int
+from .errors import DomainError, ParseError, quote, read_int
 from .intlattice import SparseIntSolver, solve
 from .lweight import (
     LWeight,
@@ -95,12 +99,23 @@ class _BlockStructure:
     taken for t = 0, 1, ... until a whole round lies in L already; every
     S^s r with s < t then maps to S^{s+1} r in L, so L is closed under S.
 
+    Every pivot of L is 1; the constructor checks it after the period,
+    and raises ``ArithmeticError`` otherwise.  So the residue modulo L is
+    the vector of the coset that is zero at every pivot key, and the
+    residue of a sum is the sum of the residues.  ``rungs[f][t]`` is
+    ``ladder[f][t]`` reduced modulo L, taken on first use; where L is 0,
+    ``rungs`` is the ladder itself.  ``add_image`` and ``window`` read
+    ``rungs``, so once the structure is built they return reduced vectors;
+    while it is built, L does not exist yet and they read the ladder.
+
     ``images`` caches, under a node key (i, t) with t in [0, P), the
-    image of the loop generator w[i;.,t], filled on first use and dropped
-    with the structure: at most rank x P entries.
+    reduced image of the loop generator w[i;.,t], filled on first use and
+    dropped with the structure: at most rank x P entries.
     """
 
-    __slots__ = ("families", "span", "division", "lattice", "period", "ladder", "images")
+    __slots__ = (
+        "families", "span", "division", "lattice", "period", "ladder", "rungs", "images"
+    )
 
     def __init__(self, cd: CartanData):
         relations = relation_set(cd)
@@ -126,6 +141,7 @@ class _BlockStructure:
         if any(e >= self.period for rel in relations for _, e in rel):
             raise ValueError(f"the relations of {cd.type} reach past the shift period")
         self.ladder: Dict[str, List[Tuple[Tuple[FamilyExp, int], ...]]] = {}
+        self.rungs: Dict[str, List[Optional[Tuple[Tuple[FamilyExp, int], ...]]]] = self.ladder
         for fam in self.families:
             span = self.span[fam]
             rungs = self.ladder[fam] = [(((fam, t), 1),) for t in range(span)]
@@ -154,14 +170,26 @@ class _BlockStructure:
                 raise ArithmeticError(
                     f"the window shift of {cd.type} does not have period {self.period}"
                 )
+        basis = self.lattice.basis()
+        if any(row[min(row)] != 1 for row in basis):
+            raise ArithmeticError(f"the relation lattice of {cd.type} has a pivot other than 1")
+        # Reducing every rung here would cost span x pivot chain on large
+        # D of even rank; most queries touch few rungs.
+        if basis:
+            self.rungs = {fam: [None] * self.period for fam in self.families}
 
     def add_image(self, acc: Dict[FamilyExp, int], fam: str, e: int, c: int) -> None:
         """acc += c times the window image of (fam, e), with e folded
-        modulo the period: one rung of the ladder."""
-        rungs = self.ladder.get(fam)
+        modulo the period: one rung, reduced modulo L once the structure
+        is built."""
+        rungs = self.rungs.get(fam)
         if rungs is None:
-            raise DomainError(f"unknown family {fam!r}")
-        for key, x in rungs[e % self.period]:
+            raise DomainError(f"unknown family {quote(fam)}")
+        slot = e % self.period
+        rung = rungs[slot]
+        if rung is None:
+            rung = rungs[slot] = tuple(self.lattice.residue(dict(self.ladder[fam][slot])).items())
+        for key, x in rung:
             t = acc.get(key, 0) + c * x
             if t:
                 acc[key] = t
@@ -183,8 +211,11 @@ class _BlockStructure:
         return image
 
     def form(self, acc: Dict[FamilyExp, int]) -> Tuple[Tuple[FamilyExp, int], ...]:
-        """The canonical terms of a window vector's class."""
-        return tuple(sorted(self.lattice.residue(acc).items()))
+        """The canonical terms of a reduced window vector's class, sorted.
+
+        A sum of reduced rungs is its own residue, since every pivot is 1.
+        """
+        return tuple(sorted(acc.items()))
 
     def window(self, vec: Dict[FamilyExp, int], shift: int = 0) -> Dict[FamilyExp, int]:
         """The window vector of S^shift vec: the sum of its terms' images."""
@@ -289,7 +320,8 @@ class EllipticCharacter(Frozen):
 def _from_windows(
     lt: LieType, st: _BlockStructure, per_orbit: Dict[str, Dict[FamilyExp, int]]
 ) -> EllipticCharacter:
-    """The class whose window vector in each orbit is given: one residue per orbit."""
+    """The class whose reduced window vector in each orbit is given: one
+    sort per orbit, since sums of reduced rungs need no residue."""
     return EllipticCharacter(lt, tuple(
         ((orbit, fam, e), c) for orbit in sorted(per_orbit) for (fam, e), c in st.form(per_orbit[orbit])
     ))
@@ -316,7 +348,7 @@ def parse_elliptic(lt: LieType, text: str) -> EllipticCharacter:
             sign, chunk = -1, chunk[1:]
         m = _TERM_RE.match(chunk.strip())
         if m is None:
-            raise ParseError(f"cannot parse class term {chunk!r}")
+            raise ParseError(f"cannot parse class term {quote(chunk)}")
         coeff = sign * read_int(m.group(1) or "1")
         key = (m.group(3), m.group(2), read_int(m.group(4)))
         raw[key] = raw.get(key, 0) + coeff
@@ -485,7 +517,8 @@ def classes_equal(chi1: EllipticCharacter, chi2: EllipticCharacter) -> bool:
 
 def blocks_linked(cd: CartanData, w1: LWeight, w2: LWeight) -> bool:
     """Whether two dominant loop weights label the same block: whether
-    the window vector of w1's class minus w2's lies in L in every orbit."""
+    the window vector of w1's class minus w2's lies in L in every orbit.
+    The vectors are sums of reduced rungs, so that is whether each is empty."""
     if not (w1.is_dominant and w2.is_dominant):
         raise DomainError("linkage is a question about dominant loop weights")
     check_lweight(cd, w1)
@@ -493,7 +526,7 @@ def blocks_linked(cd: CartanData, w1: LWeight, w2: LWeight) -> bool:
     st, per_orbit = _structure(cd.type), {}
     _add_class(cd, st, per_orbit, w1, 1)
     _add_class(cd, st, per_orbit, w2, -1)
-    return all(acc in st.lattice for acc in per_orbit.values())
+    return not any(per_orbit.values())
 
 
 def tensor_class(chi1: EllipticCharacter, chi2: EllipticCharacter) -> EllipticCharacter:

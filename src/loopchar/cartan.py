@@ -15,7 +15,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Sequence, Tuple, Union
 
-from .errors import DomainError, ParseError, read_int
+from .errors import DomainError, ParseError, quote, read_int
 
 # A weight, or any vector indexed by the nodes 1..n, as a tuple.
 Weight = Tuple[int, ...]
@@ -91,7 +91,7 @@ class LieType(Frozen):
     def parse(text: str) -> "LieType":
         m = _TYPE_RE.match(text.strip())
         if m is None:
-            raise ParseError(f"cannot parse Lie type {text!r}")
+            raise ParseError(f"cannot parse Lie type {quote(text)}")
         return LieType(m.group(1), read_int(m.group(2)))
 
     def __str__(self) -> str:

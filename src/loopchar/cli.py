@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 # error, and json only where JSON is read or written, so a cold process
 # compiles and runs only what its verb needs.
 from .cartan import CartanData, cartan_data
-from .errors import DomainError, ParseError, read_int
+from .errors import DomainError, ParseError, quote, read_int
 from .lweight import LCharacter, LWeight, check_lweight, parse_lweight
 
 # The choices of ``verify --suite``, kept equal to verify.SUITE_NAMES by a
@@ -55,7 +55,7 @@ def _parse_word(text: str) -> Tuple[int, ...]:
     try:
         word = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ParseError(f"cannot read generator word {text!r}")
+        raise ParseError(f"cannot read generator word {quote(text)}")
     if not word:
         raise ParseError("empty generator word")
     return word
@@ -75,12 +75,12 @@ def _parse_table(text: str, rank: int) -> Dict[Tuple[int, ...], int]:
         try:
             coords = tuple(int(part) for part in str(key).split(","))
         except ValueError:
-            raise ParseError(f"bad table entry {key!r}: {value!r}")
+            raise ParseError(f"bad table entry {quote(key)}: {quote(value)}")
         # bool is an int subclass; int() would truncate floats and coerce strings.
         if type(value) is not int:
-            raise ParseError(f"multiplicity of {key!r} is not an integer: {value!r}")
+            raise ParseError(f"multiplicity of {quote(key)} is not an integer: {quote(value)}")
         if len(coords) != rank:
-            raise ParseError(f"weight {key!r} does not have {rank} coordinates")
+            raise ParseError(f"weight {quote(key)} does not have {rank} coordinates")
         table[coords] = value
     return table
 

@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .cartan import CartanData, Frozen
-from .errors import DomainError, ParseError, read_int
+from .errors import DomainError, ParseError, quote, read_int
 
 SpectralParam = Tuple[str, int]
 GenKey = Tuple[int, str, int]
@@ -40,7 +40,7 @@ _FACTOR_RE = re.compile(
 
 def check_orbit(orbit: str) -> str:
     if type(orbit) is not str or not _ORBIT_RE.fullmatch(orbit):
-        raise DomainError(f"invalid orbit name {orbit!r}")
+        raise DomainError(f"invalid orbit name {quote(orbit)}")
     return orbit
 
 
@@ -210,16 +210,16 @@ def parse_lweight(text: str) -> LWeight:
             continue
         if s[pos] == "*":
             if expect_factor:
-                raise ParseError(f"unexpected '*' at position {pos} in {text!r}")
+                raise ParseError(f"unexpected '*' at position {pos} in {quote(text)}")
             expect_factor = True
             pos += 1
             continue
         m = _FACTOR_RE.match(s, pos)
         if m is None:
-            raise ParseError(f"expected w[node;orbit,exp] at position {pos} in {text!r}")
+            raise ParseError(f"expected w[node;orbit,exp] at position {pos} in {quote(text)}")
         node = read_int(m.group(1))
         if node < 1:
-            raise ParseError(f"node index must be positive in {text!r}")
+            raise ParseError(f"node index must be positive in {quote(text)}")
         exp = 0 if m.group(3) is None else read_int(m.group(3))
         key = (node, m.group(2), exp)
         p = 1 if m.group(4) is None else read_int(m.group(4))
@@ -227,7 +227,7 @@ def parse_lweight(text: str) -> LWeight:
         pos = m.end()
         expect_factor = False
     if expect_factor:
-        raise ParseError(f"dangling '*' in {text!r}")
+        raise ParseError(f"dangling '*' in {quote(text)}")
     return LWeight.from_dict(powers)
 
 

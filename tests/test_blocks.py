@@ -629,8 +629,8 @@ def test_every_rung_is_the_peel_of_its_unit(label):
 
 @pytest.mark.parametrize("label", ORACLE_TYPES)
 def test_one_pass_reduce_matches_the_peel_loop(label):
-    # window() reduces a vector in one pass, one rung per term: the peel
-    # itself below the period, and the peel's class above it.
+    # window() reduces a vector in one pass, one rung per term: the peel's
+    # residue modulo L below the period, and the peel's class above it.
     structure = _structure(cartan_data(label).type)
     period = structure.period
     rng = random.Random(f"reduce {label}")
@@ -642,8 +642,62 @@ def test_one_pass_reduce_matches_the_peel_loop(label):
             vec[fe] = vec.get(fe, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
         peeled = _peel_loop(structure, vec)
         if top == period:
-            assert structure.window(vec) == peeled, vec
+            assert structure.window(vec) == structure.lattice.residue(peeled), vec
         assert structure.normal_form(vec) == tuple(sorted(structure.lattice.residue(peeled).items())), vec
+
+
+@pytest.mark.parametrize(
+    "label", sorted(set(_CLASS_TYPES) | {f"D{n}" for n in range(4, 101, 2)}, key=lambda t: (t[0], int(t[1:])))
+)
+def test_every_pivot_of_the_relation_lattice_is_one(label):
+    # The reduced rungs add up to canonical sums only because of this.
+    for row in _structure(cartan_data(label).type).lattice.basis():
+        assert row[min(row)] == 1, row
+
+
+@pytest.mark.parametrize("label", ["D4", "E6", "F4", "G2"])
+def test_a_pivot_other_than_one_is_refused(label, monkeypatch):
+    real = SparseIntSolver.basis
+
+    def doubled(self):
+        # The last pivot vector, twice: a lattice with a pivot 2.
+        rows = real(self)
+        rows[-1] = {key: 2 * c for key, c in rows[-1].items()}
+        return rows
+
+    monkeypatch.setattr(SparseIntSolver, "basis", doubled)
+    with pytest.raises(ArithmeticError, match=f"{label} has a pivot other than 1"):
+        # Unwrapped, so the cache of the correct structures is untouched.
+        _structure.__wrapped__(cartan_data(label).type)
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_reduced_rungs_add_up_to_the_residue_of_the_raw_sum(label):
+    # With unit pivots the residue modulo L is Z-linear, so a sum of
+    # reduced rungs is already canonical.  Oracle: one residue of the
+    # raw-ladder sum, built by the peel from the folded generator terms.
+    cd = cartan_data(label)
+    structure = _structure(cd.type)
+    lattice, period = structure.lattice, structure.period
+    pivots = {min(row) for row in lattice.basis()}
+    for pi in _draws(cd, 200):
+        raw = _generator_terms(cd, pi)
+        folded = {}
+        for (a, fam, e), c in raw.items():
+            vec = folded.setdefault(a, {})
+            vec[(fam, e % period)] = vec.get((fam, e % period), 0) + c
+        expected = {a: lattice.residue(_peel_loop(structure, vec)) for a, vec in folded.items()}
+        for a, vec in folded.items():
+            reduced = structure.window(vec)
+            assert reduced == expected[a], (pi, a)
+            assert not pivots.intersection(reduced), (pi, a)
+        terms = tuple(
+            ((a, fam, e), c) for a in sorted(expected) for (fam, e), c in sorted(expected[a].items())
+        )
+        assert elliptic_class(cd, pi).terms == terms, pi
+        assert EllipticCharacter.make(cd.type, raw).terms == terms, pi
+        w1, w2 = _dominant_parts(pi)
+        assert blocks_linked(cd, w1, w2) == (not any(expected.values())), pi
 
 
 @pytest.mark.parametrize("label", ORACLE_TYPES)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopchar import cli
+from loopchar.errors import ECHO_CAP, quote
 from loopchar import (
     SUITE_NAMES,
     EllipticCharacter,
@@ -131,6 +132,49 @@ def test_over_long_integer_literals_exit_2(call, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: integer literal of")
+
+
+def test_quote_cuts_user_text_past_the_cap():
+    exact = "x" * ECHO_CAP
+    assert quote(exact) == repr(exact)
+    assert quote(exact + "y") == f"{exact!r}… ({ECHO_CAP + 1} characters)"
+    assert quote(["a"] * 5000).endswith(f"… ({len(repr(['a'] * 5000))} characters)")
+    assert quote(7) == "7"
+
+
+_JUNK = "x" * 5000
+_DIGITS = "1," * 2500 + "1"
+# Each call echoes user text into its error message: the argv with a
+# placeholder, a short and a 5000-character fill for it.
+_ECHO_CALLS = {
+    "act word": (["act", "--type", "A2", "--word", "1,{}", "w[1;a,0]"], "y", _JUNK),
+    "table entry": (["qchar-fund", "--type", "B3", "--node", "1", "--table", '{{"{}":1}}'], "y", _JUNK),
+    "table multiplicity": (
+        ["qchar-fund", "--type", "B3", "--node", "1", "--table", '{{"1,0,0":"{}"}}'], "y", _JUNK
+    ),
+    "table coordinates": (["qchar-fund", "--type", "B3", "--node", "1", "--table", '{{"{}":1}}'], "1,1", _DIGITS),
+    "unexpected star": (["block", "--type", "A2", "*{}"], "w[1;a,0]", "w[1;a,0]*" * 600),
+    "expected factor": (["block", "--type", "A2", "w[1;a,0]*{}"], "y", _JUNK),
+    "node index": (["block", "--type", "A2", "w[0;a,0]{}"], "*w[1;a,0]", "*w[1;a,0]" * 600),
+    "dangling star": (["block", "--type", "A2", "{}*"], "w[1;a,0]", "w[1;a,0]*" * 600 + "w[1;a,0]"),
+    "lie type": (["block", "--type", "A{}", "w[1;a,0]"], "y", _JUNK),
+    "orbit": (["alpha", "--type", "A2", "--node", "1", "--orbit", "1{}"], "y", _JUNK),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_ECHO_CALLS))
+def test_error_messages_echo_at_most_a_capped_prefix(call, capsys):
+    template, short, long = _ECHO_CALLS[call]
+    codes, errs = [], []
+    for fill in (short, long):
+        codes.append(cli.main([arg.format(fill) for arg in template]))
+        out, err = capsys.readouterr()
+        assert out == ""
+        errs.append(err)
+    assert codes[0] == codes[1] and codes[0] in (2, 3)
+    assert short in errs[0] and "characters)" not in errs[0]
+    assert len(errs[1].encode()) < 400
+    assert " characters)" in errs[1]
 
 
 def test_domain_errors_exit_3():
