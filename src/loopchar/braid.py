@@ -169,7 +169,12 @@ def lroot_decompose(
     factor, lowest first: a member costs O(certificate x |alpha pattern|
     x log levels), whatever the spread of its exponents, while a
     non-member's peel reaches every level up to its top, so it costs
-    O(spread x rank).
+    O(spread x rank).  Under a sign constraint the peel stops at the first
+    coefficient of the wrong sign, since every coefficient is forced.
+
+    Unconstrained, it peels even where a nonzero block class would answer
+    None at once: the xi-oracle verify suite checks linkage by class
+    against this peel, so the peel must not read classes itself.
     """
     if sign not in ("any", "+", "-"):
         raise DomainError(f"unknown sign constraint {sign!r}")
@@ -193,6 +198,9 @@ def _decompose(cd: CartanData, pi: LWeight, sign: str) -> Optional[LRootCoeffs]:
     for (j, a, k), p in pi.factors:
         by_orbit.setdefault(a, {}).setdefault(k, {})[j] = p
     rests = _peel_table(cd)
+    # Coefficients are forced, so one of the sign the constraint forbids
+    # settles the answer as soon as it is peeled.
+    wrong = {"any": 0, "+": -1, "-": 1}[sign]
     for orbit, levels in by_orbit.items():
         last = max(levels) - 2
         heap = list(levels)
@@ -202,6 +210,8 @@ def _decompose(cd: CartanData, pi: LWeight, sign: str) -> Optional[LRootCoeffs]:
             bucket = levels.pop(level)
             for j in sorted(bucket):
                 c = bucket[j]
+                if c * wrong > 0:
+                    return None
                 coeffs[(j, orbit, level)] = c
                 for node, off, v in rests[j]:
                     key = level + off
@@ -217,10 +227,6 @@ def _decompose(cd: CartanData, pi: LWeight, sign: str) -> Optional[LRootCoeffs]:
                         del row[node]
         if any(levels.values()):
             return None
-    if sign == "+" and any(c < 0 for c in coeffs.values()):
-        return None
-    if sign == "-" and any(c > 0 for c in coeffs.values()):
-        return None
     return coeffs
 
 
@@ -234,9 +240,14 @@ def expand_lroots(cd: CartanData, coeffs: LRootCoeffs) -> LWeight:
 def cone_check(cd: CartanData, omega: LWeight, pi: LWeight) -> bool:
     """Whether pi lies below omega: their ratio is a negative loop-root product.
 
-    The cost is that of ``lroot_decompose`` on the ratio: O(certificate x
-    |alpha pattern| x log levels) when the ratio lies in the loop-root
-    lattice, whatever its sign, and O(spread x rank) when it does not.
+    The ratio is peeled under the "-" constraint, which stops at its first
+    positive coefficient.  Above the ratio's factors the forced
+    coefficients change sign within about one shift period 2·lacing·h∨
+    (the peel of a lone inverse factor turns positive lacing·h∨ levels
+    above it on every class type), so the peel never walks far past a
+    factor before it answers.  The cost is bounded at any exponent
+    spread: at worst about factors x shift period levels, and
+    O(certificate x |alpha pattern| x log levels) for a member.
     """
     if not omega.is_dominant:
         raise DomainError("cone check needs a dominant reference weight")

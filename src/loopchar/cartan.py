@@ -211,9 +211,9 @@ class CartanData(Frozen):
         # bool is an int subclass and 1.0 == 1: either would pass the range
         # test, print as a node, and hit or fill node 1's cache entries.
         if type(i) is not int:
-            raise DomainError(f"node must be an integer, got {i!r}")
+            raise DomainError(f"node must be an integer, got {quote(i)}")
         if not 1 <= i <= self.rank:
-            raise DomainError(f"node {i} out of range for type {self.type}")
+            raise DomainError(f"node {quote(i)} out of range for type {self.type}")
 
     def check_nodes(self, seq: Sequence[int]) -> None:
         """check_node on every item of seq, in order, so the first bad node is named.

@@ -434,6 +434,38 @@ def _parse(argv: List[str]) -> Optional[SimpleNamespace]:
     return args
 
 
+class _Quoted(str):
+    """A value outside its option's choices.  argparse's usage error
+    echoes it by ``repr``, which here is ``quote``'s."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return quote(str(self))
+
+
+def _int_arg(text: str) -> int:
+    """argparse's ``int`` type, with a bad value echoed through ``quote``."""
+    try:
+        return int(text)
+    except ValueError:
+        import argparse
+
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)}")
+
+
+def _arg_type(kind, choices):
+    """The argparse type of an option of the verb table.  argparse echoes
+    a bad value whole; these read as argparse does and echo it through
+    ``quote``, so a value within ``ECHO_CAP`` characters reads as before
+    and a longer one is cut."""
+    if kind is int:
+        return _int_arg
+    if choices is not None:
+        return lambda text: text if text in choices else _Quoted(text)
+    return kind
+
+
 def _build_parser() -> "argparse.ArgumentParser":
     """The argparse parser of the verb table, for help and usage errors."""
     import argparse
@@ -447,7 +479,12 @@ def _build_parser() -> "argparse.ArgumentParser":
         p = sub.add_parser(verb, help=help_text)
         for flag, kind, default, required, choices, text in options:
             p.add_argument(
-                flag, type=kind, default=default, required=required, choices=choices, help=text
+                flag,
+                type=_arg_type(kind, choices),
+                default=default,
+                required=required,
+                choices=choices,
+                help=text,
             )
         for name in positionals:
             p.add_argument(name)

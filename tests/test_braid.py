@@ -464,6 +464,79 @@ def test_cone_check_fixtures():
         cone_check(cd, om.inverse(), om)
 
 
+def _cone_cases(cd, spread, rng, shift=0):
+    # A dominant omega with exponents in a window of the given spread on
+    # orbits a and b, moved up by shift; pi is omega times a negative
+    # loop-root product in the same window, or a random loop weight there.
+    base = shift + rng.randint(-8, 8)
+
+    def key():
+        return (rng.randint(1, cd.rank), rng.choice("ab"), rng.randint(base, base + spread - 1))
+
+    omega = LWeight.from_dict({key(): rng.randint(1, 2) for _ in range(rng.randint(1, 3))})
+    below = omega
+    for _ in range(rng.randint(1, 3)):
+        j, a, k = key()
+        below = below * simple_lroot(cd, j, a, k) ** -rng.randint(1, 2)
+    other = LWeight.from_dict({key(): rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 4))})
+    return (omega, below), (omega, other)
+
+
+@pytest.mark.parametrize("label", _CLASS_TYPES)
+def test_cone_check_matches_the_certificate(label):
+    # Spreads from 1 to four shift periods 2·lacing·h∨.  The answer must be
+    # whether the unconstrained certificate exists with no positive
+    # coefficient.  Then each case is joined with another 10^12 levels
+    # above it: coefficients are forced, so the joined ratio is below
+    # omega exactly when both halves are, and the peel must answer
+    # without walking the gap.
+    cd = cartan_data(label)
+    period = 2 * cd.lacing * cd.dual_coxeter
+    rng = random.Random(f"cone {label}")
+    cases = []
+    for spread in sorted({1, 2, period // 2, period, period + 1, 2 * period, 4 * period}):
+        for _ in range(4):
+            for built, (omega, pi) in zip((True, False), _cone_cases(cd, spread, rng)):
+                got = cone_check(cd, omega, pi)
+                cert = lroot_decompose(cd, pi * omega.inverse())
+                assert got == (cert is not None and all(c <= 0 for c in cert.values())), (omega, pi)
+                assert got or not built, (omega, pi)
+                cases.append((spread, omega, pi, got))
+    assert any(got for *_, got in cases) and not all(got for *_, got in cases)
+    for spread, omega, pi, got in cases:
+        for (far_omega, far_pi), far_got in zip(
+            _cone_cases(cd, spread, rng, 10**12), (True, None)
+        ):
+            if far_got is None:
+                far_got = cone_check(cd, far_omega, far_pi)
+            assert cone_check(cd, omega * far_omega, pi * far_pi) == (got and far_got)
+
+
+def test_cone_check_at_a_huge_spread():
+    # E8's shift period is 60.  The first ratio lies outside the loop-root
+    # lattice; the second lies in it, and its peel meets a positive
+    # coefficient within a few levels; the third is a member two loop
+    # roots apart.
+    cd = cartan_data("E8")
+    om = fundamental_lweight(cd, 4)
+    assert not cone_check(cd, om, parse_lweight("w[4;a,1000000000001]"))
+    assert not cone_check(cd, om, parse_lweight("w[4;a,600000000000]"))
+    far = om * simple_lroot(cd, 4, "a", 10**12).inverse() * simple_lroot(cd, 2).inverse()
+    assert cone_check(cd, om, far)
+
+
+def test_a_sign_constraint_stops_at_the_first_wrong_coefficient():
+    # The ratio lies in the loop-root lattice with coefficients of both
+    # signs spread over 6·10^11 levels; either constraint refuses it
+    # without walking them.
+    cd = cartan_data("E8")
+    ratio = parse_lweight("w[4;a,0]^-1*w[4;a,600000000000]")
+    assert lroot_decompose(cd, ratio, "-") is None
+    assert lroot_decompose(cd, ratio, "+") is None
+    assert lroot_decompose(cd, ratio.inverse(), "-") is None
+    assert lroot_decompose(cd, ratio.inverse(), "+") is None
+
+
 def test_twist_matches_the_inverse_dual():
     for label in ("A4", "B3", "C4", "D5", "G2"):
         cd = cartan_data(label)

@@ -159,6 +159,8 @@ _ECHO_CALLS = {
     "dangling star": (["block", "--type", "A2", "{}*"], "w[1;a,0]", "w[1;a,0]*" * 600 + "w[1;a,0]"),
     "lie type": (["block", "--type", "A{}", "w[1;a,0]"], "y", _JUNK),
     "orbit": (["alpha", "--type", "A2", "--node", "1", "--orbit", "1{}"], "y", _JUNK),
+    "node range": (["alpha", "--type", "A2", "--node", "{}"], "3", "9" * 4000),
+    "word node range": (["act", "--type", "A2", "--word", "1,{}", "w[1;a,0]"], "3", "9" * 4000),
 }
 
 
@@ -175,6 +177,38 @@ def test_error_messages_echo_at_most_a_capped_prefix(call, capsys):
     assert short in errs[0] and "characters)" not in errs[0]
     assert len(errs[1].encode()) < 400
     assert " characters)" in errs[1]
+
+
+# Usage errors that argparse reports, echoing the bad value: the argv with
+# a placeholder, and the text before the value in argparse's message.
+_USAGE_ECHO_CALLS = {
+    "suite choice": (["verify", "--suite", "{}"], "argument --suite: invalid choice: "),
+    "node int": (["alpha", "--type", "A2", "--node", "{}"], "argument --node: invalid int value: "),
+    "format choice": (
+        ["block", "--type", "A2", "--format", "{}", "w[1;a,0]"], "argument --format: invalid choice: "
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_USAGE_ECHO_CALLS))
+def test_usage_errors_echo_at_most_a_capped_prefix(call, capsys):
+    template, lead = _USAGE_ECHO_CALLS[call]
+
+    def usage_error(fill):
+        with pytest.raises(SystemExit) as stop:
+            cli.main([arg.format(fill) for arg in template])
+        assert stop.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
+    # Up to the cap the value reads as argparse's own repr; past it, cut.
+    exact = "x" * ECHO_CAP
+    assert lead + repr(exact) in usage_error(exact)
+    assert lead + repr("nope") in usage_error("nope")
+    err = usage_error(_JUNK)
+    assert lead + quote(_JUNK) in err
+    assert len(err.encode()) < 600
 
 
 def test_domain_errors_exit_3():

@@ -84,7 +84,7 @@ WELL_FORMED = {
     "act": (["--type", "A2", "--word", "1,2", "w[1;a,0]"], set()),
     "twist-w0": (["--type", "A2", "w[1;a,0]"], set()),
     "decompose": (["--type", "A2", "w[1;a,0]*w[1;a,2]*w[2;a,1]^-1"], {"weyl"}),
-    "cone": (["--type", "A2", "w[1;a,0]", "w[1;a,0]"], {"weyl"}),
+    "cone": (["--type", "A2", "w[1;a,0]", "w[1;a,0]"], {"weyl", "blocks", "intlattice"}),
     "block": (["--type", "B2", "w[1;a,0]"], {"weyl", "braid"}),
     "linked": (["--type", "A2", "w[1;a,0]", "w[1;a,6]"], {"weyl", "braid"}),
     "trivial-sets": (["--type", "A2"], {"weyl", "braid"}),
