@@ -31,6 +31,7 @@ from .intlattice import SparseIntSolver, solve
 from .lweight import (
     LWeight,
     _json_field,
+    _mul_factors,
     check_lweight,
     check_orbit,
     check_param,
@@ -210,13 +211,6 @@ class _BlockStructure:
         image = self.images[(i, t)] = tuple(acc.items())
         return image
 
-    def form(self, acc: Dict[FamilyExp, int]) -> Tuple[Tuple[FamilyExp, int], ...]:
-        """The canonical terms of a reduced window vector's class, sorted.
-
-        A sum of reduced rungs is its own residue, since every pivot is 1.
-        """
-        return tuple(sorted(acc.items()))
-
     def window(self, vec: Dict[FamilyExp, int], shift: int = 0) -> Dict[FamilyExp, int]:
         """The window vector of S^shift vec: the sum of its terms' images."""
         acc: Dict[FamilyExp, int] = {}
@@ -227,8 +221,9 @@ class _BlockStructure:
 
     def normal_form(self, vec: Dict[FamilyExp, int]) -> Tuple[Tuple[FamilyExp, int], ...]:
         """The canonical terms of vec's class.  Exponents are folded
-        modulo the period first, so the cost does not depend on their size."""
-        return self.form(self.window(vec))
+        modulo the period first, so the cost does not depend on their size.
+        A sum of reduced rungs is its own residue, so the terms are sorted only."""
+        return tuple(sorted(self.window(vec).items()))
 
 
 def _shift_period(cd: CartanData) -> int:
@@ -264,21 +259,15 @@ class EllipticCharacter(Frozen):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _raw(self) -> Dict[Tuple[str, str, int], int]:
-        return dict(self.terms)
-
     def __add__(self, other: "EllipticCharacter") -> "EllipticCharacter":
+        # Canonical terms are reduced window vectors, and the residue is
+        # Z-linear: their merged sum is canonical with no new reduction.
         if self.lie_type != other.lie_type:
             raise DomainError("cannot combine classes of different types")
-        raw = self._raw()
-        for key, c in other.terms:
-            raw[key] = raw.get(key, 0) + c
-        return EllipticCharacter.make(self.lie_type, raw)
+        return EllipticCharacter(self.lie_type, _mul_factors(self.terms, other.terms))
 
     def __neg__(self) -> "EllipticCharacter":
-        return EllipticCharacter.make(
-            self.lie_type, {key: -c for key, c in self.terms}
-        )
+        return EllipticCharacter(self.lie_type, tuple((key, -c) for key, c in self.terms))
 
     def __sub__(self, other: "EllipticCharacter") -> "EllipticCharacter":
         return self + (-other)
@@ -323,7 +312,7 @@ def _from_windows(
     """The class whose reduced window vector in each orbit is given: one
     sort per orbit, since sums of reduced rungs need no residue."""
     return EllipticCharacter(lt, tuple(
-        ((orbit, fam, e), c) for orbit in sorted(per_orbit) for (fam, e), c in st.form(per_orbit[orbit])
+        ((orbit, fam, e), c) for orbit in sorted(per_orbit) for (fam, e), c in sorted(per_orbit[orbit].items())
     ))
 
 
@@ -377,7 +366,7 @@ def _combine(
         for (p, m), x in params.items():
             key = (p, (m + off + shift) % st.period)
             poly[key] = poly.get(key, 0) + scale * v * x
-    return dict(st.form(acc)), {key: c for key, c in poly.items() if c}
+    return dict(sorted(acc.items())), {key: c for key, c in poly.items() if c}
 
 
 def _propagate(cd: CartanData, st: _BlockStructure, known: Dict[int, _Partial]) -> List[int]:
@@ -422,12 +411,13 @@ def _generator_class(lt: LieType) -> Mapping[int, Tuple[Tuple[FamilyExp, int], .
     node next to a known one becomes a free window vector ``X``, and later
     classes are carried as a window vector plus a polynomial in ``S``
     applied to ``X``.  A, B, C, D of even rank, F4 and G2 need no free
-    parameter; D of odd rank and E6-E8 need one.  One integer solve
-    modulo ``L`` then finds ``X`` from the relations not used yet, with
-    ``|window|`` unknowns per parameter, and the propagation runs again
-    from the solved ``X``.  Last, every ``alpha_j`` is checked to map
-    into ``L``; if one does not, ``ArithmeticError`` names the type and
-    the node.
+    parameter; D of odd rank and E6-E8 need one.  One exact integer solve
+    then finds ``X`` from the relations not used yet, with ``|window|``
+    unknowns per parameter: its columns and target are sums of reduced
+    rungs, and a reduced vector lies in ``L`` only when it is 0.  The
+    propagation runs again from the solved ``X``.  Last, every ``alpha_j``
+    is checked to map into ``L``; if one does not, ``ArithmeticError``
+    names the type and the node.
 
     The result is read-only, since every later class of the type uses it.
     """
@@ -443,14 +433,11 @@ def _generator_class(lt: LieType) -> Mapping[int, Tuple[Tuple[FamilyExp, int], .
         used += _propagate(cd, st, known)
     if free:
         window = [(fam, e) for fam in st.families for e in range(st.span[fam])]
-        basis = st.lattice.basis()
         # Unknown (p, w) is coordinate w of parameter p; its column holds
-        # p's polynomial applied to w, in the rows (j, fe) of each relation j,
-        # which holds modulo one copy of L's basis in the same rows.
+        # p's polynomial applied to w, in the rows (j, fe) of each relation j.
         # One window vector of the polynomial per family, then one shift per w.
         columns: Dict[Tuple[int, FamilyExp], Dict[Tuple[int, FamilyExp], int]] = {}
         target: Dict[Tuple[int, FamilyExp], int] = {}
-        modulo: List[Dict[Tuple[int, FamilyExp], int]] = []
         for j in sorted(set(cd.nodes) - set(used)):
             const, poly = _combine(st, known, _alpha_pattern(cd, j))
             for fe, x in const.items():
@@ -463,8 +450,7 @@ def _generator_class(lt: LieType) -> Mapping[int, Tuple[Tuple[FamilyExp, int], .
                         for fe, x in image.items():
                             column[(j, fe)] = x
                         image = st.window(image, 1)
-            modulo += ({(j, fe): x for fe, x in row.items()} for row in basis)
-        solution = solve(list(columns.values()), target, modulo)
+        solution = solve(list(columns.values()), target)
         if solution is None:
             raise ArithmeticError(f"no class map for {lt}: the loop-root system is unsolvable")
         solved = dict(zip(columns, solution))

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 # error, and json only where JSON is read or written, so a cold process
 # compiles and runs only what its verb needs.
 from .cartan import CartanData, cartan_data
-from .errors import DomainError, ParseError, quote, read_int
+from .errors import ECHO_CAP, DomainError, ParseError, quote, read_int
 from .lweight import LCharacter, LWeight, check_lweight, parse_lweight
 
 # The choices of ``verify --suite``, kept equal to verify.SUITE_NAMES by a
@@ -435,8 +435,8 @@ def _parse(argv: List[str]) -> Optional[SimpleNamespace]:
 
 
 class _Quoted(str):
-    """A value outside its option's choices.  argparse's usage error
-    echoes it by ``repr``, which here is ``quote``'s."""
+    """A value outside its option's choices, or an unknown verb.
+    argparse's usage error echoes it by ``repr``, which here is ``quote``'s."""
 
     __slots__ = ()
 
@@ -498,7 +498,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args is None:
         # argparse prints the help (exit 0) or a usage error (exit 2), or
         # reads what _parse declined, such as --flag=value or an abbreviation.
-        args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
+        # It echoes an unknown verb by repr, which _Quoted makes quote's,
+        # and unrecognized arguments as typed, cut here past ECHO_CAP.
+        if argv and argv[0] not in _VERBS:
+            argv[0] = _Quoted(argv[0])
+        parser = _build_parser()
+        namespace, extra = parser.parse_known_args(argv)
+        if extra:
+            text = " ".join(extra)
+            parser.error(f"unrecognized arguments: {text if len(text) <= ECHO_CAP else quote(text)}")
+        args = SimpleNamespace(**vars(namespace))
     try:
         code = args.handler(args)
         # Output still buffered would otherwise meet a closed pipe at exit.

@@ -3,7 +3,7 @@
 Everything here works over the integers with no fractions and no
 tolerances.  ``SparseIntSolver`` keeps the span of sparse integer
 columns in echelon form, tests membership and gives canonical coset
-residues; ``solve`` reads x with A x = b modulo a lattice off one residue.
+residues; ``solve`` reads x with A x = b off one residue.
 """
 
 from __future__ import annotations
@@ -119,23 +119,19 @@ class SparseIntSolver:
         return v
 
 
-def solve(
-    columns: Sequence[SparseVec], target: SparseVec, modulo: Sequence[SparseVec] = ()
-) -> Optional[List[int]]:
-    """Integers x with sum(x[n] * columns[n]) - target in the span of
-    ``modulo``, or None if there are none.
+def solve(columns: Sequence[SparseVec], target: SparseVec) -> Optional[List[int]]:
+    """Integers x with sum(x[n] * columns[n]) == target, or None if there
+    are none.
 
     Row keys need only sort among themselves; they are renumbered 0..R-1.
     Column n gains a unit entry in tail row R + n, after every equation
-    row, and ``modulo`` gains none.  The pivots past R span the vectors
-    with no equation row, so the target's residue keeps no equation row
-    exactly when x exists, and its tail is then -x.
+    row.  The pivots past R span the combinations with no equation row,
+    so the target's residue keeps no equation row exactly when x exists,
+    and its tail is then -x.
     """
-    rows = sorted(set(target).union(*columns, *modulo))
+    rows = sorted(set(target).union(*columns))
     index, tail = {k: r for r, k in enumerate(rows)}, len(rows)
     lattice = SparseIntSolver()
-    for vec in modulo:
-        lattice.add_column({index[k]: c for k, c in vec.items()})
     for n, vec in enumerate(columns):
         column = {index[k]: c for k, c in vec.items()}
         column[tail + n] = 1

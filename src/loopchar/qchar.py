@@ -297,8 +297,13 @@ def fundamental_char(
 def _fundamental_template(
     cd: CartanData, i: int, items: Tuple[Tuple[Weight, int], ...]
 ) -> _Template:
+    """The descent at ("a", 0), level by level in order of height below
+    the top weight, read off each level's orbit walk.  Every level but the
+    top is a child found by ``_discover``, so each is checked against the
+    table when it is settled, and the character has no other dominant weight.
+    """
     from .braid import braid_orbit
-    from .weyl import dominance_diff, fundamental_weight
+    from .weyl import fundamental_weight
 
     table = dict(items)
     top = fundamental_lweight(cd, i)
@@ -309,17 +314,6 @@ def _fundamental_template(
         )
 
     heights: Dict[Weight, int] = {top_wt: 0}
-
-    def height_of(lam: Weight) -> int:
-        if lam not in heights:
-            diff = dominance_diff(cd, top_wt, lam)
-            if diff is None:
-                raise DomainError(
-                    f"weight {list(lam)} is not below the top weight in the root lattice"
-                )
-            heights[lam] = sum(diff)
-        return heights[lam]
-
     # candidate children per dominant weight: lower bound on each mult;
     # children sit strictly deeper than their discoverer, so a level's
     # bounds are complete once every shallower level has been processed
@@ -330,7 +324,7 @@ def _fundamental_template(
     proj: Dict[Weight, int] = {}
 
     while open_levels := (set(settled) | set(bounds)) - done:
-        lam = min(open_levels, key=lambda w: (height_of(w), w))
+        lam = min(open_levels, key=lambda w: (heights[w], w))
         done.add(lam)
         if lam not in settled:
             cand = bounds[lam]
@@ -354,11 +348,13 @@ def _fundamental_template(
                     f"cannot split multiplicity {want} at weight {list(lam)} "
                     f"among {len(cand)} candidates with bounds {sorted(cand.values())}"
                 )
+        depth = _orbit_heights(cd, lam, heights[lam])
         for pi, mult in settled[lam].items():
             for mu, term in braid_orbit(cd, pi).items():
                 terms[term] = terms.get(term, 0) + mult
                 proj[mu] = proj.get(mu, 0) + mult
-                _discover(cd, term, mu, mult, bounds)
+                for lam2 in _discover(cd, term, mu, mult, bounds):
+                    heights[lam2] = depth[mu] + 1
 
     char = LCharacter.from_dict(terms)
     for lam, mult in table.items():
@@ -367,13 +363,17 @@ def _fundamental_template(
                 f"table mismatch at weight {list(lam)}: table {mult}, "
                 f"character {proj.get(lam, 0)}"
             )
-    # A W-orbit holds one dominant weight, so the character's are the settled levels.
-    for lam in settled:
-        if lam not in table:
-            raise DomainError(
-                f"character has dominant weight {list(lam)} absent from the table"
-            )
     return _Template(char)
+
+
+def _orbit_heights(cd: CartanData, lam: Weight, height: int) -> Dict[Weight, int]:
+    """Heights of lam's W-orbit, given lam's: s_j lowers mu by mu_j alpha_j."""
+    from .weyl import orbit_edges
+
+    depth = {lam: height}
+    for mu, j, nu in orbit_edges(cd, lam):
+        depth[nu] = depth[mu] + mu[j - 1]
+    return depth
 
 
 def _discover(
@@ -382,8 +382,9 @@ def _discover(
     mu: Weight,
     mult: int,
     bounds: Dict[Weight, Dict[LWeight, int]],
-) -> None:
-    """Record dominant children reachable from one orbit term of weight mu."""
+) -> List[Weight]:
+    """Record dominant children reachable from one orbit term of weight mu,
+    and return their weights, each mu - alpha_j for some node j."""
     from .braid import simple_lroot
     from .weyl import is_dominant, simple_root_weight
 
@@ -391,6 +392,7 @@ def _discover(
     exps: Dict[int, List[Tuple[str, int]]] = {}
     for (j, orbit, k), power in term.factors:
         exps.setdefault(j, []).extend([(orbit, k)] * (power if 0 < power < 3 else 3))
+    found: List[Weight] = []
     for j, pair in exps.items():
         if len(pair) != 2:
             continue
@@ -408,6 +410,8 @@ def _discover(
             child = term * simple_lroot(cd, j, orbit, k).inverse()
             sub = bounds.setdefault(lam2, {})
             sub[child] = max(sub.get(child, 0), bound)
+        found.append(lam2)
+    return found
 
 
 def tensor_char(c1: LCharacter, c2: LCharacter) -> LCharacter:

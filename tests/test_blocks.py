@@ -162,8 +162,10 @@ def _global_class_solve(lt):
                 for fe, x in _peel_loop(st, {(fam, e + off): 1}).items():
                     r = (dist[j], j, fe)
                     vec[r] = vec.get(r, 0) + v * x
+        # The peeled vectors are raw, so each relation holds modulo a copy
+        # of L's basis in its rows, passed as extra columns.
         modulo += ({(dist[j], j, fe): x for fe, x in row.items()} for row in st.lattice.basis())
-    solution = solve(list(columns.values()), {key: -x for key, x in target.items()}, modulo)
+    solution = solve(list(columns.values()) + modulo, {key: -x for key, x in target.items()})
     coords = dict(zip(columns, solution))
     return {
         l: st.normal_form({fe: coords[(l, fe)] for fe in window})
@@ -440,11 +442,11 @@ def test_huge_exponent_classes_are_immediate():
     ) == parse_elliptic(a3.type, f"x[a,{-(10**30) % 8}]")
 
 
-def _product_strategy(cd):
+def _product_strategy(cd, bound=10**12):
     key = st.tuples(
         st.sampled_from(list(cd.nodes)),
         st.sampled_from(["a", "b"]),
-        st.integers(min_value=-(10**12), max_value=10**12),
+        st.integers(min_value=-bound, max_value=bound),
     )
     powers = st.dictionaries(
         key, st.integers(min_value=-3, max_value=3).filter(bool), max_size=4
@@ -460,6 +462,26 @@ def test_class_is_additive_on_random_products(draws):
         cd = cartan_data(label)
         pi, tau = LWeight.from_dict(left), LWeight.from_dict(right)
         assert elliptic_class(cd, pi * tau) == elliptic_class(cd, pi) + elliptic_class(cd, tau)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.tuples(*(_product_strategy(cartan_data(label), 10**6) for label in _CLASS_TYPES)))
+def test_class_sums_and_negations_need_no_reduction(draws):
+    # + merges two classes' canonical terms and - flips their signs, with
+    # no new reduction.  Oracles: the class of the product or the inverse,
+    # and make, which reduces the raw term sums from scratch.
+    for label, (left, right) in zip(_CLASS_TYPES, draws):
+        cd = cartan_data(label)
+        pi, tau = LWeight.from_dict(left), LWeight.from_dict(right)
+        chi, psi = elliptic_class(cd, pi), elliptic_class(cd, tau)
+        total, negated = chi + psi, -chi
+        assert total == elliptic_class(cd, pi * tau)
+        assert negated == elliptic_class(cd, pi.inverse())
+        raw = _generator_terms(cd, pi)
+        for key, c in _generator_terms(cd, tau).items():
+            raw[key] = raw.get(key, 0) + c
+        assert total.terms == EllipticCharacter.make(cd.type, raw).terms
+        assert negated.terms == EllipticCharacter.make(cd.type, _generator_terms(cd, pi, -1)).terms
 
 
 def test_character_arithmetic():

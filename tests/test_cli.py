@@ -187,6 +187,7 @@ _USAGE_ECHO_CALLS = {
     "format choice": (
         ["block", "--type", "A2", "--format", "{}", "w[1;a,0]"], "argument --format: invalid choice: "
     ),
+    "verb choice": (["{}", "--type", "A2"], "argument verb: invalid choice: "),
 }
 
 
@@ -211,6 +212,25 @@ def test_usage_errors_echo_at_most_a_capped_prefix(call, capsys):
     assert len(err.encode()) < 600
 
 
+def test_unrecognized_arguments_echo_at_most_a_capped_prefix(capsys):
+    def usage_error(*extra):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["alpha", "--type", "A2", "--node", "1", *extra])
+        assert stop.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
+    # Up to the cap the arguments read as argparse prints them, unquoted.
+    lead = "loopchar: error: unrecognized arguments: "
+    assert usage_error("foo", "bar").endswith(lead + "foo bar\n")
+    exact = "x" * ECHO_CAP
+    assert usage_error(exact).endswith(lead + exact + "\n")
+    err = usage_error("foo", _JUNK)
+    assert err.endswith(lead + quote("foo " + _JUNK) + "\n")
+    assert len(err.encode()) < 600
+
+
 def test_domain_errors_exit_3():
     result = run_cli("alpha", "--type", "A2", "--node", "5")
     assert result.returncode == 3
@@ -219,6 +239,23 @@ def test_domain_errors_exit_3():
     result = run_cli("qchar-fund", "--type", "B3", "--node", "2")
     assert result.returncode == 3
     assert "node 2 of B3 needs an explicit multiplicity table" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "node,table,missing",
+    [
+        ("1", '{"1,0,0":1}', "[0, 0, 0]"),
+        ("2", '{"0,1,0":1,"0,0,0":4}', "[1, 0, 0]"),
+        ("2", '{"0,1,0":1,"1,0,0":1}', "[0, 0, 0]"),
+    ],
+)
+def test_a_table_missing_a_dominant_weight_of_the_character_exits_3(node, table, missing):
+    # Every dominant weight of the character is a level of the descent, and
+    # a level without a table entry is refused when the descent reaches it.
+    result = run_cli("qchar-fund", "--type", "B3", "--node", node, "--table", table)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == f"error: descent reached dominant weight {missing} missing from the table\n"
 
 
 @pytest.mark.parametrize("orbit", ["x]*w[2", "1a", ""])

@@ -62,13 +62,26 @@ def test_alpha_loads_only_what_it_runs():
 
 
 def test_dominance_diff_loads_no_rationals():
-    # qchar-fund with a table ranks its weights by dominance_diff.
+    code = (
+        "import sys; before = set(sys.modules); "
+        "from loopchar import cartan_data, dominance_diff; "
+        "print(dominance_diff(cartan_data('B3'), (1, 0, 0), (0, 0, 0))); "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    diff, loaded = out.stdout.splitlines()
+    assert diff == "(1, 1, 1)"
+    assert "'loopchar.intlattice'" in loaded
+    assert "'fractions'" not in loaded
+
+
+def test_a_table_descent_loads_no_solver():
+    # The descent reads each level's height off the orbit walk.
     stdout, loaded = loaded_by(
         "qchar-fund", "--type", "B3", "--node", "1", "--table", '{"1,0,0":1,"0,0,0":1}'
     )
     assert stdout
-    assert "fractions" not in loaded
-    assert "loopchar.intlattice" in loaded
+    assert not loaded & {"loopchar.intlattice", "fractions"}
 
 
 def test_block_loads_no_qchar_or_verify():

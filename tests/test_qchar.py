@@ -450,6 +450,50 @@ def test_the_shift_plan_is_made_by_the_first_translation_and_kept():
     assert template.plan is plan
 
 
+@pytest.mark.parametrize("label", ["A4", "B3", "B4", "C3", "C4", "D4", "D5", "G2"])
+def test_orbit_heights_match_the_root_coordinates(label):
+    # The descent orders its levels by these heights, read off the orbit
+    # walk.  Oracle: the root coordinates of lam - mu from one integer solve.
+    cd = cartan_data(label)
+    rho = tuple([1] * cd.rank)
+    doubled = tuple(2 * c for c in fundamental_weight(cd, 1))
+    for lam in [fundamental_weight(cd, i) for i in cd.nodes] + [rho, doubled]:
+        heights = qchar._orbit_heights(cd, lam, 7)
+        assert set(heights) == set(braid_orbit(cd, LWeight.from_dict(
+            {(i, "a", 0): c for i, c in enumerate(lam, start=1) if c}
+        )))
+        for mu, height in heights.items():
+            assert height == 7 + sum(dominance_diff(cd, lam, mu)), (lam, mu)
+
+
+@pytest.mark.parametrize(
+    "label,node,table",
+    [
+        ("B3", 2, {(0, 1, 0): 1, (1, 0, 0): 1, (0, 0, 0): 4}),
+        ("B4", 2, {(0, 1, 0, 0): 1, (1, 0, 0, 0): 1, (0, 0, 0, 0): 5}),
+        ("C3", 3, {(0, 0, 1): 1, (1, 0, 0): 1}),
+        ("D6", 2, None),
+    ],
+)
+def test_every_level_is_walked_at_its_height(label, node, table, monkeypatch):
+    # Each settled level's orbit walk starts at the height its discoverer
+    # gave it.  Oracle: the root coordinates of top - lam.
+    cd = cartan_data(label)
+    table = table or _d_table(cd.rank)
+    walked, real = [], qchar._orbit_heights
+
+    def spy(cd, lam, height):
+        walked.append((lam, height))
+        return real(cd, lam, height)
+
+    monkeypatch.setattr(qchar, "_orbit_heights", spy)
+    qchar._fundamental_template.__wrapped__(cd, node, tuple(sorted(table.items())))
+    top = fundamental_weight(cd, node)
+    assert sorted(lam for lam, _ in walked) == sorted(lam for lam in table if min(lam) >= 0)
+    for lam, height in walked:
+        assert height == sum(dominance_diff(cd, top, lam)), lam
+
+
 def test_a_bad_table_raises_the_same_error_on_every_call():
     b2 = cartan_data("B2")
     messages = []
