@@ -27,7 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cartan import CartanData, Frozen, LieType, _alpha_pattern, cartan_data
 from .errors import DomainError, ParseError, quote, read_int
-from .intlattice import SparseIntSolver, solve
+from .intlattice import SparseIntSolver
 from .lweight import (
     LWeight,
     _json_field,
@@ -344,40 +344,30 @@ def parse_elliptic(lt: LieType, text: str) -> EllipticCharacter:
     return EllipticCharacter.make(lt, raw)
 
 
-# A class under construction: window terms in normal form, plus the
-# coefficients {(parameter, m): c} of the free parameters' shifts S^m X.
-_Partial = Tuple[Dict[FamilyExp, int], Dict[Tuple[int, int], int]]
-
-
 def _combine(
     st: _BlockStructure,
-    known: Dict[int, _Partial],
+    known: Dict[int, Dict[FamilyExp, int]],
     entries: Sequence[Tuple[Tuple[int, int], int]],
     scale: int = 1,
     shift: int = 0,
-) -> _Partial:
-    """scale * sum of v S^(off + shift) c_l over the entries ((l, off), v)."""
+) -> Dict[FamilyExp, int]:
+    """scale * sum of v S^(off + shift) c_l over the entries ((l, off), v),
+    as sorted reduced window terms."""
     acc: Dict[FamilyExp, int] = {}
-    poly: Dict[Tuple[int, int], int] = {}
     for (l, off), v in entries:
-        const, params = known[l]
-        for (fam, e), x in const.items():
+        for (fam, e), x in known[l].items():
             st.add_image(acc, fam, e + off + shift, scale * v * x)
-        for (p, m), x in params.items():
-            key = (p, (m + off + shift) % st.period)
-            poly[key] = poly.get(key, 0) + scale * v * x
-    return dict(sorted(acc.items())), {key: c for key, c in poly.items() if c}
+    return dict(sorted(acc.items()))
 
 
-def _propagate(cd: CartanData, st: _BlockStructure, known: Dict[int, _Partial]) -> List[int]:
-    """Fill in every class that one relation settles, and return those relations.
+def _propagate(cd: CartanData, st: _BlockStructure, known: Dict[int, Dict[FamilyExp, int]]) -> None:
+    """Fill in every class that one relation settles.
 
     A relation settles node u when u is its only unknown node and has a
     single entry ((u, off), v) with v = +-1: then c_u = -v S^(-off) times
     the known part.  Knowing more never blocks a relation, so the nodes
     reached depend only on the classes given, not on the queue order.
     """
-    used: List[int] = []
     queue = deque(cd.nodes)
     while queue:
         j = queue.popleft()
@@ -388,9 +378,25 @@ def _propagate(cd: CartanData, st: _BlockStructure, known: Dict[int, _Partial]) 
         u, off, v = unknown[0]
         rest = [entry for entry in pattern if entry[0][0] != u]
         known[u] = _combine(st, known, rest, -v, -off)
-        used.append(j)
         queue.extend((u,) + cd.neighbors(u))
-    return used
+
+
+def _anchor(cd: CartanData) -> Dict[int, Dict[FamilyExp, int]]:
+    """The class at exponent 0 of the one node where propagation from the
+    seeds stops, on the types where it does: node n - 3 of D_n for odd n,
+    and one node each of E6, E7 and E8.  Every other type gets none.
+
+    These are data, not trusted: a class map built from a wrong anchor
+    fails the closing check of ``_generator_class``.
+    """
+    n = cd.rank
+    if cd.type.series == "D" and n % 2:
+        return {n - 3: {("", 2): 1, ("", 2 * n - 4): -1}}
+    return {
+        "E6": {4: {("", 11): -1, ("", 13): -1}},
+        "E7": {5: {("", 4): 1, ("", 6): 1, ("", 12): -1, ("", 14): -1}},
+        "E8": {6: {("", 15): 1, ("", 17): 1, ("", 23): -1, ("", 25): -2, ("", 27): -1}},
+    }.get(str(cd.type), {})
 
 
 @lru_cache(maxsize=None)
@@ -407,61 +413,29 @@ def _generator_class(lt: LieType) -> Mapping[int, Tuple[Tuple[FamilyExp, int], .
 
     The classes are found along the Dynkin diagram, outward from the
     seeds: a relation whose only unknown node has one entry ``v = +-1``
-    gives that node's class directly.  Where no relation does, one unknown
-    node next to a known one becomes a free window vector ``X``, and later
-    classes are carried as a window vector plus a polynomial in ``S``
-    applied to ``X``.  A, B, C, D of even rank, F4 and G2 need no free
-    parameter; D of odd rank and E6-E8 need one.  One exact integer solve
-    then finds ``X`` from the relations not used yet, with ``|window|``
-    unknowns per parameter: its columns and target are sums of reduced
-    rungs, and a reduced vector lies in ``L`` only when it is 0.  The
-    propagation runs again from the solved ``X``.  Last, every ``alpha_j``
-    is checked to map into ``L``; if one does not, ``ArithmeticError``
-    names the type and the node.
+    gives that node's class directly.  A, B, C, D of even rank, F4 and G2
+    need nothing more.  On D of odd rank and E6-E8 propagation gets stuck
+    once, so it starts from the seeds plus the class of that one node,
+    ``_anchor``.  If the nodes reached are not all of them,
+    ``ArithmeticError`` names the type.  Last, every ``alpha_j`` is checked
+    to map into ``L``: the classes are sums of reduced rungs, so that is
+    whether its sum is 0.  If one does not, ``ArithmeticError`` names the
+    type and the node.  A map that passes is the map, since it is unique,
+    so a wrong anchor cannot pass.
 
     The result is read-only, since every later class of the type uses it.
     """
     cd, st = cartan_data(lt), _structure(lt)
-    seeds: Dict[int, _Partial] = {i: ({(seed_family(cd, i), 0): 1}, {}) for i in cd.seed_nodes}
-    known = dict(seeds)
-    used = _propagate(cd, st, known)
-    free: List[int] = []
-    while len(known) < cd.rank:
-        u = min(l for i in known for l in cd.neighbors(i) if l not in known)
-        known[u] = ({}, {(len(free), 0): 1})
-        free.append(u)
-        used += _propagate(cd, st, known)
-    if free:
-        window = [(fam, e) for fam in st.families for e in range(st.span[fam])]
-        # Unknown (p, w) is coordinate w of parameter p; its column holds
-        # p's polynomial applied to w, in the rows (j, fe) of each relation j.
-        # One window vector of the polynomial per family, then one shift per w.
-        columns: Dict[Tuple[int, FamilyExp], Dict[Tuple[int, FamilyExp], int]] = {}
-        target: Dict[Tuple[int, FamilyExp], int] = {}
-        for j in sorted(set(cd.nodes) - set(used)):
-            const, poly = _combine(st, known, _alpha_pattern(cd, j))
-            for fe, x in const.items():
-                target[(j, fe)] = -x
-            for p in range(len(free)):
-                for fam in st.families:
-                    image = st.window({(fam, m): c for (q, m), c in poly.items() if q == p})
-                    for e in range(st.span[fam]):
-                        column = columns.setdefault((p, (fam, e)), {})
-                        for fe, x in image.items():
-                            column[(j, fe)] = x
-                        image = st.window(image, 1)
-        solution = solve(list(columns.values()), target)
-        if solution is None:
-            raise ArithmeticError(f"no class map for {lt}: the loop-root system is unsolvable")
-        solved = dict(zip(columns, solution))
-        known = dict(seeds)
-        for p, u in enumerate(free):
-            known[u] = (dict(st.normal_form({w: solved[(p, w)] for w in window})), {})
-        _propagate(cd, st, known)
+    known = {i: {(seed_family(cd, i), 0): 1} for i in cd.seed_nodes}
+    for u, terms in _anchor(cd).items():
+        known[u] = dict(st.normal_form(terms))
+    _propagate(cd, st, known)
+    if len(known) < cd.rank:
+        raise ArithmeticError(f"propagation from the seeds of {lt} does not reach every node")
     for j in cd.nodes:
-        if _combine(st, known, _alpha_pattern(cd, j))[0]:
+        if _combine(st, known, _alpha_pattern(cd, j)):
             raise ArithmeticError(f"the class map of {lt} sends alpha_{j} outside L")
-    return MappingProxyType({l: tuple(known[l][0].items()) for l in cd.nodes if l not in seeds})
+    return MappingProxyType({l: tuple(known[l].items()) for l in cd.nodes if l not in cd.seed_nodes})
 
 
 def _add_class(

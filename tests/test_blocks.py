@@ -179,7 +179,8 @@ def _global_class_solve(lt):
     _CLASS_TYPES
     + tuple(f"{s}{n}" for s in "ABC" for n in range(6, 13))
     + tuple(f"D{n}" for n in range(7, 17))
-    + ("D30", "D31"),
+    + tuple(f"D{n}" for n in range(17, 30, 2))
+    + ("D30", "D31", "D41", "D101"),
 )
 def test_propagated_classes_match_the_global_solve(label):
     lt = cartan_data(label).type
@@ -207,11 +208,10 @@ def test_closing_check_names_a_broken_relation(monkeypatch):
     assert _generator_class(lt) == _global_class_solve(lt)
 
 
-def test_unsolvable_free_parameter_is_an_arithmetic_error(monkeypatch):
+def test_broken_relation_past_the_anchor_fails_the_closing_check(monkeypatch):
     # alpha_1 of D5 with its second node-1 entry moved from S^2 to S^4:
-    # alpha_2 still settles node 1 from the free parameter at node 2, so
-    # the broken alpha_1 goes into the solve, and no window vector sends
-    # it into L.
+    # alpha_2 still settles node 1 from the anchor at node 2, so the
+    # broken alpha_1 reaches the closing check.
     real = blocks._alpha_pattern
 
     def broken(cd, i):
@@ -224,12 +224,53 @@ def test_unsolvable_free_parameter_is_an_arithmetic_error(monkeypatch):
     _generator_class.cache_clear()
     _structure.cache_clear()
     monkeypatch.setattr(blocks, "_alpha_pattern", broken)
-    with pytest.raises(ArithmeticError, match=r"no class map for D5: the loop-root system is unsolvable"):
+    with pytest.raises(ArithmeticError, match=r"the class map of D5 sends alpha_1 outside L"):
         _generator_class(lt)
     monkeypatch.undo()
     _generator_class.cache_clear()
     _structure.cache_clear()
     assert _generator_class(lt) == _global_class_solve(lt)
+
+
+ANCHORED_TYPES = ("D5", "D7", "E6", "E7", "E8")
+
+
+@pytest.fixture
+def cold_class_maps():
+    _generator_class.cache_clear()
+    _structure.cache_clear()
+    yield
+    _generator_class.cache_clear()
+    _structure.cache_clear()
+
+
+def _moved_top(terms):
+    # The anchor with its highest exponent moved up by 2, still in the window.
+    top = max(terms)
+    return {(fam, e + 2 if (fam, e) == top else e): c for (fam, e), c in terms.items()}
+
+
+def _flipped_first(terms):
+    first = min(terms)
+    return {fe: -c if fe == first else c for fe, c in terms.items()}
+
+
+@pytest.mark.parametrize("wrong", [_moved_top, _flipped_first])
+@pytest.mark.parametrize("label", ANCHORED_TYPES)
+def test_a_wrong_anchor_fails_the_closing_check(monkeypatch, cold_class_maps, label, wrong):
+    real = blocks._anchor
+    monkeypatch.setattr(
+        blocks, "_anchor", lambda cd: {u: wrong(terms) for u, terms in real(cd).items()}
+    )
+    with pytest.raises(ArithmeticError, match=rf"the class map of {label} sends alpha_\d+ outside L"):
+        _generator_class(cartan_data(label).type)
+
+
+@pytest.mark.parametrize("label", ANCHORED_TYPES)
+def test_a_missing_anchor_is_an_arithmetic_error(monkeypatch, cold_class_maps, label):
+    monkeypatch.setattr(blocks, "_anchor", lambda cd: {})
+    with pytest.raises(ArithmeticError, match=rf"the seeds of {label} does not reach every node"):
+        _generator_class(cartan_data(label).type)
 
 
 def test_cached_class_map_is_read_only():
