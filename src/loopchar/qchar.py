@@ -1,10 +1,11 @@
 """Loop characters of finite-dimensional irreducible modules.
 
-Covers the rank-one evaluation modules, minuscule fundamental modules
-(whose character is a single braid orbit), the rank-n orthogonal adjoint
-character at node 2, and a table-driven descent that assembles any
-classical fundamental character from braid orbits of dominant loop
-weights plus caller-supplied dominant weight multiplicities.
+Covers the rank-one evaluation modules and fundamental modules.  One
+table-driven descent assembles every fundamental character from braid
+orbits of dominant loop weights and a dominant weight-multiplicity
+table: {omega_i: 1} for a minuscule node (a single braid orbit),
+{omega_2: 1, 0: n+1} for node 2 of D_n (the adjoint orbit plus its
+zero-weight core), or a caller's table for any classical node.
 
 Moving the spectral parameter of a fundamental module from a to a*q^e
 adds e to every exponent of its character and renames the orbit (the
@@ -152,22 +153,16 @@ def cyclicity_order(
 def is_minuscule(cd: CartanData, i: int) -> bool:
     """Whether the fundamental weight omega_i is minuscule.
 
-    omega_i is minuscule when <omega_i, beta^vee> = 2 d_i beta_i / (beta, beta)
-    is 0 or 1 for every positive root beta (Bourbaki, Lie Groups and Lie
-    Algebras, Ch. VIII, section 7).  The largest pairing comes at the
-    highest short root theta_s, so weyl tests d_i (theta_s)_i <= min d on
-    one greedy ascent per type; no root table is built.
+    omega_i is minuscule when <omega_i, beta^vee> is 0 or 1 for every
+    positive root beta.  Read off the classification (Bourbaki, Lie Groups
+    and Lie Algebras, Ch. VIII, section 7) in this package's labelling:
+    every node of A_n, node n of B_n, node 1 of C_n, nodes 1, n-1 and n of
+    D_n, nodes 1 and 5 of E6, node 1 of E7, and none of E8, F4 or G2.
     """
-    # Checked before the cache, where True or 1.0 would hit node 1's entry.
     cd.check_node(i)
-    return _is_minuscule(cd, i)
-
-
-@lru_cache(maxsize=None)
-def _is_minuscule(cd: CartanData, i: int) -> bool:
-    from .weyl import _fundamental_is_minuscule
-
-    return _fundamental_is_minuscule(cd, i)
+    n, series = cd.rank, cd.type.series
+    nodes = {"B": (n,), "C": (1,), "D": (1, n - 1, n), "E": {6: (1, 5), 7: (1,)}.get(n, ())}
+    return series == "A" or i in nodes.get(series, ())
 
 
 class _Template:
@@ -195,7 +190,8 @@ def _at(template: _Template, p: SpectralParam) -> LCharacter:
 
 
 def minuscule_char(cd: CartanData, i: int, p: SpectralParam) -> LCharacter:
-    """Character of a minuscule fundamental module: one pure braid orbit."""
+    """Character of a minuscule fundamental module: one pure braid orbit,
+    the descent from the table {omega_i: 1}, whose top finds no child."""
     if not is_minuscule(cd, i):  # which checks the node
         raise DomainError(
             f"node {i} of {cd.type} is not minuscule: some positive coroot "
@@ -206,20 +202,17 @@ def minuscule_char(cd: CartanData, i: int, p: SpectralParam) -> LCharacter:
 
 @lru_cache(maxsize=None)
 def _minuscule_template(cd: CartanData, i: int) -> _Template:
-    from .braid import braid_orbit
+    from .weyl import fundamental_weight
 
-    top = fundamental_lweight(cd, i)
-    images = braid_orbit(cd, top)
-    if len(set(images.values())) != len(images):
-        raise ArithmeticError(f"braid orbit of {top} meets some loop weight twice")
-    return _Template(LCharacter.from_dict(dict.fromkeys(images.values(), 1)))
+    return _fundamental_template(cd, i, ((fundamental_weight(cd, i), 1),))
 
 
 def dn_node2_char(n: int, p: SpectralParam) -> LCharacter:
     """Node-2 fundamental character in type D: adjoint orbit plus core.
 
     The braid orbit of the highest factor runs over the roots; on top of
-    it sit n zero-weight terms, the (n-2)-nd with multiplicity 2.
+    it sit n zero-weight terms, the (n-2)-nd with multiplicity 2.  They are
+    the descent from the table {omega_2: 1, 0: n+1}.
     """
     if n < 4:
         raise DomainError(f"rank must be at least 4, got {n}")
@@ -229,37 +222,10 @@ def dn_node2_char(n: int, p: SpectralParam) -> LCharacter:
 
 @lru_cache(maxsize=None)
 def _dn_node2_template(cd: CartanData) -> _Template:
-    from .braid import braid_orbit
+    from .weyl import fundamental_weight, zero_weight
 
-    n = cd.rank
-    terms: Dict[LWeight, int] = {}
-    for pi in braid_orbit(cd, fundamental_lweight(cd, 2)).values():
-        terms[pi] = terms.get(pi, 0) + 1
-    for j in range(1, n + 1):
-        core = _dn_core_term(n, j)
-        mult = 2 if j == n - 2 else 1
-        terms[core] = terms.get(core, 0) + mult
-    return _Template(LCharacter.from_dict(terms))
-
-
-def _dn_core_term(n: int, j: int) -> LWeight:
-    """The j-th zero-weight term of the type-D node-2 character at ("a", 0)."""
-    powers: Dict[Tuple[int, str, int], int] = {}
-
-    def put(node: int, exp: int, sign: int) -> None:
-        if node >= 1:
-            key = (node, "a", exp)
-            powers[key] = powers.get(key, 0) + sign
-
-    if j <= n - 2:
-        put(j - 1, j + 1, -1)
-        put(j - 1, 2 * n - j - 3, +1)
-        put(j, j, +1)
-        put(j, 2 * n - j - 2, -1)
-    else:
-        put(j, n - 3, +1)
-        put(j, n + 1, -1)
-    return LWeight.from_dict(powers)
+    table = ((zero_weight(cd), cd.rank + 1), (fundamental_weight(cd, 2), 1))
+    return _fundamental_template(cd, 2, table)
 
 
 def fundamental_char(
@@ -288,6 +254,8 @@ def fundamental_char(
         # The table is the cache key: 1.0 or True would hit the entry of 1.
         if type(lam) is not tuple or any(type(c) is not int for c in lam):
             raise DomainError(f"table weight {lam!r} is not a tuple of integers")
+        if len(lam) != cd.rank:
+            raise DomainError(f"table weight {list(lam)} does not have {cd.rank} coordinates")
         if type(mult) is not int:
             raise DomainError(f"table multiplicity at {list(lam)} is not an integer: {mult!r}")
     return _at(_fundamental_template(cd, i, tuple(sorted(table.items()))), p)
@@ -298,9 +266,12 @@ def _fundamental_template(
     cd: CartanData, i: int, items: Tuple[Tuple[Weight, int], ...]
 ) -> _Template:
     """The descent at ("a", 0), level by level in order of height below
-    the top weight, read off each level's orbit walk.  Every level but the
-    top is a child found by ``_discover``, so each is checked against the
-    table when it is settled, and the character has no other dominant weight.
+    the top weight, read off the orbit walk of each level that finds a
+    child.  Every level but the top is a child found by ``_discover``, so
+    each is checked against the table when it is settled, and the character
+    has no other dominant weight.  The weight 0 and a minuscule top have
+    nothing below them and look for no child.  No two orbit terms of a
+    character meet, so a term met twice is an ArithmeticError.
     """
     from .braid import braid_orbit
     from .weyl import fundamental_weight
@@ -321,7 +292,7 @@ def _fundamental_template(
     settled: Dict[Weight, Dict[LWeight, int]] = {top_wt: {top: 1}}
     done: set = set()
     terms: Dict[LWeight, int] = {}
-    proj: Dict[Weight, int] = {}
+    orbits: Dict[Weight, Dict[Weight, LWeight]] = {}  # one orbit per level, keyed by weight
 
     while open_levels := (set(settled) | set(bounds)) - done:
         lam = min(open_levels, key=lambda w: (heights[w], w))
@@ -348,22 +319,39 @@ def _fundamental_template(
                     f"cannot split multiplicity {want} at weight {list(lam)} "
                     f"among {len(cand)} candidates with bounds {sorted(cand.values())}"
                 )
-        depth = _orbit_heights(cd, lam, heights[lam])
+        # Nothing lies below these levels, and their orbits hold no
+        # coordinate 2: the skip only spares scanning, say, A3000's 3001 weights.
+        leaf = not any(lam) or (lam == top_wt and is_minuscule(cd, i))
+        depth = None
         for pi, mult in settled[lam].items():
-            for mu, term in braid_orbit(cd, pi).items():
-                terms[term] = terms.get(term, 0) + mult
-                proj[mu] = proj.get(mu, 0) + mult
-                for lam2 in _discover(cd, term, mu, mult, bounds):
+            orbit = orbits[lam] = braid_orbit(cd, pi)
+            size = len(terms) + len(orbit)
+            terms.update(dict.fromkeys(orbit.values(), mult))  # one hash per term
+            if len(terms) != size:
+                raise ArithmeticError(
+                    f"the braid orbit of {pi} meets a loop weight of the descent twice"
+                )
+            if leaf:
+                continue
+            for mu, term in orbit.items():
+                # Only a coordinate 2 of mu can carry a degree-2 entry.
+                if 2 not in mu:
+                    continue
+                found = _discover(cd, term, mu, mult, bounds)
+                if found and depth is None:
+                    depth = _orbit_heights(cd, lam, heights[lam])
+                for lam2 in found:
                     heights[lam2] = depth[mu] + 1
 
-    char = LCharacter.from_dict(terms)
-    for lam, mult in table.items():
-        if proj.get(lam, 0) != mult:
+    # The character is W-invariant: a weight has the multiplicity of the
+    # level whose orbit holds it.
+    for lam, mult in items:
+        have = next((sum(settled[top].values()) for top, orbit in orbits.items() if lam in orbit), 0)
+        if have != mult:
             raise DomainError(
-                f"table mismatch at weight {list(lam)}: table {mult}, "
-                f"character {proj.get(lam, 0)}"
+                f"table mismatch at weight {list(lam)}: table {mult}, character {have}"
             )
-    return _Template(char)
+    return _Template(LCharacter.from_dict(terms))
 
 
 def _orbit_heights(cd: CartanData, lam: Weight, height: int) -> Dict[Weight, int]:
@@ -385,7 +373,7 @@ def _discover(
 ) -> List[Weight]:
     """Record dominant children reachable from one orbit term of weight mu,
     and return their weights, each mu - alpha_j for some node j."""
-    from .braid import simple_lroot
+    from .cartan import _alpha_pattern
     from .weyl import is_dominant, simple_root_weight
 
     # Only a node whose powers are positive and sum to 2 descends; other powers add 3 entries.
@@ -407,7 +395,12 @@ def _discover(
         else:
             children = [(top, mult), (low, mult)]
         for (orbit, k), bound in children:
-            child = term * simple_lroot(cd, j, orbit, k).inverse()
+            # term / A_{j;orbit,k}, entry by entry
+            powers = dict(term.factors)
+            for (node, off), v in _alpha_pattern(cd, j):
+                key = (node, orbit, k + off)
+                powers[key] = powers.get(key, 0) - v
+            child = LWeight.from_dict(powers)
             sub = bounds.setdefault(lam2, {})
             sub[child] = max(sub.get(child, 0), bound)
         found.append(lam2)

@@ -13,7 +13,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .cartan import CartanData, cartan_data
 from .errors import DomainError
-from .lweight import GenKey, LWeight, fundamental_lweight, weight_of
+from .lweight import GenKey, LCharacter, LWeight, fundamental_lweight, weight_of
 
 Row = Dict[str, str]
 
@@ -485,7 +485,7 @@ def _dn_word(n: int, j: int) -> Tuple[int, ...]:
 
 def _suite_dn(rng: random.Random) -> List[Row]:
     from .blocks import elliptic_class
-    from .braid import braid_act_word
+    from .braid import braid_act_word, braid_orbit
     from .qchar import dn_node2_char, fundamental_char, weight_projection
     from .weyl import fundamental_weight, positive_roots, simple_root_weight, zero_weight
 
@@ -515,12 +515,17 @@ def _suite_dn(rng: random.Random) -> List[Row]:
                 2 if j == n - 2 else 1,
                 c.multiplicity(_dn_core_fixture(n, j)),
             )
+        # The descent against the adjoint orbit plus this suite's own core.
+        terms = dict.fromkeys(braid_orbit(cd, fundamental_lweight(cd, 2, "a", 0)).values(), 1)
+        for j in range(1, n + 1):
+            terms[_dn_core_fixture(n, j)] = 2 if j == n - 2 else 1
+        expected = LCharacter.from_dict(terms)
         table = {fundamental_weight(cd, 2): 1, zero_weight(cd): n + 1}
         _emit(
             rows,
             f"dn/{n}/from-table",
             "equal",
-            "equal" if fundamental_char(cd, 2, ("a", 0), table) == c else "differ",
+            "equal" if fundamental_char(cd, 2, ("a", 0), table) == expected else "differ",
         )
         classes = {str(elliptic_class(cd, w)) for w in c.to_dict()}
         _emit(rows, f"dn/{n}/one-class", 1, len(classes))

@@ -176,33 +176,21 @@ def _greedy_reflections(cd: CartanData, p: List[int], sign: int):
         yield i, c
 
 
-def _ascend(cd: CartanData, j: int) -> RootCoords:
-    """The dominant root in the W-orbit of alpha_j, by a greedy ascent.
+@lru_cache(maxsize=None)
+def highest_root(cd: CartanData) -> RootCoords:
+    """The highest root theta, by a greedy ascent from a long simple root.
 
     Every step raises beta along a simple reflection, so it stays a
-    positive root in alpha_j's orbit, and it stops at a dominant one:
-    theta from a long simple root, the highest short root from a short
-    one (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, section 1).  Each
-    step raises the height, which ends at most at h - 1, so
-    O(n + h * (deg + log n)).
+    positive root in the orbit of the long simple roots, and it stops at
+    the dominant one, theta (Bourbaki, Lie Groups and Lie Algebras,
+    Ch. VI, section 1).  Each step raises the height, which ends at
+    h - 1, so O(n + h * (deg + log n)).
     """
+    j = cd.sym.index(max(cd.sym)) + 1
     beta = [int(k == j) for k in cd.nodes]
     for i, c in _greedy_reflections(cd, _pairings(cd, beta), 1):
         beta[i - 1] -= c
     return tuple(beta)
-
-
-@lru_cache(maxsize=None)
-def _dominant_roots(cd: CartanData) -> Tuple[RootCoords, RootCoords]:
-    """The highest root theta and the highest short root theta_s.
-
-    The two are equal on a simply-laced type, where one ascent serves.
-    """
-    sym = cd.sym
-    theta = _ascend(cd, sym.index(max(sym)) + 1)
-    if min(sym) == max(sym):
-        return theta, theta
-    return theta, _ascend(cd, sym.index(min(sym)) + 1)
 
 
 @lru_cache(maxsize=None)
@@ -226,22 +214,6 @@ def positive_roots(cd: CartanData) -> Tuple[RootCoords, ...]:
                     seen.add(refl)
                     queue.append(refl)
     return tuple(sorted(queue))
-
-
-def highest_root(cd: CartanData) -> RootCoords:
-    return _dominant_roots(cd)[0]
-
-
-def _fundamental_is_minuscule(cd: CartanData, i: int) -> bool:
-    """Whether <omega_i, beta^vee> <= 1 for every positive root beta.
-
-    The pairing is the alpha_i^vee coordinate of beta^vee, and the highest
-    coroot theta_s^vee bounds every coroot coordinatewise.  Its alpha_i^vee
-    coordinate is 2 d_i (theta_s)_i / (theta_s, theta_s), and
-    (theta_s, theta_s) = 2 min d, so the test is d_i (theta_s)_i <= min d.
-    """
-    sym = cd.sym
-    return sym[i - 1] * _dominant_roots(cd)[1][i - 1] <= min(sym)
 
 
 def _is_root(cd: CartanData, beta: RootCoords) -> bool:

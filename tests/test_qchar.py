@@ -32,7 +32,7 @@ from loopchar import (
     weyl_module_dim,
     zero_weight,
 )
-from loopchar import cli, lweight, qchar
+from loopchar import braid, cli, lweight, qchar
 from loopchar.braid import braid_orbit
 from loopchar.verify import _CLASS_TYPES
 from loopchar.weyl import dominance_diff
@@ -291,24 +291,25 @@ _PINNED_SHA256 = "82bc9b3059c80f57b6f7d464a72f9af41335b42360d7619a3bfada09570d3b
 
 
 def _pinned_chars():
+    """(type, node, character) for each pinned character."""
     for p in (("a", 0), ("b", -5)):
         for name in _CLASS_TYPES:
             cd = cartan_data(name)
             for i in cd.nodes:
                 if is_minuscule(cd, i):
-                    yield minuscule_char(cd, i, p)
+                    yield cd, i, minuscule_char(cd, i, p)
         for n in range(4, 9):
             cd = cartan_data(f"D{n}")
-            yield fundamental_char(cd, 2, p, weight_projection(cd, dn_node2_char(n, ("a", 0))))
+            yield cd, 2, fundamental_char(cd, 2, p, weight_projection(cd, dn_node2_char(n, ("a", 0))))
         for n in range(2, 9):
             cd = cartan_data(f"B{n}")
-            yield fundamental_char(cd, 1, p, {fundamental_weight(cd, 1): 1, zero_weight(cd): 1})
+            yield cd, 1, fundamental_char(cd, 1, p, {fundamental_weight(cd, 1): 1, zero_weight(cd): 1})
 
 
 def test_braid_orbit_characters_are_pinned():
     digest = hashlib.sha256()
     count = 0
-    for char in _pinned_chars():
+    for _cd, _node, char in _pinned_chars():
         digest.update(str(char).encode() + b"\n")
         count += 1
     assert count == 94
@@ -439,7 +440,9 @@ def test_translation_reuses_the_cached_template():
 
 def test_the_shift_plan_is_made_by_the_first_translation_and_kept():
     e6 = cartan_data("E6")
+    # The minuscule template is the descent's, cached there as well.
     qchar._minuscule_template.cache_clear()
+    qchar._fundamental_template.cache_clear()
     minuscule_char(e6, 5, ("a", 0))
     template = qchar._minuscule_template(e6, 5)
     assert template.plan is None
@@ -466,6 +469,18 @@ def test_orbit_heights_match_the_root_coordinates(label):
             assert height == 7 + sum(dominance_diff(cd, lam, mu)), (lam, mu)
 
 
+# The levels of each descent below that find no child: the weight 0, or
+# a minuscule weight.
+_LEAVES = {
+    "B3": [(0, 0, 0)],
+    "B4": [(0, 0, 0, 0)],
+    "C3": [(1, 0, 0)],
+    "D6": [(0,) * 6],
+    "A3": [(0, 1, 0)],
+    "E6": [(1, 0, 0, 0, 0, 0)],
+}
+
+
 @pytest.mark.parametrize(
     "label,node,table",
     [
@@ -473,11 +488,14 @@ def test_orbit_heights_match_the_root_coordinates(label):
         ("B4", 2, {(0, 1, 0, 0): 1, (1, 0, 0, 0): 1, (0, 0, 0, 0): 5}),
         ("C3", 3, {(0, 0, 1): 1, (1, 0, 0): 1}),
         ("D6", 2, None),
+        ("A3", 2, {(0, 1, 0): 1}),
+        ("E6", 1, {(1, 0, 0, 0, 0, 0): 1}),
     ],
 )
 def test_every_level_is_walked_at_its_height(label, node, table, monkeypatch):
-    # Each settled level's orbit walk starts at the height its discoverer
-    # gave it.  Oracle: the root coordinates of top - lam.
+    # Each level that finds a child is walked from the height its
+    # discoverer gave it; a level that finds none is not walked.
+    # Oracle: the root coordinates of top - lam.
     cd = cartan_data(label)
     table = table or _d_table(cd.rank)
     walked, real = [], qchar._orbit_heights
@@ -489,9 +507,50 @@ def test_every_level_is_walked_at_its_height(label, node, table, monkeypatch):
     monkeypatch.setattr(qchar, "_orbit_heights", spy)
     qchar._fundamental_template.__wrapped__(cd, node, tuple(sorted(table.items())))
     top = fundamental_weight(cd, node)
-    assert sorted(lam for lam, _ in walked) == sorted(lam for lam in table if min(lam) >= 0)
+    levels = sorted(lam for lam in table if min(lam) >= 0)
+    assert sorted(lam for lam, _ in walked) == [lam for lam in levels if lam not in _LEAVES[label]]
     for lam, height in walked:
         assert height == sum(dominance_diff(cd, top, lam)), lam
+
+
+def test_discovery_skips_only_terms_that_find_nothing():
+    # The descent runs no discovery on a term whose weight has no
+    # coordinate 2, nor on the weight 0 or a minuscule top.  Each such
+    # term of the pinned characters finds no child.
+    skipped = 0
+    for cd, node, char in _pinned_chars():
+        for pi, mult in char.terms:
+            mu = weight_of(cd, pi)
+            if 2 in mu and any(mu) and not is_minuscule(cd, node):
+                continue
+            bounds = {}
+            assert qchar._discover(cd, pi, mu, mult, bounds) == [], (cd.type, pi)
+            assert bounds == {}
+            skipped += 1
+    assert skipped > 0
+
+
+def test_a_loop_weight_met_twice_is_an_arithmetic_error(monkeypatch):
+    real = braid.braid_orbit
+
+    def repeat(cd, pi):
+        images = real(cd, pi)
+        first = next(iter(images.values()))
+        return {mu: first for mu in images}
+
+    def clear():
+        qchar._minuscule_template.cache_clear()
+        qchar._fundamental_template.cache_clear()
+
+    clear()
+    monkeypatch.setattr(braid, "braid_orbit", repeat)
+    try:
+        with pytest.raises(ArithmeticError, match="meets a loop weight of the descent twice"):
+            minuscule_char(cartan_data("A3"), 1, ("a", 0))
+        with pytest.raises(ArithmeticError, match="meets a loop weight of the descent twice"):
+            fundamental_char(cartan_data("B3"), 1, ("a", 0), _b_table(3))
+    finally:
+        clear()
 
 
 def test_a_bad_table_raises_the_same_error_on_every_call():
@@ -514,8 +573,10 @@ _B3_VECTOR = {(1, 0, 0): 1, (0, 0, 0): 1}
         ({(0, 0, 1): 1}, "table mismatch at weight [0, 0, 1]: table 1, character 0"),
         # Non-dominant, and one more than the character gives it.
         ({(-1, 0, 0): 2}, "table mismatch at weight [-1, 0, 0]: table 2, character 1"),
-        # Of the wrong length, which only the library lets through.
-        ({(1, 0): 1}, "table mismatch at weight [1, 0]: table 1, character 0"),
+        # Of the wrong length, refused before the descent.
+        ({(1, 0): 1}, "table weight [1, 0] does not have 3 coordinates"),
+        ({(-1, 0): 1}, "table weight [-1, 0] does not have 3 coordinates"),
+        ({(0, 0, 1, 5): 0}, "table weight [0, 0, 1, 5] does not have 3 coordinates"),
     ],
 )
 def test_the_descent_refuses_a_table_its_character_contradicts(extra, message):

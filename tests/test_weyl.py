@@ -30,11 +30,9 @@ from loopchar import (
     zero_weight,
 )
 from loopchar import weyl
-from loopchar.qchar import _is_minuscule
 from loopchar.verify import _CLASS_TYPES
 from loopchar.weyl import (
     _descent,
-    _dominant_roots,
     _orbit_edges,
     highest_root,
     orbit_edges,
@@ -131,9 +129,9 @@ def test_root_norm_takes_any_rank_tuple_of_ints():
 
 def test_root_norm_reads_no_root_table():
     cd = cartan_data("E7")
-    before = (positive_roots.cache_info(), _dominant_roots.cache_info())
+    before = (positive_roots.cache_info(), highest_root.cache_info())
     assert root_norm(cd, (1,) * 7) == 2
-    assert (positive_roots.cache_info(), _dominant_roots.cache_info()) == before
+    assert (positive_roots.cache_info(), highest_root.cache_info()) == before
 
 
 def test_min_coset_reps_sizes():
@@ -628,9 +626,6 @@ def test_root_table_matches_the_dense_closure(label):
     roots = _dense_positive_roots(cd)
     assert positive_roots(cd) == roots
     assert highest_root(cd) == max(roots, key=lambda b: (sum(b), b))
-    short = min(_dense_root_norm(cd, beta) for beta in roots)
-    shorts = [beta for beta in roots if _dense_root_norm(cd, beta) == short]
-    assert _dominant_roots(cd)[1] == max(shorts, key=lambda b: (sum(b), b))
     for beta in roots:
         neg = tuple(-c for c in beta)
         assert root_norm(cd, beta) == root_norm(cd, neg) == _dense_root_norm(cd, beta)
@@ -661,11 +656,11 @@ def test_root_table_matches_the_dense_closure(label):
 def test_a_refused_node_reads_no_minuscule_or_root_table_entry():
     cd = cartan_data("B3")
     is_minuscule(cd, 1)
-    before = (_is_minuscule.cache_info(), _dominant_roots.cache_info(), positive_roots.cache_info())
+    before = (highest_root.cache_info(), positive_roots.cache_info())
     for i in (True, 1.0, 0, 4, "1"):
         with pytest.raises(DomainError):
             is_minuscule(cd, i)
-    assert (_is_minuscule.cache_info(), _dominant_roots.cache_info(), positive_roots.cache_info()) == before
+    assert (highest_root.cache_info(), positive_roots.cache_info()) == before
 
 
 @pytest.mark.parametrize(
