@@ -31,6 +31,12 @@ _BY_KEY = itemgetter(0)
 # benchmark and the tests build hold about 1.3e5 factors.
 MAX_PRODUCT_FACTORS = 20_000_000
 
+# The q-character descent refuses a fundamental character whose top braid
+# orbit, |W omega_i| terms of one rank-length weight each, would hold more
+# coordinates than this, before it walks any orbit; A3000 node 1 holds
+# 9.0e6 and runs, A24 node 12 would hold 1.2e8.
+MAX_ORBIT_COORDS = 20_000_000
+
 _ORBIT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _FACTOR_RE = re.compile(
     r"w\[\s*(\d+)\s*;\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:,\s*(-?\d+)\s*)?\]"

@@ -10,19 +10,23 @@ zero-weight core), or a caller's table for any classical node.
 Moving the spectral parameter of a fundamental module from a to a*q^e
 adds e to every exponent of its character and renames the orbit (the
 spectral-shift automorphism of the quantum affine algebra).  So each
-fundamental character is built once, at ("a", 0), in a per-type cache,
-and every call translates that template to the parameter it asks for,
-through a ``ShiftPlan`` kept next to it.
+fundamental character is built once, at ("a", 0), in one cache keyed by
+type, node and table that the three sources share, and every call
+translates that template to the parameter it asks for, through a
+``ShiftPlan`` kept next to it.  A character whose top braid orbit would
+hold more than ``lweight.MAX_ORBIT_COORDS`` coordinates is refused before
+any orbit is walked.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lweight
 from .cartan import CartanData, Frozen, Weight, cartan_data
-from .errors import DomainError
+from .errors import DomainError, quote
 from .lweight import (
     LCharacter,
     LWeight,
@@ -33,8 +37,9 @@ from .lweight import (
     weight_of,
 )
 
-# braid and weyl are imported only inside the cached builders below, so
-# the string verbs never load them and a warm call runs no import.
+# braid and weyl are imported only inside the cached builder below, so
+# the string verbs never load them and a warm call runs no import: the
+# fixed tables spell their weights out.
 MultTable = Dict[Weight, int]
 
 
@@ -197,14 +202,9 @@ def minuscule_char(cd: CartanData, i: int, p: SpectralParam) -> LCharacter:
             f"node {i} of {cd.type} is not minuscule: some positive coroot "
             "pairs with the fundamental weight above 1"
         )
-    return _at(_minuscule_template(cd, i), check_param(p))
-
-
-@lru_cache(maxsize=None)
-def _minuscule_template(cd: CartanData, i: int) -> _Template:
-    from .weyl import fundamental_weight
-
-    return _fundamental_template(cd, i, ((fundamental_weight(cd, i), 1),))
+    p = check_param(p)
+    top = (0,) * (i - 1) + (1,) + (0,) * (cd.rank - i)
+    return _at(_fundamental_template(cd, i, ((top, 1),)), p)
 
 
 def dn_node2_char(n: int, p: SpectralParam) -> LCharacter:
@@ -214,18 +214,13 @@ def dn_node2_char(n: int, p: SpectralParam) -> LCharacter:
     it sit n zero-weight terms, the (n-2)-nd with multiplicity 2.  They are
     the descent from the table {omega_2: 1, 0: n+1}.
     """
+    if type(n) is not int:
+        raise DomainError(f"rank must be an integer, got {quote(n)}")
     if n < 4:
         raise DomainError(f"rank must be at least 4, got {n}")
-    # Keyed by the parsed type, so an n that names no type never reaches the cache.
-    return _at(_dn_node2_template(cartan_data(f"D{n}")), check_param(p))
-
-
-@lru_cache(maxsize=None)
-def _dn_node2_template(cd: CartanData) -> _Template:
-    from .weyl import fundamental_weight, zero_weight
-
-    table = ((zero_weight(cd), cd.rank + 1), (fundamental_weight(cd, 2), 1))
-    return _fundamental_template(cd, 2, table)
+    p = check_param(p)
+    table = (((0,) * n, n + 1), ((0, 1) + (0,) * (n - 2), 1))
+    return _at(_fundamental_template(cartan_data(f"D{n}"), 2, table), p)
 
 
 def fundamental_char(
@@ -250,15 +245,35 @@ def fundamental_char(
         )
     cd.check_node(i)
     p = check_param(p)
+    if not isinstance(table, dict):
+        raise DomainError(f"table must be a dict of weights to multiplicities, got {quote(table)}")
     for lam, mult in table.items():
         # The table is the cache key: 1.0 or True would hit the entry of 1.
         if type(lam) is not tuple or any(type(c) is not int for c in lam):
-            raise DomainError(f"table weight {lam!r} is not a tuple of integers")
+            raise DomainError(f"table weight {quote(lam)} is not a tuple of integers")
         if len(lam) != cd.rank:
             raise DomainError(f"table weight {list(lam)} does not have {cd.rank} coordinates")
         if type(mult) is not int:
-            raise DomainError(f"table multiplicity at {list(lam)} is not an integer: {mult!r}")
+            raise DomainError(f"table multiplicity at {list(lam)} is not an integer: {quote(mult)}")
     return _at(_fundamental_template(cd, i, tuple(sorted(table.items()))), p)
+
+
+def _top_size(cd: CartanData, i: int) -> int:
+    """|W omega_i|, the number of terms in the top level of a descent.
+
+    In closed form: C(n+1, i) in A_n; 2^i C(n, i) in B_n and C_n; in D_n
+    the same below node n-1, and 2^(n-1) at nodes n-1 and n; 27 at nodes
+    1 and 5 of E6 and 56 at node 1 of E7, the only exceptional nodes that
+    reach the descent.
+    """
+    n, series = cd.rank, cd.type.series
+    if series == "A":
+        return comb(n + 1, i)
+    if series in "BC" or (series == "D" and i <= n - 2):
+        return 2 ** i * comb(n, i)
+    if series == "D":
+        return 2 ** (n - 1)
+    return {(6, 1): 27, (6, 5): 27, (7, 1): 56}[n, i]
 
 
 @lru_cache(maxsize=128)
@@ -271,13 +286,19 @@ def _fundamental_template(
     each is checked against the table when it is settled, and the character
     has no other dominant weight.  The weight 0 and a minuscule top have
     nothing below them and look for no child.  No two orbit terms of a
-    character meet, so a term met twice is an ArithmeticError.
+    character meet, so a term met twice is an ArithmeticError.  A top
+    level too large to walk is refused before any orbit is walked.
     """
     from .braid import braid_orbit
     from .weyl import fundamental_weight
 
+    count = _top_size(cd, i)
+    if count * cd.rank > lweight.MAX_ORBIT_COORDS:
+        raise DomainError(
+            f"the top braid orbit of node {i} of {cd.type} holds {count} terms of {cd.rank}"
+            f" coordinates each, more than {lweight.MAX_ORBIT_COORDS} coordinates"
+        )
     table = dict(items)
-    top = fundamental_lweight(cd, i)
     top_wt = fundamental_weight(cd, i)
     if table.get(top_wt) != 1:
         raise DomainError(
@@ -285,46 +306,22 @@ def _fundamental_template(
         )
 
     heights: Dict[Weight, int] = {top_wt: 0}
-    # candidate children per dominant weight: lower bound on each mult;
-    # children sit strictly deeper than their discoverer, so a level's
-    # bounds are complete once every shallower level has been processed
-    bounds: Dict[Weight, Dict[LWeight, int]] = {}
-    settled: Dict[Weight, Dict[LWeight, int]] = {top_wt: {top: 1}}
-    done: set = set()
+    # candidates per dominant weight: lower bound on each mult; children
+    # sit strictly deeper than their discoverer, so a level's bounds are
+    # complete once every shallower level has been processed
+    bounds: Dict[Weight, Dict[LWeight, int]] = {top_wt: {fundamental_lweight(cd, i): 1}}
     terms: Dict[LWeight, int] = {}
-    orbits: Dict[Weight, Dict[Weight, LWeight]] = {}  # one orbit per level, keyed by weight
+    levels: List[Tuple[int, Dict[Weight, LWeight]]] = []  # (multiplicity, orbit)
 
-    while open_levels := (set(settled) | set(bounds)) - done:
-        lam = min(open_levels, key=lambda w: (heights[w], w))
-        done.add(lam)
-        if lam not in settled:
-            cand = bounds[lam]
-            want = table.get(lam)
-            if want is None:
-                raise DomainError(
-                    f"descent reached dominant weight {list(lam)} missing from the table"
-                )
-            if len(cand) == 1:
-                (child,) = cand
-                if cand[child] > want:
-                    raise DomainError(
-                        f"table value {want} at weight {list(lam)} is below "
-                        f"the forced lower bound {cand[child]}"
-                    )
-                settled[lam] = {child: want}
-            elif sum(cand.values()) == want:
-                settled[lam] = dict(cand)
-            else:
-                raise DomainError(
-                    f"cannot split multiplicity {want} at weight {list(lam)} "
-                    f"among {len(cand)} candidates with bounds {sorted(cand.values())}"
-                )
+    while bounds:
+        lam = min(bounds, key=lambda w: (heights[w], w))
+        mults = _settle(lam, bounds.pop(lam), table.get(lam))
         # Nothing lies below these levels, and their orbits hold no
         # coordinate 2: the skip only spares scanning, say, A3000's 3001 weights.
         leaf = not any(lam) or (lam == top_wt and is_minuscule(cd, i))
         depth = None
-        for pi, mult in settled[lam].items():
-            orbit = orbits[lam] = braid_orbit(cd, pi)
+        for pi, mult in mults.items():
+            orbit = braid_orbit(cd, pi)
             size = len(terms) + len(orbit)
             terms.update(dict.fromkeys(orbit.values(), mult))  # one hash per term
             if len(terms) != size:
@@ -342,16 +339,41 @@ def _fundamental_template(
                     depth = _orbit_heights(cd, lam, heights[lam])
                 for lam2 in found:
                     heights[lam2] = depth[mu] + 1
+        levels.append((sum(mults.values()), orbit))
 
     # The character is W-invariant: a weight has the multiplicity of the
     # level whose orbit holds it.
     for lam, mult in items:
-        have = next((sum(settled[top].values()) for top, orbit in orbits.items() if lam in orbit), 0)
+        have = next((total for total, orbit in levels if lam in orbit), 0)
         if have != mult:
             raise DomainError(
                 f"table mismatch at weight {list(lam)}: table {mult}, character {have}"
             )
     return _Template(LCharacter.from_dict(terms))
+
+
+def _settle(lam: Weight, cand: Dict[LWeight, int], want: Optional[int]) -> Dict[LWeight, int]:
+    """The multiplicity of each candidate at level lam, from the table's
+    value there and the candidates' lower bounds: a lone candidate takes
+    the table value, several must sum to it exactly."""
+    if want is None:
+        raise DomainError(
+            f"descent reached dominant weight {list(lam)} missing from the table"
+        )
+    if len(cand) == 1:
+        (child,) = cand
+        if cand[child] > want:
+            raise DomainError(
+                f"table value {want} at weight {list(lam)} is below "
+                f"the forced lower bound {cand[child]}"
+            )
+        return {child: want}
+    if sum(cand.values()) == want:
+        return cand
+    raise DomainError(
+        f"cannot split multiplicity {want} at weight {list(lam)} "
+        f"among {len(cand)} candidates with bounds {sorted(cand.values())}"
+    )
 
 
 def _orbit_heights(cd: CartanData, lam: Weight, height: int) -> Dict[Weight, int]:

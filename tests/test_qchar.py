@@ -6,7 +6,6 @@ import pytest
 
 from loopchar import (
     DomainError,
-    ParseError,
     LCharacter,
     LWeight,
     Sl2String,
@@ -32,7 +31,7 @@ from loopchar import (
     weyl_module_dim,
     zero_weight,
 )
-from loopchar import braid, cli, lweight, qchar
+from loopchar import braid, cli, lweight, qchar, weyl
 from loopchar.braid import braid_orbit
 from loopchar.verify import _CLASS_TYPES
 from loopchar.weyl import dominance_diff
@@ -424,12 +423,12 @@ def test_translated_descents_match_the_build_at_p(p):
 def test_translation_reuses_the_cached_template():
     e6, d5 = cartan_data("E6"), cartan_data("D5")
     table = _d_table(5)
-    calls = [
-        (qchar._minuscule_template, lambda p: minuscule_char(e6, 1, p)),
-        (qchar._dn_node2_template, lambda p: dn_node2_char(5, p)),
-        (qchar._fundamental_template, lambda p: fundamental_char(d5, 2, p, table)),
-    ]
-    for cache, build in calls:
+    cache = qchar._fundamental_template
+    for build in (
+        lambda p: minuscule_char(e6, 1, p),
+        lambda p: dn_node2_char(5, p),
+        lambda p: fundamental_char(d5, 2, p, table),
+    ):
         build(("a", 3))
         before = cache.cache_info()
         build(("b", -11))
@@ -438,13 +437,32 @@ def test_translation_reuses_the_cached_template():
         assert after.hits == before.hits + 1
 
 
+@pytest.mark.parametrize(
+    "label, node", [("A5", 3), ("B4", 4), ("C4", 1), ("D6", 1), ("D6", 5), ("D7", 7), ("D4", 2), ("D7", 2)]
+)
+def test_the_fixed_tables_share_the_callers_template(label, node):
+    # minuscule_char and dn_node2_char are the descent from their fixed
+    # table, so fundamental_char with that table reads the same entry.
+    cd = cartan_data(label)
+    cache = qchar._fundamental_template
+    cache.cache_clear()
+    if is_minuscule(cd, node):
+        table = {fundamental_weight(cd, node): 1}
+        first = minuscule_char(cd, node, ("b", 2))
+    else:
+        table = {fundamental_weight(cd, 2): 1, zero_weight(cd): cd.rank + 1}
+        first = dn_node2_char(cd.rank, ("b", 2))
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (0, 1)
+    assert fundamental_char(cd, node, ("b", 2), table) == first
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 1)
+    assert cache.cache_info().currsize == 1
+
+
 def test_the_shift_plan_is_made_by_the_first_translation_and_kept():
     e6 = cartan_data("E6")
-    # The minuscule template is the descent's, cached there as well.
-    qchar._minuscule_template.cache_clear()
     qchar._fundamental_template.cache_clear()
     minuscule_char(e6, 5, ("a", 0))
-    template = qchar._minuscule_template(e6, 5)
+    template = qchar._fundamental_template(e6, 5, ((fundamental_weight(e6, 5), 1),))
     assert template.plan is None
     minuscule_char(e6, 5, ("b", 1))
     plan = template.plan
@@ -538,10 +556,7 @@ def test_a_loop_weight_met_twice_is_an_arithmetic_error(monkeypatch):
         first = next(iter(images.values()))
         return {mu: first for mu in images}
 
-    def clear():
-        qchar._minuscule_template.cache_clear()
-        qchar._fundamental_template.cache_clear()
-
+    clear = qchar._fundamental_template.cache_clear
     clear()
     monkeypatch.setattr(braid, "braid_orbit", repeat)
     try:
@@ -622,8 +637,11 @@ _PARAM_ENTRY_POINTS = {
 @pytest.mark.parametrize("bad", sorted(_BAD_PARAMS))
 @pytest.mark.parametrize("entry", sorted(_PARAM_ENTRY_POINTS))
 def test_entry_points_reject_bad_spectral_parameters(entry, bad):
+    # Before the template cache is read, so a bad parameter builds nothing.
+    before = qchar._fundamental_template.cache_info()
     with pytest.raises(DomainError):
         _PARAM_ENTRY_POINTS[entry](_BAD_PARAMS[bad])
+    assert qchar._fundamental_template.cache_info() == before
 
 
 def test_string_characters_are_refused_above_the_factor_cap(monkeypatch):
@@ -659,11 +677,14 @@ def test_spectral_parameters_must_be_pairs(p):
         {(1, 0): 1, (0, 0): "1"},
         {(1, 0): 1, (0.0, 0): 1},
         {(1, 0): 1, "0,0": 1},
+        {(1, 0): 1, "x" * 5000: 1},
+        {(1, 0): 1, (0, 0): "y" * 5000},
     ],
 )
 def test_fundamental_char_rejects_non_integer_tables(table):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         fundamental_char(cartan_data("B2"), 1, ("a", 0), table)
+    assert len(str(err.value)) < 200
 
 
 def test_template_keys_take_plain_integers_only():
@@ -676,5 +697,86 @@ def test_template_keys_take_plain_integers_only():
             minuscule_char(a3, node, ("a", 0))
         with pytest.raises(DomainError):
             fundamental_char(b2, node, ("a", 0), _b_table(2))
-    with pytest.raises(ParseError):
+    with pytest.raises(DomainError):
         dn_node2_char(4.0, ("a", 0))
+
+
+@pytest.mark.parametrize("n", ["5", None, 4.0, True, [4], "4" * 5000])
+def test_dn_node2_char_takes_a_plain_integer_rank(n):
+    with pytest.raises(DomainError, match="rank must be an integer, got ") as err:
+        dn_node2_char(n, ("a", 0))
+    assert str(err.value).endswith(repr(n)) or "(5000 characters)" in str(err.value)
+    assert len(str(err.value)) < 200
+
+
+@pytest.mark.parametrize("table", [None, [((1, 0), 1), ((0, 0), 1)], ((1, 0), (0, 0)), "x" * 500])
+def test_fundamental_char_takes_a_dict_table(table):
+    with pytest.raises(DomainError, match="table must be a dict") as err:
+        fundamental_char(cartan_data("B2"), 1, ("a", 0), table)
+    assert len(str(err.value)) < 200
+
+
+# Every classical node of these ranks, and the exceptional nodes that reach
+# the descent.
+_SIZE_NODES = [
+    (label, i)
+    for label in [f"A{n}" for n in range(1, 9)] + [f"{s}{n}" for s in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    for i in cartan_data(label).nodes
+] + [("E6", 1), ("E6", 5), ("E7", 1)]
+
+
+def test_the_top_size_is_the_orbit_walk():
+    assert len(_SIZE_NODES) == 139
+    for label, i in _SIZE_NODES:
+        cd = cartan_data(label)
+        assert qchar._top_size(cd, i) == len(braid_orbit(cd, fundamental_lweight(cd, i))), (label, i)
+
+
+def _cache_state():
+    return qchar._fundamental_template.cache_info().currsize, weyl._orbit_edges.cache_info()
+
+
+def test_an_oversized_character_is_refused_before_any_walk():
+    # A24 node 12 has 5200300 terms of 24 coordinates: 1.2e8 > 2e7.
+    a24 = cartan_data("A24")
+    top = fundamental_weight(a24, 12)
+    message = "holds 5200300 terms of 24 coordinates each, more than 20000000"
+    for build in (
+        lambda: minuscule_char(a24, 12, ("a", 0)),
+        lambda: fundamental_char(a24, 12, ("b", 3), {top: 1}),
+        lambda: fundamental_char(a24, 12, ("a", 0), {top: 2}),
+    ):
+        before = _cache_state()
+        with pytest.raises(DomainError, match=message):
+            build()
+        assert _cache_state() == before
+
+
+def test_the_cli_refuses_an_oversized_character(capsys):
+    before = _cache_state()
+    top = ",".join("1" if k == 12 else "0" for k in range(1, 25))
+    for extra in ([], ["--table", f'{{"{top}": 1}}']):
+        assert cli.main(["qchar-fund", "--type", "A24", "--node", "12", *extra]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "5200300" in err
+    assert _cache_state() == before
+
+
+def test_the_orbit_cap_is_checked_against_the_top_size(monkeypatch):
+    # Sizes near the cap are tested by lowering it: D5 node 2 holds 40
+    # terms of 5 coordinates, D5 node 5 holds 16.
+    d5 = cartan_data("D5")
+    clear = qchar._fundamental_template.cache_clear
+    for cap, build, size in [
+        (200, lambda: dn_node2_char(5, ("a", 0)), 46),
+        (80, lambda: minuscule_char(d5, 5, ("b", 1)), 16),
+    ]:
+        clear()
+        monkeypatch.setattr(lweight, "MAX_ORBIT_COORDS", cap)
+        assert build().dimension == size
+        clear()
+        monkeypatch.setattr(lweight, "MAX_ORBIT_COORDS", cap - 1)
+        with pytest.raises(DomainError, match=f"holds {cap // 5} terms of 5 coordinates each, more than {cap - 1}"):
+            build()
+    clear()
