@@ -9,7 +9,8 @@ the largest |power| on either side plus one, a sum of two powers stays
 inside its rank's slot, so the code of the product of two factors on one
 key is one code plus the other's power, and codes sort exactly as their
 (key, power) pairs.  Each distinct product term is decoded once, back to
-the input pairs where it can be.
+the input pairs where it can be, and the product's loop weights are made
+in one bulk call (``lweight._lweights``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import add, itemgetter
 from typing import Dict, Tuple
 
 from .errors import DomainError
-from .lweight import Factors, GenKey, LWeight
+from .lweight import Factors, GenKey, LWeight, _lweights
 
 Terms = Tuple[Tuple[LWeight, int], ...]
 
@@ -62,8 +63,8 @@ def _multiply_terms(x: Terms, y: Terms) -> Terms:
         raise DomainError("character multiplicities must be positive")
     keys = sorted(filter(terms.__getitem__, terms))
     # tuple(map(table.__getitem__, key)) per term, with no Python frame.
-    factors = map(tuple, map(map, repeat(table.__getitem__), keys))
-    return tuple(zip(map(LWeight, factors), map(terms.__getitem__, keys)))
+    factors = list(map(tuple, map(map, repeat(table.__getitem__), keys)))
+    return tuple(zip(_lweights(factors), map(terms.__getitem__, keys)))
 
 
 def _coded(f: Factors, zero: Dict[GenKey, int]) -> Tuple[Tuple[int, ...], Dict[int, int]]:

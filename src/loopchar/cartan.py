@@ -251,10 +251,17 @@ def _build(lt: LieType) -> CartanData:
     )
 
 
+@lru_cache(maxsize=128)
+def _parsed(text: str) -> CartanData:
+    # Keyed on the text, so a warm call parses nothing; a refused text
+    # raises each time and fills no entry.
+    return _build(LieType.parse(text))
+
+
 def cartan_data(t: Union[str, LieType]) -> CartanData:
     """Build (or fetch) the Cartan data for a type such as "D5"."""
     if isinstance(t, str):
-        t = LieType.parse(t)
+        return _parsed(t)
     return _build(t)
 
 

@@ -11,9 +11,10 @@ grammar accepts products joined by ``*`` (or whitespace) with optional
 from __future__ import annotations
 
 import re
+from collections import deque
 from itertools import repeat
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanData, Frozen
 from .errors import DomainError, ParseError, quote, read_int
@@ -152,6 +153,24 @@ class LWeight(Frozen):
             key = (node, check_orbit(json_str(entry, "orbit")), json_int(entry, "exp"))
             powers[key] = powers.get(key, 0) + json_int(entry, "power")
         return LWeight.from_dict(powers)
+
+
+# The slot's own setter, which LWeight.__init__ reaches through
+# object.__setattr__ (Frozen.__setattr__ refuses every assignment).
+_SET_FACTORS = LWeight.factors.__set__
+
+
+def _lweights(factors: Sequence[Factors]) -> List[LWeight]:
+    """``[LWeight(f) for f in factors]``, with no Python frame per weight.
+
+    Each object comes from ``object.__new__`` and gets its one slot from
+    the slot's setter, which is all that ``LWeight.__init__`` does: no
+    check is skipped, and the weights compare, hash, pickle and refuse
+    assignment as any other.
+    """
+    weights = list(map(object.__new__, repeat(LWeight, len(factors))))
+    deque(map(_SET_FACTORS, weights, factors), maxlen=0)
+    return weights
 
 
 def _mul_factors(f: Factors, g: Factors) -> Factors:
@@ -393,21 +412,23 @@ class _Slots(dict):
 
 
 class ShiftPlan:
-    """A character as its distinct factors and, per term, their positions.
+    """A character as its distinct factors and, per term, a getter of them.
 
     A character holds few distinct (key, power) factors next to its factor
     count: 32 against 72 for E6 node 1, 56 against 512 for D8 node 8.  So
     the spectral shift translates each distinct factor once and builds
-    every term by gathering translated factors at its positions.
+    every term's factors by one C-level gather from the translated ones:
+    an ``itemgetter`` of the term's positions among them, called on their
+    tuple, returns the term's factor tuple.
     """
 
-    __slots__ = ("pairs", "index", "mults", "orbit_count")
+    __slots__ = ("pairs", "getters", "mults", "orbit_count")
 
     def __init__(self, char: LCharacter):
         terms = char.terms
         slots = _Slots()
         slot = slots.__getitem__
-        self.index = tuple(tuple(map(slot, pi.factors)) for pi, _ in terms)
+        self.getters = tuple(_gather(tuple(map(slot, pi.factors))) for pi, _ in terms)
         self.pairs = pairs = tuple(slots)
         self.mults = tuple(m for _, m in terms)
         self.orbit_count = len({a for (_, a, _), _ in pairs})
@@ -422,13 +443,24 @@ class ShiftPlan:
         refused before anything is translated.
         """
         if orbit is None:
-            moved = [((i, a, k + offset), p) for (i, a, k), p in self.pairs]
+            moved = tuple([((i, a, k + offset), p) for (i, a, k), p in self.pairs])
         elif self.orbit_count > 1:
             raise DomainError(
                 f"cannot rename the {self.orbit_count} orbits of a character to {orbit!r}"
             )
         else:
-            moved = [((i, orbit, k + offset), p) for (i, _, k), p in self.pairs]
-        # tuple(map(moved.__getitem__, idx)) per term, with no Python frame.
-        factors = map(tuple, map(map, repeat(moved.__getitem__), self.index))
-        return LCharacter(tuple(zip(map(LWeight, factors), self.mults)))
+            moved = tuple([((i, orbit, k + offset), p) for (i, _, k), p in self.pairs])
+        weights = _lweights([get(moved) for get in self.getters])
+        return LCharacter(tuple(zip(weights, self.mults)))
+
+
+def _gather(positions: Tuple[int, ...]) -> itemgetter:
+    """A getter of the entries of a tuple at ``positions``, as a tuple.
+
+    ``itemgetter`` of one position returns the bare entry and needs at
+    least one, so 0 or 1 positions take a slice getter instead.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    j = positions[0] if positions else 0
+    return itemgetter(slice(j, j + len(positions)))

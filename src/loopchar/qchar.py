@@ -21,6 +21,7 @@ any orbit is walked.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,7 +57,12 @@ def check_length(m: int) -> None:
 
 
 class Sl2String(Frozen):
-    """A q-segment: rank-one factors in arithmetic exponent progression."""
+    """A q-segment: rank-one factors in arithmetic exponent progression.
+
+    A string of any length m can be made and read, but ``exps`` and
+    ``lweight`` hold m entries, so they refuse an m above
+    ``lweight.MAX_PRODUCT_FACTORS`` before building any.
+    """
 
     __slots__ = ("a", "m")
 
@@ -69,7 +75,12 @@ class Sl2String(Frozen):
     @property
     def exps(self) -> Tuple[int, ...]:
         orbit, e = self.a
-        return tuple(e + self.m - 1 - 2 * j for j in range(self.m))
+        m = self.m
+        if m > lweight.MAX_PRODUCT_FACTORS:
+            raise DomainError(
+                f"a string of length {m} holds more than {lweight.MAX_PRODUCT_FACTORS} factors"
+            )
+        return tuple(e + m - 1 - 2 * j for j in range(m))
 
     def lweight(self) -> LWeight:
         orbit, _e = self.a
@@ -95,11 +106,10 @@ def sl2_eval_char(a: SpectralParam, m: int) -> LCharacter:
     # of ``num`` and the last r of ``den``.  The two ranges never
     # overlap, so each term's factors come out sorted, and the terms
     # themselves in ascending factor order.
-    num = tuple(((1, orbit, k), 1) for k in range(e - m + 1, e + m, 2))
-    den = tuple(((1, orbit, k), -1) for k in range(e - m + 3, e + m + 2, 2))
-    return LCharacter(
-        tuple((LWeight(num[: m - r] + den[m - r :]), 1) for r in range(m + 1))
-    )
+    num = tuple([((1, orbit, k), 1) for k in range(e - m + 1, e + m, 2)])
+    den = tuple([((1, orbit, k), -1) for k in range(e - m + 3, e + m + 2, 2)])
+    factors = [num[: m - r] + den[m - r :] for r in range(m + 1)]
+    return LCharacter(tuple(zip(lweight._lweights(factors), repeat(1))))
 
 
 def sl2_tensor_irreducible(strings: Sequence[Sl2String]) -> bool:

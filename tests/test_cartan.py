@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,7 @@ from loopchar import (
     simple_lroot,
     weight_of,
 )
+from loopchar import cartan
 from loopchar.blocks import seed_family
 from loopchar.cartan import _edges, _symmetrizer
 from loopchar.braid import braid_orbit
@@ -59,6 +61,25 @@ def test_rank_bounds():
     for bad in ("B1", "C1", "D3", "E5", "E9", "F5", "G3", "A0"):
         with pytest.raises(DomainError):
             LieType.parse(bad)
+
+
+def test_cartan_data_parses_each_text_once():
+    cartan._parsed.cache_clear()
+    cd = cartan_data(" D5 ")
+    assert cartan_data(" D5 ") is cd is cartan_data("D5") is cartan_data(LieType("D", 5))
+    info = cartan._parsed.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 2, 128)
+
+
+@pytest.mark.parametrize("bad, error", [("H3", ParseError), ("Dx", ParseError), ("A0", DomainError), ("D3", DomainError)])
+def test_a_refused_type_text_fills_no_cache_entry(bad, error):
+    before = cartan._parsed.cache_info().currsize
+    with pytest.raises(error) as direct:
+        LieType.parse(bad)
+    for _ in range(2):
+        with pytest.raises(error, match=f"^{re.escape(str(direct.value))}$"):
+            cartan_data(bad)
+    assert cartan._parsed.cache_info().currsize == before
 
 
 def test_symmetrizers():

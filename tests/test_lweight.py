@@ -1,5 +1,8 @@
 """Tests for loop-weight monomials and characters."""
 
+import copy
+import pickle
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -416,8 +419,90 @@ def test_renaming_several_orbits_is_refused_before_any_term_is_built(monkeypatch
         raise AssertionError("a translated term was built")
 
     monkeypatch.setattr(lweight, "LWeight", refuse)
+    monkeypatch.setattr(lweight, "_lweights", refuse)
     with pytest.raises(DomainError, match=f"cannot rename the {count} orbits"):
         x.shift(offset, orbit)
+
+
+def assert_plain_weights(char, every=1):
+    """Each term of char is a plain LWeight on a factor tuple, and every
+    ``every``-th one behaves as the same weight built by LWeight()."""
+    for n, (pi, _) in enumerate(char.terms):
+        assert type(pi) is LWeight and type(pi.factors) is tuple
+        if n % every:
+            continue
+        twin = LWeight(pi.factors)
+        assert pi == twin and hash(pi) == hash(twin) and repr(pi) == repr(twin)
+        for clone in (pickle.loads(pickle.dumps(pi)), copy.copy(pi), copy.deepcopy(pi)):
+            assert type(clone) is LWeight and clone == pi
+        with pytest.raises(AttributeError):
+            pi.factors = ()
+
+
+def test_bulk_built_weights_are_plain_loop_weights():
+    assert lweight._lweights([]) == []
+    factors = [(), (((1, "a", 0), 1),), parse_lweight("w[1;a,0]*w[2;b,3]^-2").factors]
+    built = lweight._lweights(factors)
+    assert built == [LWeight(f) for f in factors]
+    assert_plain_weights(LCharacter(tuple((pi, 1) for pi in built)))
+
+
+def test_translated_terms_with_no_factor_are_plain_loop_weights():
+    moved = LCharacter.single(LWeight.identity()).shift(3)
+    assert moved.terms == ((LWeight.identity(), 1),)
+    assert moved.shift(-2, "b").terms == ((LWeight.identity(), 1),)
+    assert_plain_weights(moved)
+
+
+def test_translated_terms_with_one_factor_are_plain_loop_weights():
+    # A1 node 1: w[1;b,5] and w[1;b,7]^-1.
+    char = minuscule_char(cartan_data("A1"), 1, ("b", 5))
+    assert [str(pi) for pi, _ in char.terms] == ["w[1;b,5]", "w[1;b,7]^-1"]
+    assert_plain_weights(char)
+
+
+def test_a_large_translation_matches_the_shifted_terms():
+    cd = cartan_data("A16")
+    template = minuscule_char(cd, 8, ("a", 0))
+    for orbit in ("a", "b"):
+        char = minuscule_char(cd, 8, (orbit, 5))
+        assert len(char.terms) == len(template.terms) == 24310
+        for (pi, m), (tau, l) in zip(template.terms, char.terms):
+            want = pi.shift(5)
+            if orbit == "b":
+                want = LWeight(tuple(((i, "b", k), p) for (i, _, k), p in want.factors))
+            assert tau == want and l == m
+        assert_plain_weights(char, every=97)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 40])
+def test_string_characters_hold_plain_loop_weights(m):
+    char = sl2_eval_char(("a", 3), m)
+    assert [len(pi.factors) for pi, _ in char.terms] == [m] * (m + 1)
+    assert_plain_weights(char)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        # One product term with no factor, one with one, then many.
+        ("w[1;a,0]", "w[1;a,0]^-1"),
+        ("w[1;a,0]", "1"),
+        ("w[1;a,0]*w[2;a,1]^-1", "w[2;a,1]*w[3;b,0]"),
+    ],
+)
+def test_product_terms_are_plain_loop_weights(x, y):
+    product = LCharacter.single(parse_lweight(x)) * LCharacter.single(parse_lweight(y))
+    assert product.terms == ((parse_lweight(x) * parse_lweight(y), 1),)
+    assert_plain_weights(product)
+
+
+def test_larger_products_hold_plain_loop_weights():
+    cd = cartan_data("E6")
+    product = minuscule_char(cd, 1, ("a", 0)) * minuscule_char(cd, 5, ("a", 3))
+    assert product.dimension == 27 * 27
+    assert_plain_weights(product)
+    assert_plain_weights(sl2_eval_char(("a", 0), 5) * sl2_eval_char(("a", 2), 7))
 
 
 @pytest.mark.parametrize("offset", [1.5, 1.0, "1", None])

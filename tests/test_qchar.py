@@ -46,6 +46,27 @@ def test_sl2_string_exponents():
         Sl2String(("a", 0), -1)
 
 
+def test_a_string_too_long_to_hold_refuses_its_exponents_and_weight(monkeypatch):
+    # The cap is lowered, so a regressed check builds 6 entries, not 10**10.
+    monkeypatch.setattr(lweight, "MAX_PRODUCT_FACTORS", 5)
+    s = Sl2String(("a", 0), 6)
+    for read in (lambda: s.exps, s.lweight):
+        with pytest.raises(DomainError, match="string of length 6 holds more than 5 factors"):
+            read()
+    assert Sl2String(("a", 1), 5).exps == (5, 3, 1, -1, -3)
+    assert Sl2String(("a", 1), 5).lweight() == parse_lweight("w[1;a,-3]*w[1;a,-1]*w[1;a,1]*w[1;a,3]*w[1;a,5]")
+
+
+def test_a_long_string_is_made_and_tested_without_its_exponents(monkeypatch):
+    monkeypatch.setattr(lweight, "MAX_PRODUCT_FACTORS", 5)
+    long = Sl2String(("a", 0), 10**10)
+    assert long.m == 10**10
+    assert sl2_tensor_irreducible([long, Sl2String(("a", 1), 1)])
+    assert not sl2_tensor_irreducible([long, Sl2String(("a", 10**10 + 1), 1)])
+    with pytest.raises(DomainError, match="holds more than 5 factors"):
+        long.lweight()
+
+
 @pytest.mark.parametrize(
     "m, message",
     [(m, "must be an integer") for m in (True, False, 2.0, "3", None)]
