@@ -15,7 +15,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Sequence, Tuple, Union
 
-from .errors import DomainError, ParseError, quote, read_int
+from .errors import DomainError, ParseError, check_size, quote, read_int
 
 # A weight, or any vector indexed by the nodes 1..n, as a tuple.
 Weight = Tuple[int, ...]
@@ -78,6 +78,12 @@ class LieType(Frozen):
     __slots__ = ("series", "rank")
 
     def __init__(self, series: str, rank: int):
+        # Checked before any cache: True == 1 and hashes alike, so
+        # LieType("A", True) would fill the entry of A1 and print as "ATrue".
+        if type(series) is not str:
+            raise DomainError(f"series must be a string, got {quote(series)}")
+        if type(rank) is not int:
+            raise DomainError(f"rank must be an integer, got {quote(rank)}")
         bounds = _RANK_BOUNDS.get(series)
         if bounds is None:
             raise DomainError(f"unknown series {series!r}")
@@ -230,6 +236,9 @@ class CartanData(Frozen):
 @lru_cache(maxsize=None)
 def _build(lt: LieType) -> CartanData:
     n = lt.rank
+    # Under 8 integers per node: two link triples per edge, the symmetrizer
+    # and the w0 pairing.
+    check_size(8 * n, f"the integers of the Dynkin diagram of {lt}")
     d = _symmetrizer(lt.series, n)
     links = [[] for _ in range(n)]
     for i, j in _edges(lt.series, n):
@@ -262,6 +271,8 @@ def cartan_data(t: Union[str, LieType]) -> CartanData:
     """Build (or fetch) the Cartan data for a type such as "D5"."""
     if isinstance(t, str):
         return _parsed(t)
+    if not isinstance(t, LieType):
+        raise DomainError(f"Lie type must be a string or a LieType, got {quote(t)}")
     return _build(t)
 
 

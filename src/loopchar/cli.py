@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 # error, and json only where JSON is read or written, so a cold process
 # compiles and runs only what its verb needs.
 from .cartan import CartanData, cartan_data
-from .errors import ECHO_CAP, DomainError, ParseError, quote, read_int
+from .errors import ECHO_CAP, DomainError, ParseError, check_size, quote, read_int
 from .lweight import LCharacter, LWeight, check_lweight, parse_lweight
 
 # The choices of ``verify --suite``, kept equal to verify.SUITE_NAMES by a
@@ -61,17 +61,26 @@ def _parse_word(text: str) -> Tuple[int, ...]:
     return word
 
 
+class _JSONObject(dict):
+    """A decoded JSON object that also keeps its (key, value) pairs in
+    order, a repeated key included, which the dict alone would drop."""
+
+    def __init__(self, pairs: List[Tuple[str, object]]):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def _parse_table(text: str, rank: int) -> Dict[Tuple[int, ...], int]:
     import json
 
     try:
-        data = json.loads(text, parse_int=read_int)
+        data = json.loads(text, parse_int=read_int, object_pairs_hook=_JSONObject)
     except json.JSONDecodeError as err:
         raise ParseError(f"bad multiplicity table: {err}")
     if not isinstance(data, dict):
         raise ParseError("multiplicity table must be a JSON object")
     table: Dict[Tuple[int, ...], int] = {}
-    for key, value in data.items():
+    for key, value in data.pairs:
         try:
             coords = tuple(int(part) for part in str(key).split(","))
         except ValueError:
@@ -81,6 +90,9 @@ def _parse_table(text: str, rank: int) -> Dict[Tuple[int, ...], int]:
             raise ParseError(f"multiplicity of {quote(key)} is not an integer: {quote(value)}")
         if len(coords) != rank:
             raise ParseError(f"weight {quote(key)} does not have {rank} coordinates")
+        # A repeated key, or a second spelling such as "0, 0" of "0,0".
+        if coords in table:
+            raise ParseError(f"weight {quote(key)} is given twice in the multiplicity table")
         table[coords] = value
     return table
 
@@ -251,7 +263,7 @@ def _cmd_qchar_tensor(args: SimpleNamespace) -> int:
     s2 = Sl2String((args.orbit2, args.exp2), args.length2)
     # The product's own bound, checked before the strings are built: the
     # character of a string of length m has m+1 terms of m factors each.
-    LCharacter.check_product_bound((s1.m + 1) * (s2.m + 1) * (s1.m + s2.m))
+    check_size((s1.m + 1) * (s2.m + 1) * (s1.m + s2.m), "the factors of a character product")
     product = tensor_char(sl2_eval_char(s1.a, s1.m), sl2_eval_char(s2.a, s2.m))
     irr = sl2_tensor_irreducible([s1, s2])
     if args.format == "json":

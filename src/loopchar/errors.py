@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the integer reader and the
-quoting of user text in error messages."""
+"""Exception types shared across the package, the integer reader, the
+quoting of user text in error messages and the one size cap."""
 
 
 class ParseError(ValueError):
@@ -34,3 +34,21 @@ def quote(value: object) -> str:
         return repr(value)
     head = repr(text[:ECHO_CAP]) if isinstance(value, str) else text[:ECHO_CAP]
     return f"{head}… ({len(text)} characters)"
+
+
+# The most entries one result may hold: the factors of a character or a
+# product, the coordinates of an orbit walk or a root table, the letters
+# of a word, the integers of a Dynkin diagram.  The largest results the
+# benchmark and the tests build hold about 9.0e6 (A3000 node 1).
+MAX_SIZE = 20_000_000
+
+
+def check_size(size: int, what: str) -> None:
+    """DomainError if ``size``, the predicted count of ``what``, passes MAX_SIZE.
+
+    ``what`` names the entries counted, as a plural noun phrase.  Each
+    builder calls this with its prediction before it allocates, so a
+    refusal costs nothing and fills no cache entry.
+    """
+    if size > MAX_SIZE:
+        raise DomainError(f"{what} would number {size}, more than the size cap of {MAX_SIZE}")

@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanData, Frozen
-from .errors import DomainError, ParseError, quote, read_int
+from .errors import DomainError, ParseError, check_size, quote, read_int
 
 SpectralParam = Tuple[str, int]
 GenKey = Tuple[int, str, int]
@@ -26,17 +26,6 @@ Factors = Tuple[Tuple[GenKey, int], ...]
 # Sort key for (key, value) pairs whose keys are unique: the order is that
 # of the pairs, and each comparison looks one tuple level less deep.
 _BY_KEY = itemgetter(0)
-
-# LCharacter.__mul__ refuses a product whose factor count, bounded before
-# any term pair is multiplied, could pass this; the largest products the
-# benchmark and the tests build hold about 1.3e5 factors.
-MAX_PRODUCT_FACTORS = 20_000_000
-
-# The q-character descent refuses a fundamental character whose top braid
-# orbit, |W omega_i| terms of one rank-length weight each, would hold more
-# coordinates than this, before it walks any orbit; A3000 node 1 holds
-# 9.0e6 and runs, A24 node 12 would hold 1.2e8.
-MAX_ORBIT_COORDS = 20_000_000
 
 _ORBIT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _FACTOR_RE = re.compile(
@@ -345,21 +334,10 @@ class LCharacter(Frozen):
             terms[pi] = terms.get(pi, 0) + m
         return LCharacter.from_dict(terms)
 
-    @staticmethod
-    def check_product_bound(bound: int) -> None:
-        """Refuse a product whose output may hold ``bound`` factors, if that
-        is more than MAX_PRODUCT_FACTORS.
-
-        For characters x and y the bound is |terms of y| * (factors over
-        x's terms) + |terms of x| * (factors over y's terms).
-        """
-        if bound > MAX_PRODUCT_FACTORS:
-            raise DomainError(
-                f"character product may hold {bound} factors, more than {MAX_PRODUCT_FACTORS}"
-            )
-
     def __mul__(self, other: "LCharacter") -> "LCharacter":
-        """The term-by-term product, refused above MAX_PRODUCT_FACTORS.
+        """The term-by-term product, refused through ``check_size`` before
+        any term pair is multiplied: the output holds at most |terms of y|
+        times the factors of x's terms plus |terms of x| times those of y's.
 
         The kernel is in ``_charmul``, loaded by the first product, since
         every cold CLI process compiles this module and most multiply no
@@ -368,9 +346,10 @@ class LCharacter(Frozen):
         from ._charmul import _multiply_terms
 
         x, y = self.terms, other.terms
-        LCharacter.check_product_bound(
+        check_size(
             len(y) * sum(len(pi.factors) for pi, _ in x)
-            + len(x) * sum(len(pi.factors) for pi, _ in y)
+            + len(x) * sum(len(pi.factors) for pi, _ in y),
+            "the factors of a character product",
         )
         return LCharacter(_multiply_terms(x, y))
 

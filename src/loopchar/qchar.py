@@ -14,8 +14,8 @@ fundamental character is built once, at ("a", 0), in one cache keyed by
 type, node and table that the three sources share, and every call
 translates that template to the parameter it asks for, through a
 ``ShiftPlan`` kept next to it.  A character whose top braid orbit would
-hold more than ``lweight.MAX_ORBIT_COORDS`` coordinates is refused before
-any orbit is walked.
+hold more coordinates than ``errors.MAX_SIZE`` is refused before any
+orbit is walked.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lweight
 from .cartan import CartanData, Frozen, Weight, cartan_data
-from .errors import DomainError, quote
+from .errors import DomainError, check_size, quote
 from .lweight import (
     LCharacter,
     LWeight,
@@ -60,8 +60,8 @@ class Sl2String(Frozen):
     """A q-segment: rank-one factors in arithmetic exponent progression.
 
     A string of any length m can be made and read, but ``exps`` and
-    ``lweight`` hold m entries, so they refuse an m above
-    ``lweight.MAX_PRODUCT_FACTORS`` before building any.
+    ``lweight`` hold m entries, so they refuse through ``check_size``
+    before building any.
     """
 
     __slots__ = ("a", "m")
@@ -76,10 +76,7 @@ class Sl2String(Frozen):
     def exps(self) -> Tuple[int, ...]:
         orbit, e = self.a
         m = self.m
-        if m > lweight.MAX_PRODUCT_FACTORS:
-            raise DomainError(
-                f"a string of length {m} holds more than {lweight.MAX_PRODUCT_FACTORS} factors"
-            )
+        check_size(m, f"the exponents of a string of length {m}")
         return tuple(e + m - 1 - 2 * j for j in range(m))
 
     def lweight(self) -> LWeight:
@@ -96,11 +93,7 @@ def sl2_eval_char(a: SpectralParam, m: int) -> LCharacter:
     orbit, e = check_param(a)
     check_length(m)
     # Refused before anything is built: the m+1 terms hold m factors each.
-    if m * (m + 1) > lweight.MAX_PRODUCT_FACTORS:
-        raise DomainError(
-            f"the character of a string of length {m} holds {m * (m + 1)} factors,"
-            f" more than {lweight.MAX_PRODUCT_FACTORS}"
-        )
+    check_size(m * (m + 1), f"the factors of the character of a string of length {m}")
     # Term r has numerator exponents e-m+1, e-m+3, ..., e+m-2r-1 and
     # denominator exponents e+m-2r+3, ..., e+m+1: the first m-r entries
     # of ``num`` and the last r of ``den``.  The two ranges never
@@ -303,11 +296,10 @@ def _fundamental_template(
     from .weyl import fundamental_weight
 
     count = _top_size(cd, i)
-    if count * cd.rank > lweight.MAX_ORBIT_COORDS:
-        raise DomainError(
-            f"the top braid orbit of node {i} of {cd.type} holds {count} terms of {cd.rank}"
-            f" coordinates each, more than {lweight.MAX_ORBIT_COORDS} coordinates"
-        )
+    check_size(
+        count * cd.rank,
+        f"the coordinates of the {count} terms in the top braid orbit of node {i} of {cd.type}",
+    )
     table = dict(items)
     top_wt = fundamental_weight(cd, i)
     if table.get(top_wt) != 1:

@@ -13,7 +13,8 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanData, Frozen, LieType, Weight, cartan_data
-from .errors import DomainError
+from . import errors
+from .errors import DomainError, check_size
 
 RootCoords = Tuple[int, ...]
 
@@ -133,8 +134,9 @@ def longest_element(cd: CartanData) -> WeylElement:
     """The element sending rho to -rho, with its canonical word.
 
     len(w0) = |Phi+|, so the descent costs O(|Phi+| * (deg + log n)):
-    O(n^2 log n) on A_n.
+    O(n^2 log n) on A_n.  A word too long to hold is refused first.
     """
+    check_size(_positive_root_count(cd), f"the letters of the longest element of {cd.type}")
     return WeylElement(cd.type, _descent(cd, tuple(-c for c in rho(cd))))
 
 
@@ -193,6 +195,12 @@ def highest_root(cd: CartanData) -> RootCoords:
     return tuple(beta)
 
 
+def _positive_root_count(cd: CartanData) -> int:
+    """|Phi+| = n h / 2, with the Coxeter number h = ht theta + 1, read
+    off the cached highest root without building any root table."""
+    return cd.rank * (sum(highest_root(cd)) + 1) // 2
+
+
 @lru_cache(maxsize=None)
 def positive_roots(cd: CartanData) -> Tuple[RootCoords, ...]:
     """All positive roots in simple-root coordinates, sorted.
@@ -202,8 +210,12 @@ def positive_roots(cd: CartanData) -> Tuple[RootCoords, ...]:
     simple root by such steps.  The walk makes |Phi+| * n pairings, each
     reading node i and its neighbours, so O(|Phi+| * n) on a Dynkin
     diagram.  It is the one root table, built only for a caller that
-    needs the list: the other root functions here read none.
+    needs the list: the other root functions here read none.  A table of
+    too many coordinates is refused first.
     """
+    check_size(
+        _positive_root_count(cd) * cd.rank, f"the coordinates of the positive roots of {cd.type}"
+    )
     queue = [tuple(int(k == i) for k in cd.nodes) for i in cd.nodes]  # grows while read
     seen = set(queue)
     for beta in queue:
@@ -283,7 +295,8 @@ def orbit_edges(cd: CartanData, lam: Weight) -> Tuple[Tuple[Weight, int, Weight]
     A step along j is taken only when mu[j] > 0, so the path from lam
     to any weight spells a reduced word (last step leftmost) for the
     minimal coset representative carrying lam there.  The last 128
-    walks are kept.
+    walks are kept.  A walk is refused once the weights it holds pass
+    ``errors.MAX_SIZE`` coordinates.
     """
     _check_dominant(cd, lam)
     return _orbit_edges(cd, lam)
@@ -307,6 +320,7 @@ def _orbit_edges(cd: CartanData, lam: Weight) -> Tuple[Tuple[Weight, int, Weight
     seen = {lam}
     queue = [lam]  # grows while it is read: breadth-first order
     edges = []
+    most = errors.MAX_SIZE // cd.rank  # weights held within the cap
     for mu in queue:
         for j in cd.nodes:
             if mu[j - 1] > 0:
@@ -315,6 +329,11 @@ def _orbit_edges(cd: CartanData, lam: Weight) -> Tuple[Tuple[Weight, int, Weight
                     seen.add(nu)
                     queue.append(nu)
                     edges.append((mu, j, nu))
+        if len(queue) > most:
+            check_size(
+                len(queue) * cd.rank,
+                f"the coordinates of a Weyl orbit of {cd.type}, {len(queue)} weights so far,",
+            )
     return tuple(edges)
 
 

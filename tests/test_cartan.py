@@ -29,7 +29,7 @@ from loopchar import (
     simple_lroot,
     weight_of,
 )
-from loopchar import cartan
+from loopchar import cartan, cli, errors
 from loopchar.blocks import seed_family
 from loopchar.cartan import _edges, _symmetrizer
 from loopchar.braid import braid_orbit
@@ -80,6 +80,55 @@ def test_a_refused_type_text_fills_no_cache_entry(bad, error):
         with pytest.raises(error, match=f"^{re.escape(str(direct.value))}$"):
             cartan_data(bad)
     assert cartan._parsed.cache_info().currsize == before
+
+
+@pytest.mark.parametrize(
+    "series,rank", [("A", True), ("A", 2.0), ("A", "2"), ("A", None), (5, 2), (["A"], 2), (b"A", 2)]
+)
+def test_lie_type_refuses_a_series_or_rank_of_the_wrong_type(series, rank):
+    with pytest.raises(DomainError, match="must be"):
+        LieType(series, rank)
+
+
+@pytest.mark.parametrize("bad", [5, None, ("A", 1), b"A1"])
+def test_cartan_data_refuses_what_is_neither_text_nor_a_lie_type(bad):
+    with pytest.raises(DomainError, match="string or a LieType"):
+        cartan_data(bad)
+
+
+def test_a_refused_boolean_rank_leaves_the_a1_entry_alone(capsys):
+    # True == 1 and hashes alike: a LieType("A", True) reaching the cache
+    # would fill A1's entry, and every later A1 call would print "ATrue".
+    with pytest.raises(DomainError):
+        cartan_data(LieType("A", True))
+    assert str(cartan_data("A1").type) == "A1"
+    assert cli.main(["block", "--type", "A1", "w[1;a,0]", "--format", "json"]) == 0
+    assert '"type":"A1"' in capsys.readouterr().out
+
+
+def test_a_diagram_too_large_to_hold_is_refused_before_it_is_built(monkeypatch, capsys):
+    # Under 8 integers per node: C79 (632) is held within a cap of 639,
+    # C80 (640) is not.  No other test builds either type.
+    monkeypatch.setattr(errors, "MAX_SIZE", 639)
+    before = (cartan._build.cache_info().currsize, cartan._parsed.cache_info().currsize)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="Dynkin diagram of C80 would number 640, more than the size cap of 639"):
+            cartan_data("C80")
+    assert cli.main(["alpha", "--type", "C80", "--node", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "640" in err
+    assert (cartan._build.cache_info().currsize, cartan._parsed.cache_info().currsize) == before
+    assert cartan_data("C79").rank == 79
+
+
+def test_a_huge_rank_is_refused_at_the_real_cap_without_allocating():
+    # 8 * 10^8 integers: refused before a single node is built.  The cap is
+    # read first, so a build without it fails here, not after allocating.
+    assert errors.MAX_SIZE == 20_000_000
+    with pytest.raises(DomainError, match="A100000000 would number 800000000, more than the size cap of 20000000"):
+        cartan_data("A100000000")
+    with pytest.raises(DomainError, match="would number 20000008,"):
+        cartan_data(LieType("D", 2_500_001))
 
 
 def test_symmetrizers():

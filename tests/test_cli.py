@@ -93,6 +93,18 @@ def test_parse_errors_exit_2():
         assert result.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "table,key",
+    [('{"1,0":1,"0,0":1,"0,0":5}', "0,0"), ('{"1,0":1,"0,0":1,"0, 0":5}', "0, 0")],
+)
+def test_a_weight_given_twice_in_a_table_exits_2(capsys, table, key):
+    # A repeated JSON key, or a second spelling of one tuple: no spelling wins.
+    assert cli.main(["qchar-fund", "--type", "B2", "--node", "1", "--table", table]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: weight {key!r} is given twice in the multiplicity table\n"
+
+
 # One digit more than Python converts; 0 where it sets no limit.
 _LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _LONG = "9" * (_LIMIT + 1)

@@ -6,7 +6,7 @@ import pickle
 from hypothesis import given, strategies as st
 import pytest
 
-from loopchar import cli, lweight, qchar
+from loopchar import cli, errors, lweight, qchar
 from loopchar import (
     DomainError,
     LCharacter,
@@ -208,9 +208,9 @@ def test_product_size_is_capped_before_any_pair(monkeypatch):
     x = sl2_eval_char(("a", 0), 3)  # 4 terms of 3 factors
     y = sl2_eval_char(("b", 0), 2)  # 3 terms of 2 factors
     bound = 3 * 12 + 4 * 6
-    monkeypatch.setattr(lweight, "MAX_PRODUCT_FACTORS", bound)
+    monkeypatch.setattr(errors, "MAX_SIZE", bound)
     assert (x * y).terms == reference_char_product(x, y).terms
-    monkeypatch.setattr(lweight, "MAX_PRODUCT_FACTORS", bound - 1)
+    monkeypatch.setattr(errors, "MAX_SIZE", bound - 1)
     for a, b in ((x, y), (y, x)):
         with pytest.raises(DomainError, match=str(bound)):
             a * b
@@ -221,13 +221,13 @@ def test_cli_refuses_a_large_string_tensor_before_building_it(monkeypatch, capsy
         raise AssertionError("the strings were built")
 
     bound = 6 * 9 * 13  # (m1 + 1) * (m2 + 1) * (m1 + m2)
-    monkeypatch.setattr(lweight, "MAX_PRODUCT_FACTORS", bound - 1)
+    monkeypatch.setattr(errors, "MAX_SIZE", bound - 1)
     monkeypatch.setattr(qchar, "sl2_eval_char", refuse)
     assert cli.main(["qchar-tensor", "--length", "5", "--length2", "8"]) == 3
-    assert f"may hold {bound} factors" in capsys.readouterr().err
+    assert f"would number {bound}," in capsys.readouterr().err
     # The library's own bound for the same two strings.
     x, y = sl2_eval_char(("a", 0), 5), sl2_eval_char(("a", 0), 8)
-    with pytest.raises(DomainError, match=f"may hold {bound} factors"):
+    with pytest.raises(DomainError, match=f"would number {bound},"):
         x * y
 
 

@@ -31,7 +31,7 @@ from loopchar import (
     weyl_module_dim,
     zero_weight,
 )
-from loopchar import braid, cli, lweight, qchar, weyl
+from loopchar import braid, cli, errors, qchar, weyl
 from loopchar.braid import braid_orbit
 from loopchar.verify import _CLASS_TYPES
 from loopchar.weyl import dominance_diff
@@ -48,22 +48,22 @@ def test_sl2_string_exponents():
 
 def test_a_string_too_long_to_hold_refuses_its_exponents_and_weight(monkeypatch):
     # The cap is lowered, so a regressed check builds 6 entries, not 10**10.
-    monkeypatch.setattr(lweight, "MAX_PRODUCT_FACTORS", 5)
+    monkeypatch.setattr(errors, "MAX_SIZE", 5)
     s = Sl2String(("a", 0), 6)
     for read in (lambda: s.exps, s.lweight):
-        with pytest.raises(DomainError, match="string of length 6 holds more than 5 factors"):
+        with pytest.raises(DomainError, match="exponents of a string of length 6 would number 6, more than the size cap of 5"):
             read()
     assert Sl2String(("a", 1), 5).exps == (5, 3, 1, -1, -3)
     assert Sl2String(("a", 1), 5).lweight() == parse_lweight("w[1;a,-3]*w[1;a,-1]*w[1;a,1]*w[1;a,3]*w[1;a,5]")
 
 
 def test_a_long_string_is_made_and_tested_without_its_exponents(monkeypatch):
-    monkeypatch.setattr(lweight, "MAX_PRODUCT_FACTORS", 5)
+    monkeypatch.setattr(errors, "MAX_SIZE", 5)
     long = Sl2String(("a", 0), 10**10)
     assert long.m == 10**10
     assert sl2_tensor_irreducible([long, Sl2String(("a", 1), 1)])
     assert not sl2_tensor_irreducible([long, Sl2String(("a", 10**10 + 1), 1)])
-    with pytest.raises(DomainError, match="holds more than 5 factors"):
+    with pytest.raises(DomainError, match="would number 10000000000, more than the size cap of 5"):
         long.lweight()
 
 
@@ -667,11 +667,11 @@ def test_entry_points_reject_bad_spectral_parameters(entry, bad):
 
 def test_string_characters_are_refused_above_the_factor_cap(monkeypatch):
     # m + 1 terms of m factors each; the real cap refuses m = 4472 at once.
-    with pytest.raises(DomainError, match="length 4472 holds 20003256 factors"):
+    with pytest.raises(DomainError, match="length 4472 would number 20003256, more than the size cap of 20000000"):
         sl2_eval_char(("a", 0), 4472)
-    monkeypatch.setattr(lweight, "MAX_PRODUCT_FACTORS", 12)
+    monkeypatch.setattr(errors, "MAX_SIZE", 12)
     assert len(sl2_eval_char(("a", 0), 3).terms) == 4
-    with pytest.raises(DomainError, match="length 4 holds 20 factors, more than 12"):
+    with pytest.raises(DomainError, match="length 4 would number 20, more than the size cap of 12"):
         sl2_eval_char(("a", 0), 4)
 
 
@@ -681,7 +681,7 @@ def test_cli_refuses_a_long_string_before_building_it(monkeypatch, capsys):
 
     monkeypatch.setattr(qchar, "LCharacter", refuse)
     assert cli.main(["qchar-sl2", "--length", "5000"]) == 3
-    assert "holds 25005000 factors" in capsys.readouterr().err
+    assert "would number 25005000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [("a",), "a0", 5])
@@ -762,7 +762,7 @@ def test_an_oversized_character_is_refused_before_any_walk():
     # A24 node 12 has 5200300 terms of 24 coordinates: 1.2e8 > 2e7.
     a24 = cartan_data("A24")
     top = fundamental_weight(a24, 12)
-    message = "holds 5200300 terms of 24 coordinates each, more than 20000000"
+    message = "the 5200300 terms in the top braid orbit of node 12 of A24 would number 124807200, more than the size cap of 20000000"
     for build in (
         lambda: minuscule_char(a24, 12, ("a", 0)),
         lambda: fundamental_char(a24, 12, ("b", 3), {top: 1}),
@@ -794,10 +794,10 @@ def test_the_orbit_cap_is_checked_against_the_top_size(monkeypatch):
         (80, lambda: minuscule_char(d5, 5, ("b", 1)), 16),
     ]:
         clear()
-        monkeypatch.setattr(lweight, "MAX_ORBIT_COORDS", cap)
+        monkeypatch.setattr(errors, "MAX_SIZE", cap)
         assert build().dimension == size
         clear()
-        monkeypatch.setattr(lweight, "MAX_ORBIT_COORDS", cap - 1)
-        with pytest.raises(DomainError, match=f"holds {cap // 5} terms of 5 coordinates each, more than {cap - 1}"):
+        monkeypatch.setattr(errors, "MAX_SIZE", cap - 1)
+        with pytest.raises(DomainError, match=f"the {cap // 5} terms in the top braid orbit of node . of D5 would number {cap}, more than the size cap of {cap - 1}"):
             build()
     clear()

@@ -24,12 +24,14 @@ from loopchar import (
     is_reduced_word,
     longest_element,
     min_coset_reps,
+    parse_lweight,
     positive_roots,
     reflect,
     weight_orbit,
     zero_weight,
 )
-from loopchar import weyl
+from loopchar import errors, weyl
+from loopchar.braid import braid_orbit
 from loopchar.verify import _CLASS_TYPES
 from loopchar.weyl import (
     _descent,
@@ -307,6 +309,69 @@ def test_orbit_walk_caches_nothing_for_a_non_dominant_weight():
     after = _orbit_edges.cache_info()
     assert after.currsize == before.currsize and after.misses == before.misses
     assert after.maxsize == 128
+
+
+def test_an_orbit_walk_past_the_size_cap_is_refused(monkeypatch):
+    # The regular B3 weight (2,1,3) has 48 orbit weights of 3 coordinates:
+    # 144 fit a cap of 144 and not one of 143.  No other test walks it.
+    cd = cartan_data("B3")
+    lam = (2, 1, 3)
+    pi = parse_lweight("w[1;a,0]^2*w[2;a,0]*w[3;a,0]^3")
+    monkeypatch.setattr(errors, "MAX_SIZE", 143)
+    before = _orbit_edges.cache_info().currsize
+    message = "Weyl orbit of B3, 48 weights so far, would number 144, more than the size cap of 143"
+    for walk in (
+        lambda: orbit_edges(cd, lam),
+        lambda: min_coset_reps(cd, lam),
+        lambda: weight_orbit(cd, lam),
+        lambda: braid_orbit(cd, pi),
+    ):
+        with pytest.raises(DomainError, match=message):
+            walk()
+    assert _orbit_edges.cache_info().currsize == before
+    monkeypatch.setattr(errors, "MAX_SIZE", 144)
+    assert len(orbit_edges(cd, lam)) == 47
+    assert len(braid_orbit(cd, pi)) == 48
+
+
+def test_the_root_count_is_the_root_table():
+    for label in _CLASS_TYPES + _LARGER_TYPES:
+        cd = cartan_data(label)
+        assert weyl._positive_root_count(cd) == len(positive_roots(cd)), label
+
+
+def test_a_root_table_or_w0_word_past_the_size_cap_is_refused(monkeypatch):
+    # B11: 121 positive roots of 11 coordinates; C9: a w0 word of 81
+    # letters.  No other test builds either.
+    b11, c9 = cartan_data("B11"), cartan_data("C9")
+    monkeypatch.setattr(errors, "MAX_SIZE", 1330)
+    size = positive_roots.cache_info().currsize
+    with pytest.raises(DomainError, match="positive roots of B11 would number 1331, more than the size cap of 1330"):
+        positive_roots(b11)
+    assert positive_roots.cache_info().currsize == size
+    monkeypatch.setattr(errors, "MAX_SIZE", 80)
+    before = (positive_roots.cache_info(), longest_element.cache_info().currsize)
+    with pytest.raises(DomainError, match="longest element of C9 would number 81, more than the size cap of 80"):
+        longest_element(c9)
+    assert (positive_roots.cache_info(), longest_element.cache_info().currsize) == before
+    monkeypatch.setattr(errors, "MAX_SIZE", 81)
+    assert longest_element(c9).length == 81
+    assert positive_roots.cache_info() == before[0]
+    monkeypatch.setattr(errors, "MAX_SIZE", 1331)
+    assert len(positive_roots(b11)) == 121
+
+
+def test_the_real_cap_refuses_the_a_root_table_from_a342_and_w0_from_a6325():
+    count = weyl._positive_root_count
+    a341, a342 = cartan_data("A341"), cartan_data("A342")
+    assert count(a341) * 341 <= errors.MAX_SIZE < count(a342) * 342
+    assert count(cartan_data("A6324")) <= errors.MAX_SIZE < count(cartan_data("A6325"))
+    before = positive_roots.cache_info()
+    with pytest.raises(DomainError, match="positive roots of A342 would number 20059326,"):
+        positive_roots(a342)
+    with pytest.raises(DomainError, match="longest element of A7000 would number 24503500,"):
+        longest_element(cartan_data("A7000"))
+    assert positive_roots.cache_info().currsize == before.currsize
 
 
 @pytest.mark.parametrize("label", _CLASS_TYPES + ("A12", "D10"))
