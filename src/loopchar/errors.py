@@ -1,5 +1,6 @@
 """Exception types shared across the package, the integer reader, the
-quoting of user text in error messages and the one size cap."""
+quoting of user text and the printing of counts in error messages, and
+the one size cap."""
 
 
 class ParseError(ValueError):
@@ -43,12 +44,28 @@ def quote(value: object) -> str:
 MAX_SIZE = 20_000_000
 
 
+def number(n: int) -> str:
+    """A nonnegative count for an error message: in decimal up to
+    ``ECHO_CAP`` digits, else as its digit count, ``<N digits>``.
+
+    ``str`` refuses an int past ``sys.get_int_max_str_digits()`` digits,
+    so the count is read off the bit length: k below is floor(log10 n)
+    or one less for any n under 10^9 bits, and one comparison settles
+    which.
+    """
+    if n < 10 ** ECHO_CAP:
+        return str(n)
+    k = (n.bit_length() - 1) * 301029995 // 10**9
+    return f"<{k + 1 + (n >= 10 ** (k + 1))} digits>"
+
+
 def check_size(size: int, what: str) -> None:
     """DomainError if ``size``, the predicted count of ``what``, passes MAX_SIZE.
 
     ``what`` names the entries counted, as a plural noun phrase.  Each
     builder calls this with its prediction before it allocates, so a
-    refusal costs nothing and fills no cache entry.
+    refusal costs nothing and fills no cache entry.  The message gives
+    the size through ``number``.
     """
     if size > MAX_SIZE:
-        raise DomainError(f"{what} would number {size}, more than the size cap of {MAX_SIZE}")
+        raise DomainError(f"{what} would number {number(size)}, more than the size cap of {MAX_SIZE}")

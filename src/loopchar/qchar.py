@@ -15,19 +15,18 @@ type, node and table that the three sources share, and every call
 translates that template to the parameter it asks for, through a
 ``ShiftPlan`` kept next to it.  A character whose top braid orbit would
 hold more coordinates than ``errors.MAX_SIZE`` is refused before any
-orbit is walked.
+orbit is walked, its size |W omega_i| predicted by ``weyl.orbit_size``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lweight
 from .cartan import CartanData, Frozen, Weight, cartan_data
-from .errors import DomainError, check_size, quote
+from .errors import DomainError, check_size, number, quote
 from .lweight import (
     LCharacter,
     LWeight,
@@ -76,7 +75,7 @@ class Sl2String(Frozen):
     def exps(self) -> Tuple[int, ...]:
         orbit, e = self.a
         m = self.m
-        check_size(m, f"the exponents of a string of length {m}")
+        check_size(m, f"the exponents of a string of length {number(m)}")
         return tuple(e + m - 1 - 2 * j for j in range(m))
 
     def lweight(self) -> LWeight:
@@ -93,7 +92,7 @@ def sl2_eval_char(a: SpectralParam, m: int) -> LCharacter:
     orbit, e = check_param(a)
     check_length(m)
     # Refused before anything is built: the m+1 terms hold m factors each.
-    check_size(m * (m + 1), f"the factors of the character of a string of length {m}")
+    check_size(m * (m + 1), f"the factors of the character of a string of length {number(m)}")
     # Term r has numerator exponents e-m+1, e-m+3, ..., e+m-2r-1 and
     # denominator exponents e+m-2r+3, ..., e+m+1: the first m-r entries
     # of ``num`` and the last r of ``den``.  The two ranges never
@@ -261,24 +260,6 @@ def fundamental_char(
     return _at(_fundamental_template(cd, i, tuple(sorted(table.items()))), p)
 
 
-def _top_size(cd: CartanData, i: int) -> int:
-    """|W omega_i|, the number of terms in the top level of a descent.
-
-    In closed form: C(n+1, i) in A_n; 2^i C(n, i) in B_n and C_n; in D_n
-    the same below node n-1, and 2^(n-1) at nodes n-1 and n; 27 at nodes
-    1 and 5 of E6 and 56 at node 1 of E7, the only exceptional nodes that
-    reach the descent.
-    """
-    n, series = cd.rank, cd.type.series
-    if series == "A":
-        return comb(n + 1, i)
-    if series in "BC" or (series == "D" and i <= n - 2):
-        return 2 ** i * comb(n, i)
-    if series == "D":
-        return 2 ** (n - 1)
-    return {(6, 1): 27, (6, 5): 27, (7, 1): 56}[n, i]
-
-
 @lru_cache(maxsize=128)
 def _fundamental_template(
     cd: CartanData, i: int, items: Tuple[Tuple[Weight, int], ...]
@@ -290,18 +271,15 @@ def _fundamental_template(
     has no other dominant weight.  The weight 0 and a minuscule top have
     nothing below them and look for no child.  No two orbit terms of a
     character meet, so a term met twice is an ArithmeticError.  A top
-    level too large to walk is refused before any orbit is walked.
+    level too large to walk, |W omega_i| terms of n coordinates, is
+    refused before any orbit is walked.
     """
     from .braid import braid_orbit
-    from .weyl import fundamental_weight
+    from .weyl import _check_orbit_size, fundamental_weight
 
-    count = _top_size(cd, i)
-    check_size(
-        count * cd.rank,
-        f"the coordinates of the {count} terms in the top braid orbit of node {i} of {cd.type}",
-    )
-    table = dict(items)
     top_wt = fundamental_weight(cd, i)
+    _check_orbit_size(cd, top_wt, f"terms in the top braid orbit of node {i} of {cd.type}")
+    table = dict(items)
     if table.get(top_wt) != 1:
         raise DomainError(
             f"table must assign multiplicity 1 to the top weight {list(top_wt)}"

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heappop, heappush
+from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanData, Frozen, LieType, Weight, cartan_data
-from . import errors
-from .errors import DomainError, check_size
+from .errors import DomainError, check_size, number
 
 RootCoords = Tuple[int, ...]
 
@@ -295,11 +295,108 @@ def orbit_edges(cd: CartanData, lam: Weight) -> Tuple[Tuple[Weight, int, Weight]
     A step along j is taken only when mu[j] > 0, so the path from lam
     to any weight spells a reduced word (last step leftmost) for the
     minimal coset representative carrying lam there.  The last 128
-    walks are kept.  A walk is refused once the weights it holds pass
-    ``errors.MAX_SIZE`` coordinates.
+    walks are kept.  A walk whose weights would hold more than
+    ``errors.MAX_SIZE`` coordinates is refused before it starts, its
+    size predicted by ``orbit_size``.
     """
     _check_dominant(cd, lam)
     return _orbit_edges(cd, lam)
+
+
+def orbit_size(cd: CartanData, lam: Weight) -> int:
+    """|W lam| for a dominant weight lam, without walking the orbit.
+
+    The stabilizer of a dominant lam is the parabolic subgroup W_J with
+    J = {j : lam_j = 0} (Humphreys, Reflection Groups and Coxeter
+    Groups, Thm 1.12), so |W lam| = |W| / |W_J|.  Finding the components
+    of J is O(n); the exact factorials then grow with the rank (rank
+    10^6 takes seconds), which is why the walks refuse a large rank by
+    the floor in ``_check_orbit_size`` before they compute any.
+    """
+    _check_dominant(cd, lam)
+    return _orbit_size(cd, lam)
+
+
+def _orbit_size(cd: CartanData, lam: Weight) -> int:
+    if not any(lam):
+        return 1
+    # |W|: the whole diagram is one piece, each node's degree its link
+    # count and its largest bond the lacing.
+    whole = _component_order(cd, {i: len(l) for i, l in enumerate(cd.links, start=1)}, cd.lacing)
+    return whole // _parabolic_order(cd, [j for j, c in zip(cd.nodes, lam) if c == 0])
+
+
+def _check_orbit_size(cd: CartanData, lam: Weight, what: str) -> None:
+    """Refuse through ``check_size`` an orbit of lam whose weights would
+    hold more than ``errors.MAX_SIZE`` coordinates, n per weight.
+
+    ``what`` names the weights after their count.  A nonzero orbit holds
+    at least n + 1 weights: its span is W-invariant, so all of the
+    weight space, on which W acts irreducibly, and its sum is W-fixed,
+    so 0, which no n weights spanning n dimensions can sum to.  So a
+    nonzero orbit past n(n + 1) coordinates is refused by that floor
+    before any factorial is computed: every rank above 4471 under the
+    real cap.
+    """
+    n = cd.rank
+    if any(lam):
+        check_size(
+            n * (n + 1),
+            f"the coordinates of {n + 1} weights, the fewest a nonzero Weyl orbit of {cd.type} holds,",
+        )
+    size = _orbit_size(cd, lam)
+    check_size(size * n, f"the coordinates of the {number(size)} {what}")
+
+
+def _parabolic_order(cd: CartanData, nodes: Sequence[int]) -> int:
+    """|W_J| for the nodes J: the product of the orders of its connected
+    components in the Dynkin diagram, each found by one breadth-first
+    pass that counts each node's neighbours in J and the largest bond."""
+    links = cd.links
+    inside = set(nodes)
+    left = set(inside)
+    order = 1
+    while left:
+        component = [left.pop()]
+        degree = {}
+        bond = 1
+        for i in component:  # grows while read
+            d = 0
+            for k, a_ik, a_ki in links[i - 1]:
+                if k in inside:
+                    d += 1
+                    if a_ik != a_ki:  # a multiple bond: one piece has at most one
+                        bond = a_ik * a_ki
+                    if k in left:
+                        left.remove(k)
+                        component.append(k)
+            degree[i] = d
+        order *= _component_order(cd, degree, bond)
+    return order
+
+
+def _component_order(cd: CartanData, degree: Dict[int, int], bond: int) -> int:
+    """The order of the Weyl group of a connected piece of the diagram,
+    given each node's degree in it and its largest bond a_ij a_ji, read
+    off its shape: (k+1)! for A_k, 2^k k! for B_k and C_k, 2^(k-1) k!
+    for D_k, and 51840, 2903040, 696729600, 1152 and 12 for E6, E7, E8,
+    F4 and G2.
+
+    A bond of 3 is G2's; one of 2 is B_k's or C_k's unless the piece is
+    all of F4.  A simply-laced piece with no branch node is A_k; at a
+    branch node, D_k has at least two arms of one node, E_k one.
+    """
+    k = len(degree)
+    if bond == 3:
+        return 12
+    if bond == 2:
+        return 1152 if k == 4 and cd.type.series == "F" else 2**k * factorial(k)
+    if 3 not in degree.values():
+        return factorial(k + 1)
+    branch = next(i for i, d in degree.items() if d == 3)
+    if sum(degree.get(j) == 1 for j in cd.neighbors(branch)) >= 2:
+        return 2 ** (k - 1) * factorial(k)
+    return {6: 51840, 7: 2903040, 8: 696729600}[k]
 
 
 def _check_coords(cd: CartanData, v: Tuple[int, ...], what: str) -> None:
@@ -317,23 +414,18 @@ def _check_dominant(cd: CartanData, lam: Weight) -> None:
 
 @lru_cache(maxsize=128)
 def _orbit_edges(cd: CartanData, lam: Weight) -> Tuple[Tuple[Weight, int, Weight], ...]:
+    _check_orbit_size(cd, lam, f"weights of a Weyl orbit of {cd.type}")
     seen = {lam}
     queue = [lam]  # grows while it is read: breadth-first order
     edges = []
-    most = errors.MAX_SIZE // cd.rank  # weights held within the cap
     for mu in queue:
-        for j in cd.nodes:
-            if mu[j - 1] > 0:
+        for j, c in enumerate(mu, start=1):
+            if c > 0:
                 nu = _reflect(cd, j, mu)
                 if nu not in seen:
                     seen.add(nu)
                     queue.append(nu)
                     edges.append((mu, j, nu))
-        if len(queue) > most:
-            check_size(
-                len(queue) * cd.rank,
-                f"the coordinates of a Weyl orbit of {cd.type}, {len(queue)} weights so far,",
-            )
     return tuple(edges)
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopchar import cli
-from loopchar.errors import ECHO_CAP, quote
+from loopchar.errors import ECHO_CAP, number, quote
 from loopchar import (
     SUITE_NAMES,
     EllipticCharacter,
@@ -251,6 +251,52 @@ def test_domain_errors_exit_3():
     result = run_cli("qchar-fund", "--type", "B3", "--node", "2")
     assert result.returncode == 3
     assert "node 2 of B3 needs an explicit multiplicity table" in result.stderr
+
+
+def test_number_prints_a_count_past_the_cap_as_its_digit_count():
+    assert number(0) == "0"
+    assert number(10**ECHO_CAP - 1) == "9" * ECHO_CAP
+    # str() refuses past 4300 digits, so the counts there come from powers of ten.
+    for digits in (ECHO_CAP + 1, 4300, 4301, 20000):
+        assert number(10 ** (digits - 1)) == number(10**digits - 1) == f"<{digits} digits>"
+    for bits in range(333, 14000, 997):
+        assert number(2**bits) == f"<{len(str(2**bits))} digits>"
+
+
+# Calls whose predicted sizes run past str()'s 4300 digits, or whose rank
+# is refused by the floor before any factorial.
+_OVERSIZED_CALLS = {
+    "sl2": (
+        ["qchar-sl2", "--length", "9" * 2200],
+        "string of length <2200 digits> would number <4400 digits>, more than the size cap",
+    ),
+    "tensor": (
+        ["qchar-tensor", "--length", "9" * 1500, "--length2", "9" * 1500],
+        "character product would number <4501 digits>, more than the size cap",
+    ),
+    **{
+        f"{label}-{node}": (
+            ["qchar-fund", "--type", label, "--node", node],
+            f"the coordinates of 20001 weights, the fewest a nonzero Weyl orbit of {label} holds, would number 400020000,",
+        )
+        for label, node in (("A20000", "10000"), ("D20000", "20000"), ("B20000", "20000"))
+    },
+}
+
+
+@pytest.mark.parametrize("call", sorted(_OVERSIZED_CALLS))
+def test_a_size_too_long_to_print_is_refused_with_exit_3(call, capsys):
+    argv, fragment = _OVERSIZED_CALLS[call]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and fragment in err
+    assert len(err.encode()) < 400
+
+
+def test_a_million_rank_character_is_refused_by_the_floor():
+    result = run_cli("qchar-fund", "--type", "A1000000", "--node", "500000")
+    assert (result.returncode, result.stdout) == (3, "")
+    assert "the coordinates of 1000001 weights, the fewest" in result.stderr
 
 
 @pytest.mark.parametrize(

@@ -737,23 +737,6 @@ def test_fundamental_char_takes_a_dict_table(table):
     assert len(str(err.value)) < 200
 
 
-# Every classical node of these ranks, and the exceptional nodes that reach
-# the descent.
-_SIZE_NODES = [
-    (label, i)
-    for label in [f"A{n}" for n in range(1, 9)] + [f"{s}{n}" for s in "BC" for n in range(2, 9)]
-    + [f"D{n}" for n in range(4, 9)]
-    for i in cartan_data(label).nodes
-] + [("E6", 1), ("E6", 5), ("E7", 1)]
-
-
-def test_the_top_size_is_the_orbit_walk():
-    assert len(_SIZE_NODES) == 139
-    for label, i in _SIZE_NODES:
-        cd = cartan_data(label)
-        assert qchar._top_size(cd, i) == len(braid_orbit(cd, fundamental_lweight(cd, i))), (label, i)
-
-
 def _cache_state():
     return qchar._fundamental_template.cache_info().currsize, weyl._orbit_edges.cache_info()
 

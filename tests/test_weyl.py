@@ -3,6 +3,7 @@
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+import itertools
 import os
 import pathlib
 import random
@@ -24,6 +25,7 @@ from loopchar import (
     is_reduced_word,
     longest_element,
     min_coset_reps,
+    minuscule_char,
     parse_lweight,
     positive_roots,
     reflect,
@@ -38,6 +40,7 @@ from loopchar.weyl import (
     _orbit_edges,
     highest_root,
     orbit_edges,
+    orbit_size,
     rho,
     root_norm,
     simple_root_weight,
@@ -306,6 +309,8 @@ def test_orbit_walk_caches_nothing_for_a_non_dominant_weight():
     for lam in ((1, -1, 0), (-2, 0, 0), (0, 0, -1)):
         with pytest.raises(DomainError):
             orbit_edges(cd, lam)
+        with pytest.raises(DomainError, match="needs a dominant weight"):
+            orbit_size(cd, lam)
     after = _orbit_edges.cache_info()
     assert after.currsize == before.currsize and after.misses == before.misses
     assert after.maxsize == 128
@@ -319,7 +324,7 @@ def test_an_orbit_walk_past_the_size_cap_is_refused(monkeypatch):
     pi = parse_lweight("w[1;a,0]^2*w[2;a,0]*w[3;a,0]^3")
     monkeypatch.setattr(errors, "MAX_SIZE", 143)
     before = _orbit_edges.cache_info().currsize
-    message = "Weyl orbit of B3, 48 weights so far, would number 144, more than the size cap of 143"
+    message = "the 48 weights of a Weyl orbit of B3 would number 144, more than the size cap of 143"
     for walk in (
         lambda: orbit_edges(cd, lam),
         lambda: min_coset_reps(cd, lam),
@@ -332,6 +337,69 @@ def test_an_orbit_walk_past_the_size_cap_is_refused(monkeypatch):
     monkeypatch.setattr(errors, "MAX_SIZE", 144)
     assert len(orbit_edges(cd, lam)) == 47
     assert len(braid_orbit(cd, pi)) == 48
+
+
+def _orbit_size_cases():
+    """Every 0/1 weight of the small types, and every fundamental weight of
+    the class types whose orbit holds at most 20,000 weights."""
+    small = [f"A{n}" for n in range(1, 6)] + [f"{s}{n}" for s in "BC" for n in range(2, 6)]
+    for name in small + ["D4", "D5", "F4", "G2"]:
+        for lam in itertools.product((0, 1), repeat=cartan_data(name).rank):
+            yield name, lam
+    for name in _CLASS_TYPES:
+        cd = cartan_data(name)
+        for i in cd.nodes:
+            if orbit_size(cd, fundamental_weight(cd, i)) <= 20_000:
+                yield name, fundamental_weight(cd, i)
+
+
+def test_the_orbit_size_is_the_orbit_walk():
+    cases = list(_orbit_size_cases())
+    assert len(cases) == 331
+    for name, lam in cases:
+        cd = cartan_data(name)
+        assert orbit_size(cd, lam) == len(orbit_edges(cd, lam)) + 1, (name, lam)
+
+
+def test_an_orbit_past_the_cap_is_refused_before_its_walk_starts(monkeypatch):
+    # A24 node 12: 5200300 weights of 24 coordinates, refused with no step taken.
+    cd = cartan_data("A24")
+    steps = []
+    real_reflect = weyl._reflect
+    monkeypatch.setattr(weyl, "_reflect", lambda *args: steps.append(args) or real_reflect(*args))
+    before = _orbit_edges.cache_info().currsize
+    message = "the coordinates of the 5200300 weights of a Weyl orbit of A24 would number 124807200, more than the size cap of 20000000"
+    with pytest.raises(DomainError, match=message):
+        orbit_edges(cd, fundamental_weight(cd, 12))
+    assert steps == []
+    assert _orbit_edges.cache_info().currsize == before
+
+
+def test_a_large_rank_orbit_is_refused_by_the_floor_without_a_factorial(monkeypatch):
+    def refuse(k):
+        raise AssertionError(f"{k}! was computed")
+
+    monkeypatch.setattr(weyl, "factorial", refuse)
+    a5000 = cartan_data("A5000")
+    lam = fundamental_weight(a5000, 2500)
+    message = "the coordinates of 5001 weights, the fewest a nonzero Weyl orbit of A5000 holds, would number 25005000, more than the size cap of 20000000"
+    for walk in (
+        lambda: orbit_edges(a5000, lam),
+        lambda: min_coset_reps(a5000, lam),
+        lambda: minuscule_char(a5000, 2500, ("a", 0)),
+    ):
+        with pytest.raises(DomainError, match=message):
+            walk()
+    # The orbit of 0 is one weight at any rank.
+    assert orbit_size(a5000, zero_weight(a5000)) == 1
+    assert orbit_edges(a5000, zero_weight(a5000)) == ()
+    # The floor n(n + 1) is A_n's orbit of omega_1, so it is tight: A4471
+    # passes it, and its orbit of omega_1 is predicted, not refused.
+    monkeypatch.undo()
+    a4471 = cartan_data("A4471")
+    omega = fundamental_weight(a4471, 1)
+    weyl._check_orbit_size(a4471, omega, "weights")
+    assert orbit_size(a4471, omega) == 4472
 
 
 def test_the_root_count_is_the_root_table():
@@ -626,6 +694,8 @@ def test_orbit_walk_refuses_a_weight_that_is_not_a_rank_tuple_of_ints(lam):
     before = _orbit_edges.cache_info()
     with pytest.raises(DomainError, match="tuple of 2 integers"):
         orbit_edges(cd, lam)
+    with pytest.raises(DomainError, match="tuple of 2 integers"):
+        orbit_size(cd, lam)
     with pytest.raises(DomainError):
         min_coset_reps(cd, lam)
     after = _orbit_edges.cache_info()
