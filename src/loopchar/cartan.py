@@ -89,7 +89,7 @@ class LieType(Frozen):
             raise DomainError(f"unknown series {series!r}")
         lo, hi = bounds
         if rank < lo or (hi is not None and rank > hi):
-            raise DomainError(f"rank {rank} out of range for series {series}")
+            raise DomainError(f"rank {quote(rank)} out of range for series {series}")
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "rank", rank)
 

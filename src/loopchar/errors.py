@@ -29,8 +29,15 @@ def quote(value: object) -> str:
     A string past ``ECHO_CAP`` characters is quoted up to the cap and
     followed by ``… (N characters)``; any other value's repr past the cap
     is cut the same way.  Shorter values read exactly as ``repr`` does.
+    An int past ``sys.get_int_max_str_digits()`` digits, which ``repr``
+    refuses, reads as its sign and its digit count, as ``number`` prints.
     """
-    text = value if isinstance(value, str) else repr(value)
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return "-" * (value < 0) + number(abs(value))
     if len(text) <= ECHO_CAP:
         return repr(value)
     head = repr(text[:ECHO_CAP]) if isinstance(value, str) else text[:ECHO_CAP]

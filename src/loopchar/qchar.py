@@ -52,7 +52,7 @@ def check_length(m: int) -> None:
     if type(m) is not int:
         raise DomainError(f"string length must be an integer, got {m!r}")
     if m < 0:
-        raise DomainError(f"string length must be nonnegative, got {m}")
+        raise DomainError(f"string length must be nonnegative, got {quote(m)}")
 
 
 class Sl2String(Frozen):
@@ -254,9 +254,9 @@ def fundamental_char(
         if type(lam) is not tuple or any(type(c) is not int for c in lam):
             raise DomainError(f"table weight {quote(lam)} is not a tuple of integers")
         if len(lam) != cd.rank:
-            raise DomainError(f"table weight {list(lam)} does not have {cd.rank} coordinates")
+            raise DomainError(f"table weight {quote(list(lam))} does not have {cd.rank} coordinates")
         if type(mult) is not int:
-            raise DomainError(f"table multiplicity at {list(lam)} is not an integer: {quote(mult)}")
+            raise DomainError(f"table multiplicity at {quote(list(lam))} is not an integer: {quote(mult)}")
     return _at(_fundamental_template(cd, i, tuple(sorted(table.items()))), p)
 
 
@@ -265,8 +265,8 @@ def _fundamental_template(
     cd: CartanData, i: int, items: Tuple[Tuple[Weight, int], ...]
 ) -> _Template:
     """The descent at ("a", 0), level by level in order of height below
-    the top weight, read off the orbit walk of each level that finds a
-    child.  Every level but the top is a child found by ``_discover``, so
+    the top weight, from one integer solve when ``_discover`` first finds
+    a level.  Every level but the top is a child found by ``_discover``, so
     each is checked against the table when it is settled, and the character
     has no other dominant weight.  The weight 0 and a minuscule top have
     nothing below them and look for no child.  No two orbit terms of a
@@ -275,7 +275,7 @@ def _fundamental_template(
     refused before any orbit is walked.
     """
     from .braid import braid_orbit
-    from .weyl import _check_orbit_size, fundamental_weight
+    from .weyl import _check_orbit_size, dominance_diff, fundamental_weight
 
     top_wt = fundamental_weight(cd, i)
     _check_orbit_size(cd, top_wt, f"terms in the top braid orbit of node {i} of {cd.type}")
@@ -299,7 +299,6 @@ def _fundamental_template(
         # Nothing lies below these levels, and their orbits hold no
         # coordinate 2: the skip only spares scanning, say, A3000's 3001 weights.
         leaf = not any(lam) or (lam == top_wt and is_minuscule(cd, i))
-        depth = None
         for pi, mult in mults.items():
             orbit = braid_orbit(cd, pi)
             size = len(terms) + len(orbit)
@@ -312,14 +311,14 @@ def _fundamental_template(
                 continue
             for mu, term in orbit.items():
                 # Only a coordinate 2 of mu can carry a degree-2 entry.
-                if 2 not in mu:
-                    continue
-                found = _discover(cd, term, mu, mult, bounds)
-                if found and depth is None:
-                    depth = _orbit_heights(cd, lam, heights[lam])
-                for lam2 in found:
-                    heights[lam2] = depth[mu] + 1
+                if 2 in mu:
+                    _discover(cd, term, mu, mult, bounds)
         levels.append((sum(mults.values()), orbit))
+        for lam2 in bounds.keys() - heights.keys():
+            diff = dominance_diff(cd, top_wt, lam2)
+            if diff is None:
+                raise ArithmeticError(f"the descent found {list(lam2)} outside the top weight's coset")
+            heights[lam2] = sum(diff)
 
     # The character is W-invariant: a weight has the multiplicity of the
     # level whose orbit holds it.
@@ -327,7 +326,7 @@ def _fundamental_template(
         have = next((total for total, orbit in levels if lam in orbit), 0)
         if have != mult:
             raise DomainError(
-                f"table mismatch at weight {list(lam)}: table {mult}, character {have}"
+                f"table mismatch at weight {quote(list(lam))}: table {quote(mult)}, character {have}"
             )
     return _Template(LCharacter.from_dict(terms))
 
@@ -344,26 +343,16 @@ def _settle(lam: Weight, cand: Dict[LWeight, int], want: Optional[int]) -> Dict[
         (child,) = cand
         if cand[child] > want:
             raise DomainError(
-                f"table value {want} at weight {list(lam)} is below "
+                f"table value {quote(want)} at weight {list(lam)} is below "
                 f"the forced lower bound {cand[child]}"
             )
         return {child: want}
     if sum(cand.values()) == want:
         return cand
     raise DomainError(
-        f"cannot split multiplicity {want} at weight {list(lam)} "
+        f"cannot split multiplicity {quote(want)} at weight {list(lam)} "
         f"among {len(cand)} candidates with bounds {sorted(cand.values())}"
     )
-
-
-def _orbit_heights(cd: CartanData, lam: Weight, height: int) -> Dict[Weight, int]:
-    """Heights of lam's W-orbit, given lam's: s_j lowers mu by mu_j alpha_j."""
-    from .weyl import orbit_edges
-
-    depth = {lam: height}
-    for mu, j, nu in orbit_edges(cd, lam):
-        depth[nu] = depth[mu] + mu[j - 1]
-    return depth
 
 
 def _discover(
@@ -372,9 +361,9 @@ def _discover(
     mu: Weight,
     mult: int,
     bounds: Dict[Weight, Dict[LWeight, int]],
-) -> List[Weight]:
-    """Record dominant children reachable from one orbit term of weight mu,
-    and return their weights, each mu - alpha_j for some node j."""
+) -> None:
+    """Record in bounds the dominant children reachable from one orbit
+    term of weight mu, each at a weight mu - alpha_j for some node j."""
     from .cartan import _alpha_pattern
     from .weyl import is_dominant, simple_root_weight
 
@@ -382,7 +371,6 @@ def _discover(
     exps: Dict[int, List[Tuple[str, int]]] = {}
     for (j, orbit, k), power in term.factors:
         exps.setdefault(j, []).extend([(orbit, k)] * (power if 0 < power < 3 else 3))
-    found: List[Weight] = []
     for j, pair in exps.items():
         if len(pair) != 2:
             continue
@@ -405,8 +393,6 @@ def _discover(
             child = LWeight.from_dict(powers)
             sub = bounds.setdefault(lam2, {})
             sub[child] = max(sub.get(child, 0), bound)
-        found.append(lam2)
-    return found
 
 
 def tensor_char(c1: LCharacter, c2: LCharacter) -> LCharacter:

@@ -18,6 +18,7 @@ from loopchar import cli
 from loopchar.errors import ECHO_CAP, number, quote
 from loopchar import (
     SUITE_NAMES,
+    DomainError,
     EllipticCharacter,
     LCharacter,
     LWeight,
@@ -156,6 +157,7 @@ def test_quote_cuts_user_text_past_the_cap():
 
 _JUNK = "x" * 5000
 _DIGITS = "1," * 2500 + "1"
+_NINES = "9" * 2000
 # Each call echoes user text into its error message: the argv with a
 # placeholder, a short and a 5000-character fill for it.
 _ECHO_CALLS = {
@@ -173,6 +175,15 @@ _ECHO_CALLS = {
     "orbit": (["alpha", "--type", "A2", "--node", "1", "--orbit", "1{}"], "y", _JUNK),
     "node range": (["alpha", "--type", "A2", "--node", "{}"], "3", "9" * 4000),
     "word node range": (["act", "--type", "A2", "--word", "1,{}", "w[1;a,0]"], "3", "9" * 4000),
+    "string length": (["qchar-sl2", "--length", "-{}"], "9", _NINES),
+    "lie rank": (["alpha", "--type", "E{}", "--node", "1"], "9", _NINES),
+    "table value": (["qchar-fund", "--type", "B2", "--node", "1", "--table", '{{"1,0":1,"0,0":-{}}}'], "9", _NINES),
+    "table split": (
+        ["qchar-fund", "--type", "B3", "--node", "2", "--table", '{{"0,1,0":1,"1,0,0":1,"0,0,0":-{}}}'], "9", _NINES
+    ),
+    "table mismatch": (
+        ["qchar-fund", "--type", "B2", "--node", "1", "--table", '{{"1,0":1,"0,0":1,"{},0":1}}'], "9", _NINES
+    ),
 }
 
 
@@ -261,6 +272,15 @@ def test_number_prints_a_count_past_the_cap_as_its_digit_count():
         assert number(10 ** (digits - 1)) == number(10**digits - 1) == f"<{digits} digits>"
     for bits in range(333, 14000, 997):
         assert number(2**bits) == f"<{len(str(2**bits))} digits>"
+
+
+def test_quote_prints_an_int_past_the_str_limit_by_its_digit_count():
+    # repr() refuses an int past 4300 digits; quote reads it as number does.
+    assert quote(-10**5000) == "-<5001 digits>"
+    assert quote(10**5000) == "<5001 digits>"
+    assert quote(-(10**2000)).endswith("… (2002 characters)")
+    with pytest.raises(DomainError, match=r"^node <5001 digits> out of range for type A2$"):
+        cartan_data("A2").check_node(10**5000)
 
 
 # Calls whose predicted sizes run past str()'s 4300 digits, or whose rank

@@ -75,12 +75,21 @@ def test_dominance_diff_loads_no_rationals():
     assert "'fractions'" not in loaded
 
 
-def test_a_table_descent_loads_no_solver():
-    # The descent reads each level's height off the orbit walk.
+def test_a_table_descent_loads_no_fractions():
+    # Each level below the top takes its height from one integer solve.
     stdout, loaded = loaded_by(
         "qchar-fund", "--type", "B3", "--node", "1", "--table", '{"1,0,0":1,"0,0,0":1}'
     )
     assert stdout
+    assert "loopchar.intlattice" in loaded
+    assert "fractions" not in loaded
+
+
+def test_a_minuscule_descent_loads_no_solver():
+    # A minuscule top is the only level: nothing below it needs a height.
+    stdout, loaded = loaded_by("qchar-fund", "--type", "D5", "--node", "5")
+    assert len(stdout.splitlines()) == 16
+    assert "loopchar.braid" in loaded
     assert not loaded & {"loopchar.intlattice", "fractions"}
 
 

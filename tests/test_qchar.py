@@ -1,6 +1,7 @@
 """Tests for q-character construction."""
 
 import hashlib
+from math import comb
 
 import pytest
 
@@ -492,15 +493,25 @@ def test_the_shift_plan_is_made_by_the_first_translation_and_kept():
     assert template.plan is plan
 
 
+def _walk_heights(cd, lam, height):
+    """Heights of lam's W-orbit, given lam's, along one orbit walk: s_j
+    lowers mu by mu_j alpha_j."""
+    depth = {lam: height}
+    for mu, j, nu in weyl.orbit_edges(cd, lam):
+        depth[nu] = depth[mu] + mu[j - 1]
+    return depth
+
+
 @pytest.mark.parametrize("label", ["A4", "B3", "B4", "C3", "C4", "D4", "D5", "G2"])
 def test_orbit_heights_match_the_root_coordinates(label):
-    # The descent orders its levels by these heights, read off the orbit
-    # walk.  Oracle: the root coordinates of lam - mu from one integer solve.
+    # The descent takes each level's height from one integer solve; the
+    # heights read off an orbit walk, the oracle below, agree with it on
+    # whole orbits.
     cd = cartan_data(label)
     rho = tuple([1] * cd.rank)
     doubled = tuple(2 * c for c in fundamental_weight(cd, 1))
     for lam in [fundamental_weight(cd, i) for i in cd.nodes] + [rho, doubled]:
-        heights = qchar._orbit_heights(cd, lam, 7)
+        heights = _walk_heights(cd, lam, 7)
         assert set(heights) == set(braid_orbit(cd, LWeight.from_dict(
             {(i, "a", 0): c for i, c in enumerate(lam, start=1) if c}
         )))
@@ -508,16 +519,18 @@ def test_orbit_heights_match_the_root_coordinates(label):
             assert height == 7 + sum(dominance_diff(cd, lam, mu)), (lam, mu)
 
 
-# The levels of each descent below that find no child: the weight 0, or
-# a minuscule weight.
-_LEAVES = {
-    "B3": [(0, 0, 0)],
-    "B4": [(0, 0, 0, 0)],
-    "C3": [(1, 0, 0)],
-    "D6": [(0,) * 6],
-    "A3": [(0, 1, 0)],
-    "E6": [(1, 0, 0, 0, 0, 0)],
-}
+def _walked_heights(cd, top, levels):
+    """The height of each level below top, read off orbit walks: from each
+    level reached, a weight mu of its orbit reaches mu - alpha_j one deeper."""
+    heights, queue = {top: 0}, [top]
+    for lam in queue:  # grows while it is read
+        for mu, height in _walk_heights(cd, lam, heights[lam]).items():
+            for j in cd.nodes:
+                lam2 = tuple(m - s for m, s in zip(mu, weyl.simple_root_weight(cd, j)))
+                if lam2 in levels and lam2 not in heights:
+                    heights[lam2] = height + 1
+                    queue.append(lam2)
+    return heights
 
 
 @pytest.mark.parametrize(
@@ -532,24 +545,38 @@ _LEAVES = {
     ],
 )
 def test_every_level_is_walked_at_its_height(label, node, table, monkeypatch):
-    # Each level that finds a child is walked from the height its
-    # discoverer gave it; a level that finds none is not walked.
-    # Oracle: the root coordinates of top - lam.
+    # The only orbit walk is each candidate's braid orbit, one per
+    # candidate, in order of height; each level below the top takes its
+    # height from one integer solve, which gives the height the orbit
+    # walks give.  A minuscule top finds no level below it and solves nothing.
     cd = cartan_data(label)
     table = table or _d_table(cd.rank)
-    walked, real = [], qchar._orbit_heights
-
-    def spy(cd, lam, height):
-        walked.append((lam, height))
-        return real(cd, lam, height)
-
-    monkeypatch.setattr(qchar, "_orbit_heights", spy)
-    qchar._fundamental_template.__wrapped__(cd, node, tuple(sorted(table.items())))
     top = fundamental_weight(cd, node)
-    levels = sorted(lam for lam in table if min(lam) >= 0)
-    assert sorted(lam for lam, _ in walked) == [lam for lam in levels if lam not in _LEAVES[label]]
-    for lam, height in walked:
-        assert height == sum(dominance_diff(cd, top, lam)), lam
+    levels = {lam for lam in table if min(lam) >= 0}
+    walked_heights = _walked_heights(cd, top, levels)
+    assert set(walked_heights) == levels
+    walks, solves = [], []
+    real_walk, real_solve = weyl.orbit_edges, weyl.dominance_diff
+
+    def walk(cd, lam):
+        walks.append(lam)
+        return real_walk(cd, lam)
+
+    def solve(cd, lam, mu):
+        diff = real_solve(cd, lam, mu)
+        solves.append((lam, mu, sum(diff)))
+        return diff
+
+    monkeypatch.setattr(weyl, "orbit_edges", walk)
+    monkeypatch.setattr(weyl, "dominance_diff", solve)
+    template = qchar._fundamental_template.__wrapped__(cd, node, tuple(sorted(table.items())))
+    weights = [weight_of(cd, pi) for pi, _ in template.char.terms]
+    assert sorted(walks) == sorted(lam for lam in weights if lam in levels)
+    assert walks == sorted(walks, key=lambda lam: (walked_heights[lam], lam))
+    assert sorted(mu for _, mu, _ in solves) == sorted(levels - {top})
+    for lam, mu, height in solves:
+        assert lam == top and height == walked_heights[mu], mu
+    assert bool(solves) != is_minuscule(cd, node)
 
 
 def test_discovery_skips_only_terms_that_find_nothing():
@@ -563,8 +590,8 @@ def test_discovery_skips_only_terms_that_find_nothing():
             if 2 in mu and any(mu) and not is_minuscule(cd, node):
                 continue
             bounds = {}
-            assert qchar._discover(cd, pi, mu, mult, bounds) == [], (cd.type, pi)
-            assert bounds == {}
+            qchar._discover(cd, pi, mu, mult, bounds)
+            assert bounds == {}, (cd.type, pi)
             skipped += 1
     assert skipped > 0
 
@@ -625,6 +652,66 @@ def test_a_consistent_non_dominant_table_entry_changes_nothing():
     b3 = cartan_data("B3")
     with_entry = fundamental_char(b3, 1, ("a", 0), {**_B3_VECTOR, (-1, 0, 0): 1})
     assert with_entry == fundamental_char(b3, 1, ("a", 0), _B3_VECTOR)
+
+
+def _classical_table(cd, i):
+    """The dominant weight multiplicities of the fundamental module at a
+    non-minuscule node i of B_n, C_n or D_n, as a g-module, and its dimension.
+
+    Closed forms (Hatayama, Kuniba, Okado, Takagi, Yamada, arXiv:math/9812022;
+    Chari, arXiv:math/0006090): on B_n and D_n the module is the sum of
+    Lambda^k V over k <= i with k = i mod 2, on C_n it is V(omega_i), of
+    character Lambda^i V - Lambda^(i-2) V, with V the vector representation.
+    omega_j = e_1 + ... + e_j (0 for j = 0) has multiplicity C(n-j, (k-j)/2)
+    in Lambda^k V on C and D, and on B, where V also has the weight 0,
+    that count summed over both parities of the zero weight.
+    """
+    n, series = cd.rank, cd.type.series
+
+    def count(m, r):
+        return comb(m, r) if r >= 0 else 0
+
+    def omega(j):
+        return tuple(int(k == j) for k in cd.nodes)
+
+    ks = range(i % 2, i + 1, 2)
+    if series == "C":
+        mults = {j: count(n - j, (i - j) // 2) - count(n - j, (i - j) // 2 - 1) for j in ks}
+        return {omega(j): m for j, m in mults.items()}, comb(2 * n, i) - count(2 * n, i - 2)
+    if series == "B":
+        mults = {j: sum(count(n - j, (k - j) // 2) for k in ks if k >= j) for j in range(i + 1)}
+        return {omega(j): m for j, m in mults.items()}, sum(comb(2 * n + 1, k) for k in ks)
+    mults = {j: sum(count(n - j, (k - j) // 2) for k in ks if k >= j) for j in ks}
+    return {omega(j): m for j, m in mults.items()}, sum(comb(2 * n, k) for k in ks)
+
+
+_CLASSICAL_NODES = [
+    (f"{series}{n}", i)
+    for series, ranks in (("B", range(2, 8)), ("C", range(2, 8)), ("D", range(4, 9)))
+    for n in ranks
+    for i in range(1, n + 1)
+    if not is_minuscule(cartan_data(f"{series}{n}"), i)
+]
+
+
+@pytest.mark.parametrize("label,node", _CLASSICAL_NODES)
+def test_the_descent_matches_the_closed_form_tables(label, node):
+    # Oracle for the table path on every non-minuscule classical node up to
+    # rank 7 (8 for D): the descent accepts the closed-form table, whose
+    # entries its character's dominant weights carry, and has its dimension.
+    cd = cartan_data(label)
+    table, dim = _classical_table(cd, node)
+    char = fundamental_char(cd, node, ("a", 0), table)
+    assert sum(mult for _, mult in char.terms) == dim
+    dominant = {lam: m for lam, m in weight_projection(cd, char).items() if min(lam) >= 0}
+    assert dominant == table
+
+
+def test_the_closed_form_tables_cover_57_nodes():
+    assert len(_CLASSICAL_NODES) == 57
+    # Two tables written out: the adjoint of D_n, and V(omega_2) of C_n.
+    assert _classical_table(cartan_data("D5"), 2) == ({(0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0): 6}, 46)
+    assert _classical_table(cartan_data("C4"), 2) == ({(0, 1, 0, 0): 1, (0, 0, 0, 0): 3}, 27)
 
 
 def test_cli_reports_a_table_mismatch(capsys):
