@@ -69,9 +69,9 @@ def braid_act_word(cd: CartanData, word: Sequence[int], pi: LWeight) -> LWeight:
     raised to p; moving keeps the factor order.  pi itself comes back
     when no letter fires.
     """
+    word = tuple(word)
     cd.check_nodes(word)
     check_lweight(cd, pi)
-    word = tuple(word)
     out: Factors = ()
     fired = False
     for (j, a, k), p in pi.factors:

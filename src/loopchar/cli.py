@@ -3,9 +3,13 @@
 One verb per library operation, plus a ``verify`` verb that runs the
 self-check suites.  Output is deterministic for a fixed argument list;
 ``--format json`` switches every verb to a machine-readable encoding.
+Each handler returns its whole output as a string (``verify`` with its
+exit code), and ``main`` writes it to stdout once, so a call that fails
+writes nothing to stdout.
 Exit codes: 0 on success (predicates report their answer and still exit
 0), 1 when verification finds a failing check, 2 on bad input syntax,
 3 when the request is well formed but outside an operation's domain,
+a result holding an integer too long to print included,
 4 on an internal error, reported as one line on stderr, and 141 when the
 reader of stdout closed it before the output was written (as in
 ``| head -1``), with nothing on stderr.
@@ -101,47 +105,41 @@ def _weights(cd: CartanData, texts: List[str]) -> List[LWeight]:
     return [check_lweight(cd, parse_lweight(text)) for text in texts]
 
 
-def _print_lweight(pi: LWeight, fmt: str) -> None:
-    print(_dump(pi.to_json()) if fmt == "json" else str(pi))
+def _render(value: object, fmt: str) -> str:
+    """A verb's answer in fmt: a predicate's truth value, or a loop weight,
+    class or character by its ``to_json`` or its text."""
+    if isinstance(value, bool):
+        return _dump({"result": value}) if fmt == "json" else str(value).lower()
+    if fmt == "json":
+        return _dump(value.to_json())
+    return value.text() if isinstance(value, LCharacter) else str(value)
 
 
-def _print_char(c: LCharacter, fmt: str) -> None:
-    print(_dump(c.to_json()) if fmt == "json" else c.text())
-
-
-def _print_bool(value: bool, fmt: str) -> None:
-    print(_dump({"result": value}) if fmt == "json" else ("true" if value else "false"))
-
-
-def _cmd_alpha(args: SimpleNamespace) -> int:
+def _cmd_alpha(args: SimpleNamespace) -> str:
     from .braid import simple_lroot
 
     cd = cartan_data(args.type)
-    _print_lweight(simple_lroot(cd, args.node, args.orbit, args.exp), args.format)
-    return 0
+    return _render(simple_lroot(cd, args.node, args.orbit, args.exp), args.format)
 
 
-def _cmd_act(args: SimpleNamespace) -> int:
+def _cmd_act(args: SimpleNamespace) -> str:
     from .braid import braid_act_word
     from .weyl import is_reduced_word
 
     cd = cartan_data(args.type)
     word = _parse_word(args.word)
-    cd.check_nodes(word)
     if not is_reduced_word(cd, word):
         print("warning: word is not reduced", file=sys.stderr)
     (pi,) = _weights(cd, [args.weight])
-    _print_lweight(braid_act_word(cd, word, pi), args.format)
-    return 0
+    return _render(braid_act_word(cd, word, pi), args.format)
 
 
-def _cmd_twist(args: SimpleNamespace) -> int:
+def _cmd_twist(args: SimpleNamespace) -> str:
     from .braid import twist_by_w0
 
     cd = cartan_data(args.type)
     (pi,) = _weights(cd, [args.weight])
-    _print_lweight(twist_by_w0(cd, pi), args.format)
-    return 0
+    return _render(twist_by_w0(cd, pi), args.format)
 
 
 def _coeff_sign(values: List[int]) -> str:
@@ -154,80 +152,66 @@ def _coeff_sign(values: List[int]) -> str:
     return "mixed"
 
 
-def _cmd_decompose(args: SimpleNamespace) -> int:
+def _cmd_decompose(args: SimpleNamespace) -> str:
     from .braid import lroot_decompose
 
     cd = cartan_data(args.type)
     (pi,) = _weights(cd, [args.weight])
     coeffs = lroot_decompose(cd, pi, args.sign)
     if coeffs is None:
-        print(_dump({"in_lattice": False}) if args.format == "json" else "in_lattice: false")
-        return 0
+        return _dump({"in_lattice": False}) if args.format == "json" else "in_lattice: false"
     items = sorted(coeffs.items())
     sign = _coeff_sign([c for _, c in items])
     if args.format == "json":
-        print(
-            _dump(
-                {
-                    "in_lattice": True,
-                    "sign": sign,
-                    "coeffs": [
-                        {"node": node, "orbit": orbit, "exp": exp, "c": c}
-                        for (node, orbit, exp), c in items
-                    ],
-                }
-            )
+        return _dump(
+            {
+                "in_lattice": True,
+                "sign": sign,
+                "coeffs": [
+                    {"node": node, "orbit": orbit, "exp": exp, "c": c}
+                    for (node, orbit, exp), c in items
+                ],
+            }
         )
-    else:
-        print("in_lattice: true")
-        print(f"sign: {sign}")
-        for (node, orbit, exp), c in items:
-            print(f"alpha[{node};{orbit},{exp}] {c}")
-    return 0
+    lines = [f"alpha[{node};{orbit},{exp}] {c}" for (node, orbit, exp), c in items]
+    return "\n".join(["in_lattice: true", f"sign: {sign}", *lines])
 
 
-def _cmd_cone(args: SimpleNamespace) -> int:
+def _cmd_cone(args: SimpleNamespace) -> str:
     from .braid import cone_check
 
     cd = cartan_data(args.type)
     omega, pi = _weights(cd, [args.highest, args.weight])
-    _print_bool(cone_check(cd, omega, pi), args.format)
-    return 0
+    return _render(cone_check(cd, omega, pi), args.format)
 
 
-def _cmd_block(args: SimpleNamespace) -> int:
+def _cmd_block(args: SimpleNamespace) -> str:
     from .blocks import elliptic_class
 
     cd = cartan_data(args.type)
     (pi,) = _weights(cd, [args.weight])
-    chi = elliptic_class(cd, pi)
-    print(_dump(chi.to_json()) if args.format == "json" else str(chi))
-    return 0
+    return _render(elliptic_class(cd, pi), args.format)
 
 
-def _cmd_linked(args: SimpleNamespace) -> int:
+def _cmd_linked(args: SimpleNamespace) -> str:
     from .blocks import blocks_linked
 
     cd = cartan_data(args.type)
     w1, w2 = _weights(cd, [args.first, args.second])
-    _print_bool(blocks_linked(cd, w1, w2), args.format)
-    return 0
+    return _render(blocks_linked(cd, w1, w2), args.format)
 
 
-def _cmd_trivial(args: SimpleNamespace) -> int:
+def _cmd_trivial(args: SimpleNamespace) -> str:
     from .blocks import trivial_sets
 
     cd = cartan_data(args.type)
     sets = trivial_sets(cd, args.orbit, args.exp)
     if args.format == "json":
-        print(_dump([{"label": label, "weight": w.to_json()} for label, w in sets]))
-    else:
-        for label, w in sets:
-            print(f"{label} {w}")
-    return 0
+        return _dump([{"label": label, "weight": w.to_json()} for label, w in sets])
+    return "\n".join(f"{label} {w}" for label, w in sets)
 
 
-def _cmd_qchar_fund(args: SimpleNamespace) -> int:
+def _cmd_qchar_fund(args: SimpleNamespace) -> str:
     from .qchar import dn_node2_char, fundamental_char, is_minuscule, minuscule_char
 
     cd = cartan_data(args.type)
@@ -243,20 +227,18 @@ def _cmd_qchar_fund(args: SimpleNamespace) -> int:
         raise DomainError(
             f"node {args.node} of {cd.type} needs an explicit multiplicity table"
         )
-    _print_char(c, args.format)
-    return 0
+    return _render(c, args.format)
 
 
-def _cmd_qchar_sl2(args: SimpleNamespace) -> int:
+def _cmd_qchar_sl2(args: SimpleNamespace) -> str:
     from .qchar import sl2_eval_char
 
     if args.type is not None and args.type.strip() != "A1":
         raise DomainError("string characters live in type A1")
-    _print_char(sl2_eval_char((args.orbit, args.exp), args.length), args.format)
-    return 0
+    return _render(sl2_eval_char((args.orbit, args.exp), args.length), args.format)
 
 
-def _cmd_qchar_tensor(args: SimpleNamespace) -> int:
+def _cmd_qchar_tensor(args: SimpleNamespace) -> str:
     from .qchar import Sl2String, sl2_eval_char, sl2_tensor_irreducible, tensor_char
 
     s1 = Sl2String((args.orbit, args.exp), args.length)
@@ -267,40 +249,32 @@ def _cmd_qchar_tensor(args: SimpleNamespace) -> int:
     product = tensor_char(sl2_eval_char(s1.a, s1.m), sl2_eval_char(s2.a, s2.m))
     irr = sl2_tensor_irreducible([s1, s2])
     if args.format == "json":
-        print(_dump({"irreducible": irr, "char": product.to_json()}))
-    else:
-        print(f"irreducible: {'true' if irr else 'false'}")
-        print(product.text())
-    return 0
+        return _dump({"irreducible": irr, "char": product.to_json()})
+    return f"irreducible: {'true' if irr else 'false'}\n{product.text()}"
 
 
-def _cmd_verify(args: SimpleNamespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> Tuple[str, int]:
+    """The report and the exit code: 1 when a check fails, else 0."""
     from .verify import SUITE_NAMES, run_suite
 
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    failing = 0
-    flat: List[Dict[str, str]] = []
-    for name in names:
-        rows = run_suite(name, args.seed)
-        bad = [r for r in rows if r["status"] != "pass"]
-        failing += len(bad)
-        if args.format == "json":
-            for r in rows:
-                flat.append({"suite": name, **r})
-        else:
-            verdict = "PASS" if not bad else f"FAIL ({len(bad)}/{len(rows)})"
-            print(f"{name:16s} {verdict:12s} {len(rows)} checks")
-            for r in bad:
-                print(f"  FAIL {r['check']}")
-                print(f"    expected: {r['expected']}")
-                print(f"    actual:   {r['actual']}")
+    results = [(name, run_suite(name, args.seed)) for name in names]
+    failing = sum(r["status"] != "pass" for _, rows in results for r in rows)
+    code = 1 if failing else 0
     if args.format == "json":
-        print(_dump(flat))
-    elif failing == 0:
-        print("all checks pass")
-    else:
-        print(f"{failing} failing checks")
-    return 1 if failing else 0
+        flat = [{"suite": name, **r} for name, rows in results for r in rows]
+        return _dump(flat), code
+    lines = []
+    for name, rows in results:
+        bad = [r for r in rows if r["status"] != "pass"]
+        verdict = "PASS" if not bad else f"FAIL ({len(bad)}/{len(rows)})"
+        lines.append(f"{name:16s} {verdict:12s} {len(rows)} checks")
+        for r in bad:
+            lines.append(f"  FAIL {r['check']}")
+            lines.append(f"    expected: {r['expected']}")
+            lines.append(f"    actual:   {r['actual']}")
+    lines.append(f"{failing} failing checks" if failing else "all checks pass")
+    return "\n".join(lines), code
 
 
 def _opt(flag: str, kind=None, default=None, required=False, choices=None, help=None) -> tuple:
@@ -521,7 +495,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"unrecognized arguments: {text if len(text) <= ECHO_CAP else quote(text)}")
         args = SimpleNamespace(**vars(namespace))
     try:
-        code = args.handler(args)
+        out = args.handler(args)
+        text, code = out if isinstance(out, tuple) else (out, 0)
+        # The one write to stdout.  print writes the newline as a second
+        # write: a large first write can end short, without an error, at a
+        # reader that has gone, and the second one then raises.
+        print(text)
         # Output still buffered would otherwise meet a closed pipe at exit.
         sys.stdout.flush()
         return code
@@ -539,6 +518,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except Exception as err:
+        # str() and json.dumps refuse an int past sys.get_int_max_str_digits()
+        # digits with a plain ValueError: a result too long to print.
+        if type(err) is ValueError and "integer string conversion" in str(err):
+            limit = sys.get_int_max_str_digits()
+            print(f"error: the result holds an integer of more than {limit} digits", file=sys.stderr)
+            return 3
         # A failed internal identity must not pass for exit 1 ("verify failed").
         print(f"internal error: {err!r}", file=sys.stderr)
         return 4

@@ -116,15 +116,17 @@ class WeylElement(Frozen):
 def element_from_word(cd: CartanData, word: Sequence[int]) -> WeylElement:
     """The element of word, with its canonical word: rho walked along the
     word, then the descent back to rho."""
+    word = tuple(word)
     cd.check_nodes(word)
     return WeylElement(cd.type, _descent(cd, _act(cd, word, rho(cd))))
 
 
-def is_reduced_word(cd: CartanData, word: Tuple[int, ...]) -> bool:
+def is_reduced_word(cd: CartanData, word: Sequence[int]) -> bool:
     """Whether word is as long as its element.
 
     The element's length is that of the descent from its image of rho.
     """
+    word = tuple(word)
     cd.check_nodes(word)
     return len(_descent(cd, _act(cd, word, rho(cd)))) == len(word)
 

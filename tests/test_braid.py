@@ -1,6 +1,7 @@
 """Tests for the braid action and the loop-root lattice."""
 
 import random
+import re
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -13,9 +14,11 @@ from loopchar import (
     cartan_data,
     cone_check,
     dual_lweight,
+    element_from_word,
     expand_lroots,
     fundamental_lweight,
     is_minuscule,
+    is_reduced_word,
     longest_element,
     lroot_decompose,
     min_coset_reps,
@@ -169,6 +172,25 @@ def test_word_action_checks_every_node_up_front():
     for word in ((3, 1), (1, 0), (-1,)):
         with pytest.raises(DomainError, match="out of range"):
             braid_act_word(cd, word, parse_lweight("w[2;a,0]"))
+
+
+@pytest.mark.parametrize("word", [(1,), (1, 2), (2, 1, 2, 3), (1, 1), (1, 7)])
+def test_a_word_read_from_an_iterator_acts_as_the_same_list(word):
+    # A one-pass iterator is read once: checking its nodes must not use it up.
+    cd = cartan_data("A3")
+    pi = parse_lweight("w[1;a,0]")
+    for act in (
+        lambda w: str(braid_act_word(cd, w, pi)),
+        lambda w: element_from_word(cd, w).word,
+        lambda w: is_reduced_word(cd, w),
+    ):
+        try:
+            want = act(list(word))
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=re.escape(str(exc))):
+                act(iter(word))
+        else:
+            assert act(iter(word)) == want
 
 
 SEVERAL_FACTORS = [

@@ -379,6 +379,49 @@ def test_internal_errors_exit_4(monkeypatch, capsys):
     assert err == "internal error: ArithmeticError('no class map')\n"
 
 
+
+def test_a_plain_value_error_is_still_internal(monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("x")
+
+    monkeypatch.setattr(cli, "_cmd_alpha", broken)
+    assert cli.main(["alpha", "--type", "A2", "--node", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: ValueError('x')\n"
+
+
+# The most digits an integer literal may have: each result below holds an
+# integer with more, which str() and json.dumps refuse.
+_N = "9" * _LIMIT
+_UNPRINTABLE_CALLS = {
+    "alpha": ["alpha", "--type", "A2", "--node", "1", "--exp", _N],
+    "alpha-json": ["alpha", "--type", "A2", "--node", "1", "--exp", _N, "--format", "json"],
+    "act": ["act", "--type", "A2", "--word", "1", f"w[1;a,{_N}]"],
+    "twist-w0": ["twist-w0", "--type", "A2", f"w[1;a,{_N}]"],
+    "trivial-sets": ["trivial-sets", "--type", "A2", "--exp", _N],
+    "qchar-fund": ["qchar-fund", "--type", "A3", "--node", "1", "--exp", _N],
+    "qchar-sl2": ["qchar-sl2", "--length", "2", "--exp", _N],
+    "qchar-tensor": ["qchar-tensor", "--length", "1", "--length2", "1", "--exp", _N],
+    "block": ["block", "--type", "A2", f"w[1;a,0]^{_N}*w[1;a,6]^{_N}"],
+    "decompose": [
+        "decompose", "--type", "A2",
+        "*".join([f"w[1;a,0]^{_N}"] * 2 + [f"w[1;a,2]^{_N}"] * 2 + [f"w[2;a,1]^-{_N}"] * 2),
+    ],
+}
+
+
+@_needs_limit
+@pytest.mark.parametrize("call", sorted(_UNPRINTABLE_CALLS))
+def test_a_result_too_long_to_print_exits_3_with_nothing_on_stdout(call, capsys):
+    # The whole output is built before any of it is written.
+    assert cli.main(_UNPRINTABLE_CALLS[call]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: the result holds an integer of more than {_LIMIT} digits\n"
+    assert len(err.encode()) < 400
+
+
 class _ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone: every write fails."""
 

@@ -7,6 +7,7 @@ before and after, so modules its own start-up loaded never count.
 
 import ast
 import functools
+import io
 import pathlib
 import subprocess
 import sys
@@ -143,6 +144,29 @@ def test_a_well_formed_call_loads_no_argparse(verb):
 def test_a_well_formed_call_loads_no_braid_or_weyl_it_skips(verb):
     _, skipped = WELL_FORMED[verb]
     assert not well_formed_run(verb) & {f"loopchar.{name}" for name in skipped}
+
+
+
+class _NoWrites(io.TextIOBase):
+    """A stdout that fails the test on any write."""
+
+    def write(self, text):
+        raise AssertionError(f"a handler wrote {text!r} to stdout")
+
+
+@pytest.mark.parametrize("verb", sorted(WELL_FORMED))
+def test_a_handler_returns_what_main_prints(verb, monkeypatch, capsys):
+    from loopchar import cli
+
+    argv = [verb, *WELL_FORMED[verb][0]]
+    args = cli._parse(argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", _NoWrites())
+        out = args.handler(args)
+    # verify alone returns its exit code beside its text.
+    text, code = out if verb == "verify" else (out, 0)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == text + "\n"
 
 
 # The loopchar modules each verify suite other than sl2 must not load.
